@@ -333,6 +333,9 @@ def cmd_mc(opts: dict) -> tuple[int, str]:
     _check_unit_interval(opts)
     a = _single_angle(opts, "a")
     b = _single_angle(opts, "b")
+    for key, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise UsageError(f"{FLAG_NAMES[key]} must be finite, got {value!r}")
     if opts["trials"] < 1:
         raise UsageError(f"--trials must be at least 1, got {opts['trials']}")
     if not 0 <= opts["seed"] < 2**64:

@@ -181,20 +181,24 @@ def parse_model_text(text: str) -> ModelSpec:
 
 
 def dump_model_spec(spec: ModelSpec) -> str:
-    """Canonical text form; full-precision floats so parsing is lossless."""
+    """Canonical text form; full-precision floats so parsing is lossless.
+
+    Values are coerced with ``float`` first, so numpy scalars are written
+    as plain numbers rather than as ``np.float64(...)``.
+    """
     lines = [f"kind {spec.kind}"]
     for i, w in enumerate(spec.weights):
-        lines.append(f"lambda {i} {w!r}")
+        lines.append(f"lambda {i} {float(w)!r}")
     for i, entries in enumerate(spec.p1_tables):
         for angle, p in entries:
-            lines.append(f"p1 {i} {angle!r} {p!r}")
+            lines.append(f"p1 {i} {float(angle)!r} {float(p)!r}")
     for i, entries in enumerate(spec.p2_tables):
         if spec.kind == lhv.FACTORIZED:
             for angle, p in entries:
-                lines.append(f"p2 {i} {angle!r} {p!r}")
+                lines.append(f"p2 {i} {float(angle)!r} {float(p)!r}")
         else:
             for a, b, A, p in entries:
-                lines.append(f"p2 {i} {a!r} {b!r} {A:+d} {p!r}")
+                lines.append(f"p2 {i} {float(a)!r} {float(b)!r} {A:+d} {float(p)!r}")
     return "\n".join(lines) + "\n"
 
 

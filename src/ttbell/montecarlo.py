@@ -11,6 +11,11 @@ own counter block of the Philox generator keyed by the run seed (four
 uniform doubles per block; the first three are used for A, B and the
 detection flag).  Runs are therefore bit-identical for a fixed seed no
 matter how the trial range is sharded across workers.
+
+Memory is bounded whatever the number of trials: each shard draws its
+blocks in fixed-size chunks and keeps only four running counts, so a run
+holds one chunk of draws at a time.  Chunk boundaries, like shard
+boundaries, do not change the counts.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from numpy.random import Generator, Philox
 from . import quantum
 
 DRAWS_PER_TRIAL = 4  # one Philox counter block per trial (3 doubles used)
+_CHUNK_TRIALS = 1 << 16  # trials drawn at once; bounds memory whatever n is
 
 
 class DetectorId(NamedTuple):
@@ -139,8 +145,13 @@ def run(
 
     The trial range may be split into any number of shards without
     changing the result: shard boundaries only decide which worker
-    generates which counter blocks.
+    generates which counter blocks.  Each shard is drawn in fixed-size
+    chunks, so memory stays bounded by one chunk whatever n is; like
+    sharding, chunking does not change the counts.  Raises ValueError
+    for non-finite settings.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"settings must be finite, got a={a!r}, b={b!r}")
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
     if n_shards < 1:
@@ -151,30 +162,37 @@ def run(
     cos_ab = math.cos(a - b)
     detect_p = config.detect_prob
 
-    totals = np.zeros(4, dtype=np.int64)  # indexed by DETECTORS order
-    undetected = 0
+    n_pp = n_a_plus = n_b_plus = n_det = 0
     bounds = [round(i * n / n_shards) for i in range(n_shards + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
         gen = Generator(Philox(key=seed).advance(lo))
-        u = gen.random((hi - lo, DRAWS_PER_TRIAL))
-        a_out = np.where(u[:, 0] < p1_plus, 1, -1)
-        p_b_plus = 0.5 * (1.0 + a_out * cos_ab)
-        b_out = np.where(u[:, 1] < p_b_plus, 1, -1)
-        detected = u[:, 2] < detect_p
-        undetected += int(hi - lo) - int(np.count_nonzero(detected))
-        # map (A, B) to DETECTORS order: (+,+) (+,-) (-,+) (-,-)
-        idx = np.where(a_out == 1, 0, 2) + np.where(b_out == 1, 0, 1)
-        totals += np.bincount(idx[detected], minlength=4)
+        for start in range(lo, hi, _CHUNK_TRIALS):
+            # whole rows keep the stream on block boundaries: trial i
+            # reads exactly the four doubles of counter block i
+            u = gen.random((min(_CHUNK_TRIALS, hi - start), DRAWS_PER_TRIAL))
+            a_plus = u[:, 0] < p1_plus
+            b_plus = u[:, 1] < np.where(a_plus, 0.5 * (1.0 + cos_ab), 0.5 * (1.0 - cos_ab))
+            detected = u[:, 2] < detect_p
+            a_plus &= detected
+            b_plus &= detected
+            n_det += int(np.count_nonzero(detected))
+            n_a_plus += int(np.count_nonzero(a_plus))
+            n_b_plus += int(np.count_nonzero(b_plus))
+            n_pp += int(np.count_nonzero(a_plus & b_plus))
 
-    counts = {det: int(c) for det, c in zip(DETECTORS, totals)}
+    # inclusion-exclusion over the detected trials, in DETECTORS order
+    totals = (
+        n_pp,
+        n_a_plus - n_pp,
+        n_b_plus - n_pp,
+        n_det - n_a_plus - n_b_plus + n_pp,
+    )
     return RunCounts(
         settings=(a, b),
         config=config,
         n_total=n,
-        counts=counts,
-        n_undetected=undetected,
+        counts=dict(zip(DETECTORS, totals)),
+        n_undetected=n - n_det,
         seed=seed,
     )
 

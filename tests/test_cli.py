@@ -107,6 +107,14 @@ class TestMc:
         assert code == EXIT_USAGE
         assert "--trials" in err
 
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_setting_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "mc", flag, value, "--trials", "100")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err and "Traceback" not in err
+
 
 class TestChshScan:
     def test_summary_frozen_values(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ttbell import lhv, model_io
@@ -126,6 +127,20 @@ class TestRoundTrip:
         assert spec.weights == weights
         assert dict(spec.p1_tables[0])[0.1] == 1.0 / 7.0
         assert dict(spec.p2_tables[0])[0.2] == 0.123456789012345
+
+    def test_random_factorized_model_round_trip(self, tmp_path):
+        # numpy-valued weights must be written as plain floats
+        t1, t2 = [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4]
+        model = lhv.random_factorized_model(np.random.default_rng(5), 4, t1, t2)
+        path = tmp_path / "random.model"
+        model_io.write_model_file(path, model, t1_angles=t1, t2_angles=t2)
+        assert "np." not in path.read_text()
+        loaded = model_io.load_model(path)
+        for a in t1:
+            for b in t2:
+                j1, m1 = lhv.average_over_lambda(model, a, b)
+                j2, m2 = lhv.average_over_lambda(loaded, a, b)
+                assert j1 == j2 and m1 == m2
 
     def test_general_model_tabulation(self):
         model = model_io.parse_model_text(GENERAL_TEXT).build()

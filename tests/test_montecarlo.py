@@ -5,6 +5,7 @@ seeded run sits within its 4-sigma binomial band it stays there.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -94,6 +95,50 @@ class TestRunDeterminism:
             mc.run(0.0, 0.0, IDEAL, 10, seed=-1)
         with pytest.raises(ValueError):
             mc.run(0.0, 0.0, IDEAL, 10, seed=2**64)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mc.run(bad, 0.0, IDEAL, 10, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            mc.run(0.0, bad, IDEAL, 10, seed=1)
+
+
+# Exact counts (n_pp, n_pm, n_mp, n_mm, n_undetected) frozen from the
+# unchunked implementation: (seed, n, n_shards, a, b, eta_d, counts).
+# The cases cover single trials, sizes that are not a multiple of the
+# chunk size, and shards longer than one chunk.
+GOLDEN_COUNTS = [
+    (0, 1, 1, 0.3, 0.1, 1.0, (1, 0, 0, 0, 0)),
+    (2, 1, 1, -1.2, 0.4, 0.6, (0, 0, 0, 0, 1)),
+    (3, 1, 1, -1.2, 0.4, 0.6, (0, 0, 1, 0, 0)),
+    (1, 1000, 3, 0.9, -0.3, 0.85, (520, 237, 29, 75, 139)),
+    (2**63 + 7, 65536, 1, math.pi / 4, math.pi / 2, 0.75, (35911, 6098, 1063, 6146, 16318)),
+    (0, 65537, 1, math.pi / 4, 0.0, 0.9, (42844, 7440, 1276, 7405, 6572)),
+    (12345, 65537, 4, 1.2, -0.7, 0.7, (15044, 29302, 1018, 562, 19611)),
+    (1, 300001, 3, math.pi / 3, math.pi / 6, 0.72, (188178, 13528, 944, 13478, 83873)),
+    (2**63 + 7, 300001, 7, 0.0, 0.0, 1.0, (149661, 0, 0, 150340, 0)),
+    (2024, 1_500_000, 4, math.pi / 4, 3 * math.pi / 4, 0.71,
+     (454347, 455072, 77841, 78468, 434272)),
+    (2**64 - 1, 131073, 2, -2.5, 4.0, 0.5, (12903, 160, 657, 51890, 65463)),
+]
+
+
+@pytest.mark.parametrize("seed, n, n_shards, a, b, eta_d, expected", GOLDEN_COUNTS)
+def test_golden_counts(seed, n, n_shards, a, b, eta_d, expected):
+    r = mc.run(a, b, mc.DetectionConfig(eta_d=eta_d), n, seed, n_shards=n_shards)
+    assert tuple(r.counts[d] for d in mc.DETECTORS) + (r.n_undetected,) == expected
+
+
+def test_memory_does_not_grow_with_trials():
+    # an unchunked run would hold a 4e6 x 4 float64 draw array (128 MB)
+    tracemalloc.start()
+    try:
+        mc.run(0.7, 0.1, mc.DetectionConfig(eta_d=0.8), 4_000_000, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestStatisticalConsistency:
