@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 CLASSICAL_BOUND = 2.0
 VIOLATION_TOL = 1e-12
 CRITICAL_ETA_F = 1.0 / math.sqrt(2.0)
@@ -49,12 +51,18 @@ class ChshReport:
     margin: float = 0.0
 
 
-@dataclass(frozen=True)
-class AlphaScanRow:
-    alpha: float
-    s_ideal: float
-    s_exp: float
-    violated: bool
+@dataclass(frozen=True, eq=False)
+class AlphaScan:
+    """Scan columns, one entry per grid point: ``alpha``, ``s_ideal`` and
+    ``s_exp`` (float64) and ``violated`` (bool)."""
+
+    alpha: np.ndarray
+    s_ideal: np.ndarray
+    s_exp: np.ndarray
+    violated: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -166,40 +174,44 @@ def scan_alpha(
     alpha_max: float,
     step: float,
     eta_f: float = 1.0,
-) -> tuple[list[AlphaScanRow], ScanSummary]:
+) -> tuple[AlphaScan, ScanSummary]:
     """Tabulate the ladder CHSH value and refine its maximizer.
 
-    Rows cover alpha_min, alpha_min + step, ... up to alpha_max.  The
-    returned summary refines the grid argmax by golden section plus a
-    parabolic polish; grid ties (the ladder has equal-height peaks) are
-    broken toward the smallest alpha.
+    Rows cover alpha_min, alpha_min + step, ... up to alpha_max.  Each
+    column applies the operations of the scalar route (``alpha_min +
+    k*step``, ``s_ideal_closed``, ``eta_f*s``) in the same order, so it
+    matches that route bit for bit wherever numpy's cos agrees with
+    ``math.cos`` (the tests check this).  The returned summary
+    refines the grid argmax by golden section plus a parabolic polish;
+    grid ties (the ladder has equal-height peaks) are broken toward the
+    smallest alpha.
     """
+    for name, value in (("alpha_min", alpha_min), ("alpha_max", alpha_max), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     if alpha_max < alpha_min:
         raise ValueError("empty scan range: alpha_max < alpha_min")
-    n = int(math.floor((alpha_max - alpha_min) / step + 1e-9)) + 1
-    alphas = [alpha_min + k * step for k in range(n)]
+    span = (alpha_max - alpha_min) / step
+    if not math.isfinite(span):
+        raise ValueError(f"(alpha_max - alpha_min) / step overflows: {span!r}")
+    n = int(math.floor(span + 1e-9)) + 1
+    alphas = alpha_min + np.arange(n) * step
+    s_ideal = np.abs(3.0 * np.cos(alphas) - np.cos(3.0 * alphas))
+    s_exp = eta_f * s_ideal
+    scan = AlphaScan(
+        alpha=alphas,
+        s_ideal=s_ideal,
+        s_exp=s_exp,
+        violated=s_exp > CLASSICAL_BOUND + VIOLATION_TOL,
+    )
 
-    rows = []
-    for alpha in alphas:
-        s_id = s_ideal_closed(alpha)
-        s_exp = eta_f * s_id
-        rows.append(
-            AlphaScanRow(
-                alpha=alpha,
-                s_ideal=s_id,
-                s_exp=s_exp,
-                violated=s_exp > CLASSICAL_BOUND + VIOLATION_TOL,
-            )
-        )
-
-    values = [r.s_ideal for r in rows]
-    grid_max = max(values)
+    grid_max = s_ideal.max()
     tie_tol = max(4.0 * step * step, 1e-12)
-    first = next(i for i, v in enumerate(values) if v >= grid_max - tie_tol)
-    lo = alphas[max(first - 1, 0)]
-    hi = alphas[min(first + 1, n - 1)]
+    first = int(np.argmax(s_ideal >= grid_max - tie_tol))
+    lo = float(alphas[max(first - 1, 0)])
+    hi = float(alphas[min(first + 1, n - 1)])
     alpha_star = _refine_max(s_ideal_closed, lo, hi)
     s_max = s_ideal_closed(alpha_star)
     s_exp_max = eta_f * s_max
@@ -210,7 +222,7 @@ def scan_alpha(
         s_exp_max=s_exp_max,
         violated=s_exp_max > CLASSICAL_BOUND + VIOLATION_TOL,
     )
-    return rows, summary
+    return scan, summary
 
 
 def threshold_analysis(eta_d: float, f: float) -> ThresholdReport:

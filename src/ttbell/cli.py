@@ -5,8 +5,9 @@ Subcommands: ``table`` (joint/marginal/conditional probabilities),
 refined maximum), ``lhv-verify`` (model bookkeeping checks and CHSH
 bounds), ``polytope`` (local-model membership certificate).
 
-Output is CSV (RFC-4180-style quoting, floats with nine decimal places)
-or JSON (sorted keys, floats rounded to nine decimals); identical
+Output is CSV (a header line, then one line per record; fields are
+numbers or true/false and never need quoting; floats with nine decimal
+places) or JSON (sorted keys, floats rounded to nine decimals); identical
 configuration and seed produce byte-identical output.  Values may come
 from command-line flags, which override a flat ``key = value`` config
 file, which overrides built-in defaults.
@@ -18,8 +19,7 @@ error, 3 polytope-infeasible, 4 lhv-verify check failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import sys
@@ -119,28 +119,10 @@ SUBCOMMAND_KEYS = {
     "polytope": ("alpha", "targets", "eta_d", "f1", "f21", "fd2", "out", "format", "degrees"),
 }
 
-FLAG_NAMES = {
-    "a": "--a",
-    "b": "--b",
-    "a_prime": "--a-prime",
-    "b_prime": "--b-prime",
-    "alpha": "--alpha",
-    "alpha_min": "--alpha-min",
-    "alpha_max": "--alpha-max",
-    "alpha_step": "--alpha-step",
-    "eta_d": "--eta-d",
-    "f1": "--f1",
-    "f21": "--f21",
-    "fd2": "--fd2",
-    "trials": "--trials",
-    "seed": "--seed",
-    "model": "--model",
-    "model_file": "--model-file",
-    "grid_size": "--grid-size",
-    "targets": "--targets",
-    "out": "--out",
-    "format": "--format",
-}
+
+def _flag(key: str) -> str:
+    """The command-line flag of an option key: ``eta_d`` -> ``--eta-d``."""
+    return "--" + key.replace("_", "-")
 
 
 def fmt(x) -> str:
@@ -171,26 +153,83 @@ def jnum(x):
     return round(float(x), 9)
 
 
-def csv_table(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
-    return buf.getvalue()
-
-
 def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# Column kinds of a record: how a cell is written in CSV (as by ``fmt``)
+# and in JSON (as ``json_text`` writes ``jnum`` of it).  Cells are Python
+# scalars; a FLOAT cell may be None (missing).
+FLOAT, INT, SIGNED, BOOL = "float", "int", "signed", "bool"
+
+
+def _json_number(x) -> str:
+    x = jnum(x)
+    return "null" if x is None else repr(x)
+
+
+_CELL_TEXT = {  # kind -> (CSV text, JSON text)
+    FLOAT: (fmt, _json_number),
+    INT: (str, str),
+    SIGNED: ("{:+d}".format, str),
+    BOOL: (fmt, fmt),
+}
+
+
+def _render_rows(columns, rows, template: str, order, json_side: bool) -> list[str]:
+    """``template`` filled, per row, with the text of the cells in ``order``."""
+    cells = [(i, _CELL_TEXT[columns[i][1]][json_side]) for i in order]
+    return [template % tuple([text(row[i]) for i, text in cells]) for row in rows]
+
+
+def _csv_block(columns, rows) -> str:
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    lines = _render_rows(columns, rows, template, range(len(columns)), False)
+    return ",".join(name for name, _ in columns) + "\n" + "".join(lines)
+
+
+def _json_objects(columns, rows, indent: str) -> list[str]:
+    """One JSON object per row, keys sorted, closing brace at ``indent``."""
+    order = sorted(range(len(columns)), key=lambda i: columns[i][0])
+    template = (
+        "{\n"
+        + ",\n".join(f'{indent}  "{columns[i][0]}": %s' for i in order)
+        + f"\n{indent}}}"
+    )
+    return _render_rows(columns, rows, template, order, True)
+
+
+def emit_records(fmt_name: str, columns, rows, summary=None) -> str:
+    """CSV or JSON text of records, with an optional one-row ``summary``.
+
+    ``columns`` are ``(name, kind)`` pairs and ``rows`` an iterable of
+    tuples, or one tuple when the record is the whole document; ``summary``
+    is a ``(columns, row)`` pair.  JSON is ``{"rows": [...], "summary":
+    {...}}`` (or the one record) as ``json_text`` writes it; CSV is a
+    header line and one line per row, then the summary block after a
+    blank line.
+    """
+    single = isinstance(rows, tuple)
+    if fmt_name == "csv":
+        text = _csv_block(columns, [rows] if single else rows)
+        return text if summary is None else text + "\n" + _csv_block(summary[0], [summary[1]])
+    if single:
+        return _json_objects(columns, [rows], "")[0] + "\n"
+    parts = ['{\n  "rows": [\n    ', ",\n    ".join(_json_objects(columns, rows, "    ")), "\n  ]"]
+    if summary is not None:
+        parts += [',\n  "summary": ', *_json_objects(summary[0], [summary[1]], "  ")]
+    return "".join([*parts, "\n}\n"])
 
 
 def _parse_angle_list(text: str, key: str) -> list[float]:
     try:
         values = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError:
-        raise UsageError(f"{FLAG_NAMES[key]} expects a number or comma-separated numbers, got {text!r}")
+        raise UsageError(f"{_flag(key)} expects a number or comma-separated numbers, got {text!r}")
     if not values:
-        raise UsageError(f"{FLAG_NAMES[key]} is empty")
+        raise UsageError(f"{_flag(key)} is empty")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{_flag(key)} must be finite, got {text!r}")
     return values
 
 
@@ -211,6 +250,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttbell",
@@ -251,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument("--format", default=None, choices=("csv", "json"),
                                 help=helps[key])
             else:
-                sp.add_argument(FLAG_NAMES[key], dest=key, default=None, help=helps[key])
+                sp.add_argument(_flag(key), dest=key, default=None, help=helps[key])
         sp.add_argument("--config", default=None, help="flat key = value config file")
     return parser
 
@@ -275,7 +315,9 @@ def _merge_options(args: argparse.Namespace, keys) -> dict:
             try:
                 merged[key] = CONVERTERS[key](raw)
             except ValueError as exc:
-                raise UsageError(f"bad value for {FLAG_NAMES.get(key, key)}: {exc}")
+                raise UsageError(f"bad value for {_flag(key)}: {exc}")
+            if isinstance(merged[key], float) and not math.isfinite(merged[key]):
+                raise UsageError(f"{_flag(key)} must be finite, got {raw!r}")
         else:
             merged[key] = raw
     if merged.get("format") not in (None, "csv", "json"):
@@ -297,45 +339,45 @@ def _merge_options(args: argparse.Namespace, keys) -> dict:
 def _check_unit_interval(opts: dict, keys=("eta_d", "f1", "f21", "fd2")) -> None:
     for key in keys:
         if not 0.0 <= opts[key] <= 1.0:
-            raise UsageError(f"{FLAG_NAMES[key]} must lie in [0, 1], got {opts[key]!r}")
+            raise UsageError(f"{_flag(key)} must lie in [0, 1], got {opts[key]!r}")
+
+
+TABLE_COLUMNS = (
+    ("a", FLOAT), ("b", FLOAT), ("A", SIGNED), ("B", SIGNED),
+    ("p_joint", FLOAT), ("p_marg_t1", FLOAT), ("p_marg_t2", FLOAT), ("p_cond", FLOAT),
+)
 
 
 def cmd_table(opts: dict) -> tuple[int, str]:
     a_list = _parse_angle_list(opts["a"], "a")
     b_list = _parse_angle_list(opts["b"], "b")
-    header = ["a", "b", "A", "B", "p_joint", "p_marg_t1", "p_marg_t2", "p_cond"]
     rows = []
-    json_rows = []
     for a in a_list:
+        p1 = {A: quantum.marginal_t1(a, A) for A in quantum.OUTCOMES}
         for b in b_list:
-            joint = quantum.quantum_joint(a, b)
-            for A in quantum.OUTCOMES:
-                for B in quantum.OUTCOMES:
-                    p1 = quantum.marginal_t1(a, A)
-                    p2 = quantum.marginal_t2(a, b, B)
-                    try:
-                        cond = quantum.conditional_t2(a, b, A, B)
-                    except quantum.UndefinedConditionalError:
-                        cond = None
-                    rows.append([a, b, f"{A:+d}", f"{B:+d}", joint.prob(A, B), p1, p2, cond])
-                    json_rows.append({
-                        "a": jnum(a), "b": jnum(b), "A": A, "B": B,
-                        "p_joint": jnum(joint.prob(A, B)),
-                        "p_marg_t1": jnum(p1), "p_marg_t2": jnum(p2),
-                        "p_cond": jnum(cond),
-                    })
-    if opts["format"] == "json":
-        return EXIT_OK, json_text({"rows": json_rows})
-    return EXIT_OK, csv_table(header, rows)
+            p2 = {B: quantum.marginal_t2(a, b, B) for B in quantum.OUTCOMES}
+            for (A, B), p_joint in quantum.quantum_joint(a, b).items():
+                try:
+                    cond = quantum.conditional_t2(a, b, A, B)
+                except quantum.UndefinedConditionalError:
+                    cond = None
+                rows.append((a, b, A, B, p_joint, p1[A], p2[B], cond))
+    return EXIT_OK, emit_records(opts["format"], TABLE_COLUMNS, rows)
+
+
+MC_COLUMNS = (
+    ("a", FLOAT), ("b", FLOAT), ("eta_d", FLOAT), ("f1", FLOAT), ("f21", FLOAT),
+    ("fd2", FLOAT), ("overall_f", FLOAT), ("n_total", INT),
+    ("n_pp", INT), ("n_pm", INT), ("n_mp", INT), ("n_mm", INT), ("n_undetected", INT),
+    ("correlator_exp", FLOAT), ("correlator_conditioned", FLOAT),
+    ("std_error", FLOAT), ("std_error_conditioned", FLOAT), ("seed", INT),
+)
 
 
 def cmd_mc(opts: dict) -> tuple[int, str]:
     _check_unit_interval(opts)
     a = _single_angle(opts, "a")
     b = _single_angle(opts, "b")
-    for key, value in (("a", a), ("b", b)):
-        if not math.isfinite(value):
-            raise UsageError(f"{FLAG_NAMES[key]} must be finite, got {value!r}")
     if opts["trials"] < 1:
         raise UsageError(f"--trials must be at least 1, got {opts['trials']}")
     if not 0 <= opts["seed"] < 2**64:
@@ -345,72 +387,51 @@ def cmd_mc(opts: dict) -> tuple[int, str]:
     )
     counts = montecarlo.run(a, b, config, opts["trials"], opts["seed"])
     est = montecarlo.estimate(counts)
-    record = {
-        "a": a,
-        "b": b,
-        "eta_d": config.eta_d,
-        "f1": config.f1,
-        "f21": config.f21,
-        "fd2": config.f_d2,
-        "overall_f": config.overall_f,
-        "n_total": counts.n_total,
-        "n_pp": counts.counts[montecarlo.DetectorId(1, 1)],
-        "n_pm": counts.counts[montecarlo.DetectorId(1, -1)],
-        "n_mp": counts.counts[montecarlo.DetectorId(-1, 1)],
-        "n_mm": counts.counts[montecarlo.DetectorId(-1, -1)],
-        "n_undetected": counts.n_undetected,
-        "correlator_exp": est.correlator_exp,
-        "correlator_conditioned": est.correlator_conditioned,
-        "std_error": est.std_error,
-        "std_error_conditioned": est.std_error_conditioned,
-        "seed": counts.seed,
-    }
-    if opts["format"] == "json":
-        return EXIT_OK, json_text({k: jnum(v) for k, v in record.items()})
-    return EXIT_OK, csv_table(list(record), [list(record.values())])
+    record = (
+        a, b, config.eta_d, config.f1, config.f21, config.f_d2, config.overall_f,
+        counts.n_total,
+        counts.counts[montecarlo.DetectorId(1, 1)],
+        counts.counts[montecarlo.DetectorId(1, -1)],
+        counts.counts[montecarlo.DetectorId(-1, 1)],
+        counts.counts[montecarlo.DetectorId(-1, -1)],
+        counts.n_undetected,
+        est.correlator_exp, est.correlator_conditioned,
+        est.std_error, est.std_error_conditioned,
+        counts.seed,
+    )
+    return EXIT_OK, emit_records(opts["format"], MC_COLUMNS, record)
+
+
+SCAN_COLUMNS = (("alpha", FLOAT), ("s_ideal", FLOAT), ("s_exp", FLOAT), ("violated", BOOL))
+SCAN_SUMMARY_COLUMNS = (
+    ("alpha_star", FLOAT), ("s_max", FLOAT), ("s_exp_max", FLOAT),
+    ("eta_f", FLOAT), ("eta_f_critical", FLOAT), ("violated", BOOL),
+)
 
 
 def cmd_chsh_scan(opts: dict) -> tuple[int, str]:
     _check_unit_interval(opts)
     eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
     try:
-        rows, summary = scan_alpha(
+        scan, summary = scan_alpha(
             opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    if opts["format"] == "json":
-        return EXIT_OK, json_text({
-            "rows": [
-                {"alpha": jnum(r.alpha), "s_ideal": jnum(r.s_ideal),
-                 "s_exp": jnum(r.s_exp), "violated": r.violated}
-                for r in rows
-            ],
-            "summary": {
-                "alpha_star": jnum(summary.alpha_star),
-                "s_max": jnum(summary.s_max),
-                "s_exp_max": jnum(summary.s_exp_max),
-                "eta_f": jnum(summary.eta_f),
-                "eta_f_critical": jnum(summary.eta_f_critical),
-                "violated": summary.violated,
-            },
-        })
-    table = csv_table(
-        ["alpha", "s_ideal", "s_exp", "violated"],
-        [[r.alpha, r.s_ideal, r.s_exp, r.violated] for r in rows],
+    rows = zip(
+        scan.alpha.tolist(), scan.s_ideal.tolist(), scan.s_exp.tolist(), scan.violated.tolist()
     )
-    summary_table = csv_table(
-        ["alpha_star", "s_max", "s_exp_max", "eta_f", "eta_f_critical", "violated"],
-        [[summary.alpha_star, summary.s_max, summary.s_exp_max,
-          summary.eta_f, summary.eta_f_critical, summary.violated]],
+    summary_row = (summary.alpha_star, summary.s_max, summary.s_exp_max,
+                   summary.eta_f, summary.eta_f_critical, summary.violated)
+    return EXIT_OK, emit_records(
+        opts["format"], SCAN_COLUMNS, rows, (SCAN_SUMMARY_COLUMNS, summary_row)
     )
-    return EXIT_OK, table + "\n" + summary_table
 
 
 def _single_angle(opts: dict, key: str) -> float:
     values = _parse_angle_list(opts[key], key)
     if len(values) != 1:
-        raise UsageError(f"{FLAG_NAMES[key]} expects a single angle here, got {opts[key]!r}")
+        raise UsageError(f"{_flag(key)} expects a single angle here, got {opts[key]!r}")
     return values[0]
 
 

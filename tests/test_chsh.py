@@ -96,8 +96,8 @@ class TestScan:
 
     def test_rows_scale_with_eta_f(self):
         rows, summary = chsh.scan_alpha(0.0, 1.0, 0.1, eta_f=0.8)
-        for r in rows:
-            assert r.s_exp == pytest.approx(0.8 * r.s_ideal, abs=TOL)
+        for s_exp, s_ideal in zip(rows.s_exp, rows.s_ideal):
+            assert s_exp == pytest.approx(0.8 * s_ideal, abs=TOL)
         assert summary.s_exp_max == pytest.approx(0.8 * summary.s_max, abs=TOL)
         assert summary.violated  # 0.8 is above the 1/sqrt(2) threshold
 
@@ -109,8 +109,8 @@ class TestScan:
 
     def test_first_row_at_zero(self):
         rows, _ = chsh.scan_alpha(0.0, 0.5, 0.1)
-        assert rows[0].alpha == 0.0
-        assert rows[0].s_ideal == pytest.approx(2.0, abs=TOL)
+        assert rows.alpha[0] == 0.0
+        assert rows.s_ideal[0] == pytest.approx(2.0, abs=TOL)
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
@@ -120,10 +120,46 @@ class TestScan:
         with pytest.raises(ValueError):
             chsh.scan_alpha(1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_arguments_rejected(self, bad, position):
+        args = [0.0, 1.0, 0.1]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            chsh.scan_alpha(*args)
+
+    def test_overflowing_range_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            chsh.scan_alpha(-1e308, 1e308, 0.1)
+
     def test_single_point_range(self):
         rows, summary = chsh.scan_alpha(0.3, 0.3, 0.1)
         assert len(rows) == 1
         assert summary.alpha_star == pytest.approx(0.3, abs=1e-9)
+
+
+# alpha_star of each grid, recorded from the scalar (per-row loop) scan
+SCAN_ORACLE_GRIDS = [
+    ((0.0, math.pi, 1e-3), 3142, "0x1.921fb543ff9acp-1"),
+    ((-1.3, 2.1, 7e-3), 486, "-0x1.921fb543fe286p-1"),
+]
+
+
+@pytest.mark.parametrize("eta_f", [1.0, 0.7])
+@pytest.mark.parametrize("grid, n, alpha_star_hex", SCAN_ORACLE_GRIDS)
+def test_scan_columns_equal_scalar_route_bitwise(grid, n, alpha_star_hex, eta_f):
+    alpha_min, _, step = grid
+    scan, summary = chsh.scan_alpha(*grid, eta_f=eta_f)
+    assert len(scan) == n
+    for k in range(n):
+        alpha = alpha_min + k * step
+        s_ideal = chsh.s_ideal_closed(alpha)
+        s_exp = eta_f * s_ideal
+        assert scan.alpha[k].hex() == alpha.hex()
+        assert scan.s_ideal[k].hex() == s_ideal.hex()
+        assert scan.s_exp[k].hex() == s_exp.hex()
+        assert scan.violated[k] == (s_exp > 2.0 + 1e-12)
+    assert summary.alpha_star.hex() == alpha_star_hex
 
 
 class TestMonteCarloIntegration:

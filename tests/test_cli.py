@@ -164,6 +164,12 @@ class TestChshScan:
         )
         assert code == EXIT_USAGE
 
+    def test_overflowing_range_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "chsh-scan", "--alpha-min=-1e308", "--alpha-max=1e308")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "overflows" in err and "Traceback" not in err
+
 
 class TestLhvVerify:
     def test_builtin_reproducer_passes(self, capsys):
@@ -299,6 +305,35 @@ class TestPolytope:
         code, _, err = run_cli(capsys, "polytope")
         assert code == EXIT_USAGE
         assert "--alpha" in err or "--targets" in err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, flag", [
+        (("table", "--a", "nan"), "--a"),
+        (("table", "--a", "inf"), "--a"),
+        (("table", "--a", "inf", "--format", "json"), "--a"),
+        (("table", "--a", "0.3", "--b=0.1,-inf"), "--b"),
+        (("table", "--a", "nan", "--degrees"), "--a"),
+        (("polytope", "--alpha", "inf"), "--alpha"),
+        (("polytope", "--alpha", "nan"), "--alpha"),
+        (("chsh-scan", "--alpha-max", "inf"), "--alpha-max"),
+        (("chsh-scan", "--alpha-min=-inf"), "--alpha-min"),
+        (("chsh-scan", "--alpha-step", "nan"), "--alpha-step"),
+        (("lhv-verify", "--model", "fixed-setting-reproducer", "--a-prime", "nan"), "--a-prime"),
+    ])
+    def test_non_finite_value_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err and "Traceback" not in err
+
+    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha-max = inf\n")
+        code, out, err = run_cli(capsys, "chsh-scan", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--alpha-max" in err
 
 
 class TestConfigAndIo:
