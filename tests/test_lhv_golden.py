@@ -116,8 +116,8 @@ def cases():
 
 
 def _hex(x):
-    if x is None or isinstance(x, bool):
-        return x
+    if x is None or isinstance(x, (bool, np.bool_)):
+        return None if x is None else bool(x)
     return float(x).hex()
 
 
@@ -143,28 +143,28 @@ PINS = {
         '0x1.0ef397267aea7p+0', '0x1.0ef397267aea6p+0', '0x1.5ee9ac41a8b57p-3',
         '0x1.6015a37c51a43p-5', '0x1.419933b767111p-1', '0x1.42ac1c01a69d3p-3',
         '-0x1.2488756fa170cp-1', '0x1.32a73d8fa27cep-1', '-0x1.5e6a37bcb0ad6p-2', '0x0.0p+0',
-        '0x1.0000000000000p-56', '0x1.32a73d8fa27cep-1', '0x0.0p+0', '0x1.9d1882bf2dd6bp-2',
-        '0x0.0p+0', '0x0.0p+0',
+        '0x1.0000000000000p-56', '0x1.32a73d8fa27cep-1', False, '0x1.9d1882bf2dd6bp-2', '0x0.0p+0',
+        '0x0.0p+0',
     ),
     'random-2': (
         '0x1.16c1a3c9e9b38p-1', '0x1.48997703f5508p-1', '0x1.b21ca909e312cp-4',
         '0x1.2230d2e67cddcp-4', '0x1.f872ae0d51b5dp-2', '0x1.5279f2f6964e2p-2',
         '-0x1.4aeca103e803fp-1', '0x1.93e7613f29e9ep-3', '-0x1.03fb8b1bc3b4ep-3',
-        '0x1.0000000000000p-54', '0x0.0p+0', '0x1.9518efa3670d8p-3', '0x0.0p+0',
-        '0x1.d7bc31c321e52p-4', '0x1.0000000000000p-56', '0x0.0p+0',
+        '0x1.0000000000000p-54', '0x0.0p+0', '0x1.9518efa3670d8p-3', False, '0x1.d7bc31c321e52p-4',
+        '0x1.0000000000000p-56', '0x0.0p+0',
     ),
     'random-3': (
         '0x1.1a615ea18708ap-4', '0x1.2a2849144c326p-2', '0x1.7a7a4f14e7543p-4',
         '0x1.ebb99163a65b0p-2', '0x1.b515c1e1619bbp-4', '0x1.48626a5ec7691p-2',
         '0x1.296094a380c00p-3', '-0x1.341bfbc26dc40p-1', '-0x1.63fc076ffb07ap-3',
-        '0x1.0000000000000p-55', '0x1.0000000000000p-53', '0x1.2d8b6737408a8p-1', '0x0.0p+0',
+        '0x1.0000000000000p-55', '0x1.0000000000000p-53', '0x1.2d8b6737408a8p-1', False,
         '0x1.272fce33c79bcp-1', '0x1.0000000000000p-58', '0x0.0p+0',
     ),
     'random-7': (
         '0x1.525b6e3b589b3p-3', '0x1.a46a4557b7e0ap-1', '0x1.bfbd8259627d9p-3',
         '0x1.1656b9f210ce3p-2', '0x1.363d708ec4848p-2', '0x1.a71a28a4f2dcep-3',
         '-0x1.39509c27be600p-6', '0x1.61c31bb75c350p-5', '-0x1.3250aa03554aep-3',
-        '0x1.0000000000000p-54', '0x1.0000000000000p-53', '0x1.4a73ba34610c0p-5', '0x0.0p+0',
+        '0x1.0000000000000p-54', '0x1.0000000000000p-53', '0x1.4a73ba34610c0p-5', False,
         '0x1.4a54ca789d94ep-5', '0x0.0p+0', '0x0.0p+0',
     ),
     'position-50': (
