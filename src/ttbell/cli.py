@@ -412,12 +412,9 @@ SCAN_SUMMARY_COLUMNS = (
 def cmd_chsh_scan(opts: dict) -> tuple[int, str]:
     _check_unit_interval(opts)
     eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
-    try:
-        scan, summary = scan_alpha(
-            opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    scan, summary = scan_alpha(
+        opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f
+    )
     rows = zip(
         scan.alpha.tolist(), scan.s_ideal.tolist(), scan.s_exp.tolist(), scan.violated.tolist()
     )
@@ -502,9 +499,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, str]:
     bounds: dict[str, dict] = {}
     if model.kind == lhv.FACTORIZED:
         try:
-            per_lambda_max = max(
-                lhv.per_lambda_chsh(model, chsh_settings, lam) for lam in model.support
-            )
+            per_lambda_max = float(lhv.per_state_chsh(model, chsh_settings).max())
             averaged = lhv.averaged_chsh(model, chsh_settings)
         except lhv.InvalidModelError as exc:
             raise UsageError(f"model evaluation failed: {exc}")
@@ -580,6 +575,10 @@ def cmd_polytope(opts: dict) -> tuple[int, str]:
     elif opts["alpha"] is not None:
         eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
         settings = ladder_settings(opts["alpha"])
+        if not math.isfinite(settings.b):
+            raise UsageError(
+                f"--alpha {opts['alpha']!r} is out of range: the ladder angle 3*alpha overflows"
+            )
         targets = tuple(
             eta_f * value
             for value in polytope.targets_from_correlator(quantum.ideal_correlator, settings)
@@ -588,11 +587,7 @@ def cmd_polytope(opts: dict) -> tuple[int, str]:
     else:
         raise UsageError("polytope needs --alpha (with efficiencies) or --targets")
 
-    try:
-        cert = polytope.polytope_check(targets)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
+    cert = polytope.polytope_check(targets)
     facets = polytope.facet_values(targets)
     max_signs, max_value = max(facets, key=lambda sv: sv[1])
     payload = {
@@ -645,7 +640,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         opts = _merge_options(args, SUBCOMMAND_KEYS[args.command])
         exit_code, text = COMMANDS[args.command](opts)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # a ValueError from the library is a bad input the flags let through
         print(f"ttbell {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -14,6 +14,12 @@ Continuous hidden-variable densities are discretized to finite supports:
 every quantity of interest is an expectation, which finite weighted sums
 evaluate exactly.
 
+A model is evaluated a *column* at a time: for one setting, the validated
+pair (P(+1), P(-1)) as float64 arrays over all K states; every result is an
+array reduction over columns.  Sums over states run strictly left to right,
+so each equals a Python loop over the states bit for bit.  Tabulated models
+are checked once, when built, and hand out ready columns.
+
 For factorized models the per-lambda product mean factorizes,
 E12 = E1 * E2, which is what bounds the per-lambda CHSH combination by 2.
 `verify_consistency` checks the ensemble-level bookkeeping identities
@@ -25,7 +31,7 @@ over independent lambda pairs) that underpin that derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -43,6 +49,8 @@ from .quantum import (
 RESPONSE_TOL = 1e-12
 FACTORIZED = "factorized"
 GENERAL = "general"
+
+Column = tuple[np.ndarray, np.ndarray]  # (P(+1), P(-1)), each of shape (K,)
 
 
 class InvalidModelError(ValueError):
@@ -70,39 +78,72 @@ class PerLambdaStats:
     e12: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhvModel:
-    """Finite hidden-variable model.
+    """Finite hidden-variable model, evaluated a column at a time.
 
-    ``p1(A, a, lam)`` is the probability of first-slot outcome A at angle a.
-    For factorized models ``p2(B, b, lam)`` likewise; for general models
-    ``p2(B, a, b, A, lam)`` may also see the first setting and outcome.
+    ``t1_column(a)`` is the first-slot response at angle a as a ``Column``.
+    For factorized models ``t2_column(b)`` likewise; for general models
+    ``t2_column(a, b, A)`` may also see the first setting and outcome.  A
+    tabulated model marks a state with no response at a setting by NaN;
+    any evaluation that touches that state raises ``InvalidModelError``.
+    ``support`` is derived from the weights: ``support[k].id == k``.
     """
 
-    support: tuple[LambdaPoint, ...]
-    p1: Callable[..., float]
-    p2: Callable[..., float]
+    weights: np.ndarray
     kind: Literal["factorized", "general"]
+    t1_column: Callable[..., Column]
+    t2_column: Callable[..., Column]
+    support: tuple[LambdaPoint, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.support:
+        weights = np.array(self.weights, dtype=float).reshape(-1)
+        if not len(weights):
             raise InvalidModelError("model support is empty")
         if self.kind not in (FACTORIZED, GENERAL):
             raise InvalidModelError(f"unknown model kind {self.kind!r}")
-        for lam in self.support:
-            if lam.weight < -RESPONSE_TOL:
-                raise InvalidModelError(f"negative weight {lam.weight!r} at id {lam.id}")
-        total = math.fsum(lam.weight for lam in self.support)
+        # a list of floats is kept as given, so equal weights share one object
+        values = self.weights if isinstance(self.weights, list) else weights.tolist()
+        for k, w in enumerate(values):
+            if w < -RESPONSE_TOL:
+                raise InvalidModelError(f"negative weight {w!r} at id {k}")
+        total = math.fsum(values)
         if abs(total - 1.0) > RESPONSE_TOL:
             raise InvalidModelError(f"weights sum to {total!r}, expected 1")
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "support", tuple(LambdaPoint(k, w) for k, w in enumerate(values)))
 
 
 def factorized_model(support, p1, p2) -> LhvModel:
-    return LhvModel(support=tuple(support), p1=p1, p2=p2, kind=FACTORIZED)
+    """Model from scalar responses ``p1(A, a, lam)`` and ``p2(B, b, lam)``."""
+    return _hand_written(support, p1, p2, FACTORIZED)
 
 
 def general_model(support, p1, p2) -> LhvModel:
-    return LhvModel(support=tuple(support), p1=p1, p2=p2, kind=GENERAL)
+    """Model from scalar responses ``p1(A, a, lam)`` and ``p2(B, a, b, A, lam)``."""
+    return _hand_written(support, p1, p2, GENERAL)
+
+
+def _hand_written(support, p1, p2, kind) -> LhvModel:
+    """Wrap scalar responses into column functions that evaluate them at
+    every state, each pair validated by ``_response_pair``."""
+    support = tuple(support)
+    for k, lam in enumerate(support):
+        if lam.id != k:
+            raise InvalidModelError(f"support[{k}].id is {lam.id!r}; ids must run 0..K-1")
+
+    def columns(response, name):
+        def column(*setting):
+            pairs = [
+                _response_pair(lambda o: response(o, *setting, lam), f"{name}{setting} at id {k}")
+                for k, lam in enumerate(support)
+            ]
+            return np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+
+        return column
+
+    return LhvModel([lam.weight for lam in support], kind, columns(p1, "p1"), columns(p2, "p2"))
 
 
 def _response_pair(evaluate: Callable[[int], float], what: str) -> tuple[float, float]:
@@ -120,37 +161,68 @@ def _response_pair(evaluate: Callable[[int], float], what: str) -> tuple[float, 
     return values[0], values[1]
 
 
-def _t1_pair(m: LhvModel, a: float, lam: LambdaPoint) -> tuple[float, float]:
-    return _response_pair(lambda A: m.p1(A, a, lam), f"p1(a={a!r}, id={lam.id})")
+def _joint_terms(m: LhvModel, a_angles, b_angles, pairs) -> tuple[np.ndarray, ...]:
+    """Columns at setting pairs (i, j) = (a_angles[i], b_angles[j]), each
+    fetched once: slot 1, shape (2, P, K); slot 2, shape (2, P, K) for
+    factorized models and (2, 2, P, K) after A=+1 / A=-1 for general ones;
+    and the per-state joint entries, shape (2, 2, P, K), where
+    ``terms[i, j]`` has first outcome OUTCOMES[i], second OUTCOMES[j]."""
+    t1 = [m.t1_column(a) for a in a_angles]
+    pa = np.array([[t1[i][o] for i, _ in pairs] for o in (0, 1)])
+    if m.kind == FACTORIZED:
+        t2 = [m.t2_column(b) for b in b_angles]
+        pb = np.array([[t2[j][o] for _, j in pairs] for o in (0, 1)])
+    else:
+        t2 = [[m.t2_column(a_angles[i], b_angles[j], A) for i, j in pairs] for A in OUTCOMES]
+        pb = np.array([[[c[o] for c in after] for o in (0, 1)] for after in t2])
+    return pa, pb, pa[:, None] * pb
 
 
-def _t2_pair_factorized(m: LhvModel, b: float, lam: LambdaPoint) -> tuple[float, float]:
-    return _response_pair(lambda B: m.p2(B, b, lam), f"p2(b={b!r}, id={lam.id})")
+def _require_tabulated(values, terms: np.ndarray, where: str) -> None:
+    """Raise if a NaN among ``values`` comes from a state with no tabulated
+    response (NaN in its ``terms``, states on the last axis), not a weight."""
+    if any(math.isnan(v) for v in values):
+        missing = np.flatnonzero(np.isnan(terms).reshape(-1, terms.shape[-1]).any(axis=0))
+        if missing.size:
+            raise InvalidModelError(f"no response tabulated at {where} for id {missing[0]}")
+
+
+def _ensemble(m: LhvModel, terms: np.ndarray) -> np.ndarray:
+    """Weighted sums over states (the last axis), in state order.
+
+    ``np.add.accumulate`` adds strictly left to right; the final ``+ 0.0``
+    turns an all-negative-zero sum into +0.0, as a Python sum from 0.0 would.
+    """
+    weighted = terms * m.weights
+    return np.add.accumulate(weighted, axis=-1, out=weighted)[..., -1] + 0.0
+
+
+def _averaged(m: LhvModel, a: float, b: float):
+    """Slot-1 columns, per-state joint entries, ensemble joint and moments."""
+    pa, _, terms = _joint_terms(m, [a], [b], [(0, 0)])
+    pp, pm, mp, mm = entries = _ensemble(m, terms).ravel().tolist()
+    _require_tabulated(entries, terms, f"(a={a!r}, b={b!r})")
+    joint = JointDistribution(pp=pp, pm=pm, mp=mp, mm=mm)
+    moments = Moments(
+        mean_t1=(pp + pm) - (mp + mm),
+        mean_t2=(pp + mp) - (pm + mm),
+        correlator=joint.correlator(),
+    )
+    return pa, terms, joint, moments
+
+
+def _state(m: LhvModel, a: float, b: float, lam: LambdaPoint):
+    """Slot-1 and slot-2 columns and the joint of one hidden state at (a, b)."""
+    pa, pb, terms = (x[..., lam.id] for x in _joint_terms(m, [a], [b], [(0, 0)]))
+    entries = terms.ravel().tolist()
+    if any(math.isnan(v) for v in entries):
+        raise InvalidModelError(f"no response tabulated at (a={a!r}, b={b!r}) for id {lam.id}")
+    return pa, pb, JointDistribution(*entries)
 
 
 def per_lambda_joint(m: LhvModel, a: float, b: float, lam: LambdaPoint) -> JointDistribution:
     """Joint outcome distribution contributed by a single hidden state."""
-    pa_plus, pa_minus = _t1_pair(m, a, lam)
-    if m.kind == FACTORIZED:
-        pb_plus, pb_minus = _t2_pair_factorized(m, b, lam)
-        return JointDistribution(
-            pp=pa_plus * pb_plus,
-            pm=pa_plus * pb_minus,
-            mp=pa_minus * pb_plus,
-            mm=pa_minus * pb_minus,
-        )
-    pb_plus_given_p, pb_minus_given_p = _response_pair(
-        lambda B: m.p2(B, a, b, 1, lam), f"p2(a={a!r}, b={b!r}, A=+1, id={lam.id})"
-    )
-    pb_plus_given_m, pb_minus_given_m = _response_pair(
-        lambda B: m.p2(B, a, b, -1, lam), f"p2(a={a!r}, b={b!r}, A=-1, id={lam.id})"
-    )
-    return JointDistribution(
-        pp=pa_plus * pb_plus_given_p,
-        pm=pa_plus * pb_minus_given_p,
-        mp=pa_minus * pb_plus_given_m,
-        mm=pa_minus * pb_minus_given_m,
-    )
+    return _state(m, a, b, lam)[2]
 
 
 def per_lambda_stats(m: LhvModel, a: float, b: float, lam: LambdaPoint) -> PerLambdaStats:
@@ -159,32 +231,17 @@ def per_lambda_stats(m: LhvModel, a: float, b: float, lam: LambdaPoint) -> PerLa
     e12 is summed from the per-lambda joint rather than taken as e1*e2, so
     the factorization identity stays an observable property, not an input.
     """
-    pa_plus, pa_minus = _t1_pair(m, a, lam)
-    joint = per_lambda_joint(m, a, b, lam)
+    pa, pb, joint = _state(m, a, b, lam)
     if m.kind == FACTORIZED:
-        pb_plus, pb_minus = _t2_pair_factorized(m, b, lam)
-        e2 = pb_plus - pb_minus
+        e2 = pb.item(0) - pb.item(1)
     else:
         e2 = (joint.pp + joint.mp) - (joint.pm + joint.mm)
-    return PerLambdaStats(e1=pa_plus - pa_minus, e2=e2, e12=joint.correlator())
+    return PerLambdaStats(e1=pa.item(0) - pa.item(1), e2=e2, e12=joint.correlator())
 
 
 def average_over_lambda(m: LhvModel, a: float, b: float) -> tuple[JointDistribution, Moments]:
     """Ensemble joint and moments: weighted sums of per-lambda quantities."""
-    pp = pm = mp = mm = 0.0
-    for lam in m.support:
-        j = per_lambda_joint(m, a, b, lam)
-        pp += lam.weight * j.pp
-        pm += lam.weight * j.pm
-        mp += lam.weight * j.mp
-        mm += lam.weight * j.mm
-    joint = JointDistribution(pp=pp, pm=pm, mp=mp, mm=mm)
-    moments = Moments(
-        mean_t1=(pp + pm) - (mp + mm),
-        mean_t2=(pp + mp) - (pm + mm),
-        correlator=joint.correlator(),
-    )
-    return joint, moments
+    return _averaged(m, a, b)[2:]
 
 
 def model_conditional_t2(m: LhvModel, a: float, b: float, a_outcome: int, b_outcome: int) -> float:
@@ -206,25 +263,14 @@ def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
     ignore the angles, so agreement with quantum statistics holds at the
     construction settings only.
     """
-    joint = quantum_joint(a, b)
-    assign_a: dict[int, int] = {}
-    assign_b: dict[int, int] = {}
-    support = []
-    for (A, B), w in joint.items():
-        if w == 0.0:
-            continue
-        idx = len(support)
-        support.append(LambdaPoint(id=idx, weight=w))
-        assign_a[idx] = A
-        assign_b[idx] = B
-
-    def p1(A, angle, lam):
-        return 1.0 if A == assign_a[lam.id] else 0.0
-
-    def p2(B, angle, lam):
-        return 1.0 if B == assign_b[lam.id] else 0.0
-
-    return factorized_model(support, p1, p2)
+    kept = [(outcomes, w) for outcomes, w in quantum_joint(a, b).items() if w != 0.0]
+    t1, t2 = (
+        tuple(np.array([float(ab[slot] == o) for ab, _ in kept]) for o in OUTCOMES)
+        for slot in (0, 1)
+    )
+    for column in (*t1, *t2):
+        column.setflags(write=False)
+    return LhvModel([w for _, w in kept], FACTORIZED, lambda angle: t1, lambda angle: t2)
 
 
 def position_style_model(grid_size: int) -> LhvModel:
@@ -239,20 +285,17 @@ def position_style_model(grid_size: int) -> LhvModel:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     n = int(grid_size)
-    weight = 1.0 / n
-    support = [LambdaPoint(id=k, weight=weight) for k in range(n)]
+    coord = np.arange(n) / n
 
-    def p1(A, angle, lam):
-        coord = lam.id / n
-        s = 1 if coord < 0.5 * (1.0 + math.sin(angle)) else -1
-        return 1.0 if A == s else 0.0
+    def threshold_column(coords):
+        def column(angle):
+            plus = np.where(coords < 0.5 * (1.0 + math.sin(angle)), 1.0, 0.0)
+            return plus, 1.0 - plus
 
-    def p2(B, angle, lam):
-        coord = (lam.id / n + 0.5) % 1.0
-        s = 1 if coord < 0.5 * (1.0 + math.sin(angle)) else -1
-        return 1.0 if B == s else 0.0
+        return column
 
-    return factorized_model(support, p1, p2)
+    columns = (threshold_column(coord), threshold_column((coord + 0.5) % 1.0))
+    return LhvModel([1.0 / n] * n, FACTORIZED, *columns)
 
 
 def tabulated_factorized_model(
@@ -266,17 +309,8 @@ def tabulated_factorized_model(
     Evaluating at an angle not present in a table (within angle_tol) is an
     error: finite models are defined only at their tabulated settings.
     """
-    support = [LambdaPoint(id=i, weight=w) for i, w in enumerate(weights)]
-
-    def p1(A, angle, lam):
-        p_plus = _lookup_angle(p1_tables[lam.id], angle, angle_tol, "t1", lam.id)
-        return p_plus if A == 1 else 1.0 - p_plus
-
-    def p2(B, angle, lam):
-        p_plus = _lookup_angle(p2_tables[lam.id], angle, angle_tol, "t2", lam.id)
-        return p_plus if B == 1 else 1.0 - p_plus
-
-    return factorized_model(support, p1, p2)
+    p1, p2 = ([t.get(k, {}).items() for k in range(len(weights))] for t in (p1_tables, p2_tables))
+    return tabulated_model(FACTORIZED, weights, p1, p2, angle_tol)
 
 
 def tabulated_general_model(
@@ -287,37 +321,74 @@ def tabulated_general_model(
 ) -> LhvModel:
     """General model with first-slot tables angle -> P(+1) and second-slot
     tables (a, b, A) -> P(+1)."""
-    support = [LambdaPoint(id=i, weight=w) for i, w in enumerate(weights)]
-
-    def p1(A, angle, lam):
-        p_plus = _lookup_angle(p1_tables[lam.id], angle, angle_tol, "t1", lam.id)
-        return p_plus if A == 1 else 1.0 - p_plus
-
-    def p2(B, a, b, A, lam):
-        table = p2_tables[lam.id]
-        if (a, b, A) in table:
-            p_plus = table[(a, b, A)]
-        else:
-            for (ta, tb, tA), v in table.items():
-                if tA == A and abs(ta - a) <= angle_tol and abs(tb - b) <= angle_tol:
-                    p_plus = v
-                    break
-            else:
-                raise InvalidModelError(
-                    f"no t2 response tabulated at (a={a!r}, b={b!r}, A={A:+d}) for id {lam.id}"
-                )
-        return p_plus if B == 1 else 1.0 - p_plus
-
-    return general_model(support, p1, p2)
+    p1 = [p1_tables.get(k, {}).items() for k in range(len(weights))]
+    p2 = [[(*key, p) for key, p in p2_tables.get(k, {}).items()] for k in range(len(weights))]
+    return tabulated_model(GENERAL, weights, p1, p2, angle_tol)
 
 
-def _lookup_angle(table: dict[float, float], angle: float, tol: float, slot: str, lam_id: int) -> float:
-    if angle in table:
-        return table[angle]
-    for key, value in table.items():
-        if abs(key - angle) <= tol:
-            return value
-    raise InvalidModelError(f"no {slot} response tabulated at angle {angle!r} for id {lam_id}")
+def tabulated_model(kind, weights, p1_entries, p2_entries, angle_tol: float = 1e-9) -> LhvModel:
+    """Model from per-state table entries, each checked here once:
+    ``(angle, p_plus)`` for slot 1 and factorized slot 2, ``(a, b, A,
+    p_plus)`` for general slot 2.  A later equal key replaces an earlier one."""
+    t2_tol = (angle_tol,) if kind == FACTORIZED else (angle_tol, angle_tol, 0.0)
+    return LhvModel(
+        weights=weights,
+        kind=kind,
+        t1_column=_entries_column("t1", p1_entries, (angle_tol,)),
+        t2_column=_entries_column("t2", p2_entries, t2_tol),
+    )
+
+
+def _entries_column(slot: str, per_state, tol) -> Callable[..., Column]:
+    index: dict = {}  # every key any state tabulates, in first-seen order
+    cells = {}  # (state, key position) -> P(+1); a later entry replaces an earlier one
+    for k, entries in enumerate(per_state):
+        for *key, p in entries:
+            cells[k, index.setdefault(tuple(key), len(index))] = p
+    plus = np.full((len(per_state), len(index)), np.nan)
+    absent = np.ones(plus.shape, dtype=bool)
+    if cells:
+        rows, cols = np.array(list(cells)).T
+        plus[rows, cols] = list(cells.values())
+        absent[rows, cols] = False
+    return _table_column(slot, list(index), plus, tol, absent if absent.any() else None)
+
+
+def _table_column(slot, keys, plus, tol, absent=None) -> Callable[..., Column]:
+    """Column function over response tables, checked here once.
+
+    ``plus[k, j]`` is state k's raw P(+1) at ``keys[j]`` (distinct tuples);
+    NaN where ``absent``.  A state answers at the exact key, else at its first
+    key within ``tol`` (per key component), else with NaN.
+    """
+    given = plus.ravel().tolist() if absent is None else plus[~absent].tolist()
+    if not all(0.0 <= v <= 1.0 for v in given):  # clamp rounding dust, reject the rest
+        plus = plus.copy()
+        for k, row in enumerate(plus.tolist()):
+            for j, v in enumerate(row):
+                if absent is None or not absent[k, j]:
+                    what = f"{slot} table at {keys[j]} for id {k}"
+                    plus[k, j] = _response_pair(lambda o: v if o == 1 else 1.0 - v, what)[0]
+    minus = 1.0 - plus
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    complete = range(len(keys)) if absent is None else np.flatnonzero(~absent.any(axis=0)).tolist()
+    ready = {keys[j]: (plus[:, j], minus[:, j]) for j in complete}
+
+    def column(*key):
+        hit = ready.get(key)
+        if hit is not None or not keys:
+            return hit or (np.full(len(plus), np.nan),) * 2
+        grid = np.array(keys, dtype=float)
+        x = np.array(key, dtype=float)
+        exact = (grid == x).all(axis=-1) & ~np.isnan(plus)
+        near = (np.abs(grid - x) <= np.array(tol)).all(axis=-1) & ~np.isnan(plus)
+        pick = np.where(exact.any(axis=1), exact.argmax(axis=1), near.argmax(axis=1))
+        found = (exact | near).any(axis=1)
+        rows = np.arange(len(plus))
+        return np.where(found, plus[rows, pick], np.nan), np.where(found, minus[rows, pick], np.nan)
+
+    return column
 
 
 def random_factorized_model(
@@ -329,15 +400,22 @@ def random_factorized_model(
     """Random stochastic factorized model tabulated at the given angles."""
     raw = rng.random(n_lambda) + 1e-9
     weights = raw / raw.sum()
-    p1_tables = {
-        i: {float(a): float(p) for a, p in zip(t1_angles, rng.random(len(t1_angles)))}
-        for i in range(n_lambda)
-    }
-    p2_tables = {
-        i: {float(b): float(p) for b, p in zip(t2_angles, rng.random(len(t2_angles)))}
-        for i in range(n_lambda)
-    }
-    return tabulated_factorized_model(weights, p1_tables, p2_tables)
+    columns = []
+    for slot, angles in (("t1", t1_angles), ("t2", t2_angles)):
+        p_plus = rng.random((n_lambda, len(angles)))
+        at = {(float(x),): j for j, x in enumerate(angles)}  # as in a dict: last value wins
+        columns.append(_table_column(slot, list(at), p_plus[:, list(at.values())], (1e-9,)))
+    return LhvModel(weights=weights, kind=FACTORIZED, t1_column=columns[0], t2_column=columns[1])
+
+
+def _chsh(e1_a, e1_ap, e2_b, e2_bp):
+    return abs(e1_a * e2_b + e1_a * e2_bp + e1_ap * e2_bp - e1_ap * e2_b)
+
+
+def _chsh_columns(m: LhvModel, s: ChshSettings) -> tuple[Column, ...]:
+    if m.kind != FACTORIZED:
+        raise UnsupportedModelError("per-lambda CHSH requires a factorized model")
+    return m.t1_column(s.a), m.t1_column(s.a_prime), m.t2_column(s.b), m.t2_column(s.b_prime)
 
 
 def per_lambda_chsh(m: LhvModel, s: ChshSettings, lam: LambdaPoint) -> float:
@@ -347,25 +425,28 @@ def per_lambda_chsh(m: LhvModel, s: ChshSettings, lam: LambdaPoint) -> float:
     product mean splits into slot means.  Bounded by 2 for any response
     probabilities.
     """
-    if m.kind != FACTORIZED:
-        raise UnsupportedModelError("per-lambda CHSH requires a factorized model")
-    e1_a = _mean(_t1_pair(m, s.a, lam))
-    e1_ap = _mean(_t1_pair(m, s.a_prime, lam))
-    e2_b = _mean(_t2_pair_factorized(m, s.b, lam))
-    e2_bp = _mean(_t2_pair_factorized(m, s.b_prime, lam))
-    return abs(e1_a * e2_b + e1_a * e2_bp + e1_ap * e2_bp - e1_ap * e2_b)
+    value = _chsh(*(p.item(lam.id) - q.item(lam.id) for p, q in _chsh_columns(m, s)))
+    if math.isnan(value):
+        raise InvalidModelError(f"no response tabulated at {s} for id {lam.id}")
+    return value
+
+
+def per_state_chsh(m: LhvModel, s: ChshSettings) -> np.ndarray:
+    """``per_lambda_chsh`` at every hidden state at once, in state order."""
+    values = _chsh(*(p - q for p, q in _chsh_columns(m, s)))
+    _require_tabulated([values.max()], values, f"{s}")
+    return values
 
 
 def averaged_chsh(m: LhvModel, s: ChshSettings) -> float:
     """CHSH combination of the ensemble correlators."""
-    def corr(x, y):
-        return average_over_lambda(m, x, y)[1].correlator
-
-    return abs(corr(s.a, s.b) + corr(s.a, s.b_prime) + corr(s.a_prime, s.b_prime) - corr(s.a_prime, s.b))
-
-
-def _mean(pair: tuple[float, float]) -> float:
-    return pair[0] - pair[1]
+    pairs = [(0, 0), (0, 1), (1, 1), (1, 0)]  # (a, b), (a, b'), (a', b'), (a', b)
+    terms = _joint_terms(m, [s.a, s.a_prime], [s.b, s.b_prime], pairs)[2]
+    sums = _ensemble(m, terms)
+    c = (sums[0, 0] - sums[0, 1] - sums[1, 0] + sums[1, 1]).tolist()
+    value = abs(c[0] + c[1] + c[2] - c[3])
+    _require_tabulated([value], terms, f"{s}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -404,7 +485,7 @@ class ConsistencyReport:
 
 def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TOL) -> ConsistencyReport:
     """Run the ensemble bookkeeping identities for a model at (a, b)."""
-    joint, moments = average_over_lambda(m, a, b)
+    pa, terms, joint, moments = _averaged(m, a, b)
 
     # marginal from mean: P(B) = (1/2)(1 + B * mean_t2)
     err_marginal = 0.0
@@ -438,11 +519,10 @@ def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TO
 
     err_mean_product = abs(moments.mean_t2 - moments.mean_t1 * moments.correlator)
 
-    # double averages over independent hidden-state pairs factorize
-    stats = [per_lambda_stats(m, a, b, lam) for lam in m.support]
-    w = np.array([lam.weight for lam in m.support])
-    wx = w * np.array([st.e1 for st in stats])
-    wy = w * np.array([st.e12 for st in stats])
+    # double averages over independent hidden-state pairs factorize; the
+    # per-state means e1 and e12 come from the columns of the joint above
+    wx = m.weights * (pa[0, 0] - pa[1, 0])
+    wy = m.weights * (terms[0, 0, 0] - terms[0, 1, 0] - terms[1, 0, 0] + terms[1, 1, 0])
     # naive pair sum (chunked to bound memory), kept independent of the
     # factorized product it is compared against
     double_sum = 0.0

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import lhv
 
 WEIGHT_TOL = 1e-12
@@ -46,15 +48,7 @@ class ModelSpec:
     p2_tables: tuple[tuple[tuple, ...], ...]
 
     def build(self) -> lhv.LhvModel:
-        p1 = {i: dict(entries) for i, entries in enumerate(self.p1_tables)}
-        if self.kind == lhv.FACTORIZED:
-            p2 = {i: dict(entries) for i, entries in enumerate(self.p2_tables)}
-            return lhv.tabulated_factorized_model(self.weights, p1, p2)
-        p2 = {
-            i: {(a, b, A): p for a, b, A, p in entries}
-            for i, entries in enumerate(self.p2_tables)
-        }
-        return lhv.tabulated_general_model(self.weights, p1, p2)
+        return lhv.tabulated_model(self.kind, self.weights, self.p1_tables, self.p2_tables)
 
 
 def _fail(line_no: int, message: str):
@@ -213,23 +207,25 @@ def spec_from_model(
     Factorized models need ``t2_angles``; general models need ``t2_pairs``
     of (first, second) angles, tabulated for both first-slot outcomes.
     """
-    p1_tables = []
-    p2_tables = []
-    for lam in model.support:
-        p1_tables.append(tuple(sorted((float(a), model.p1(1, a, lam)) for a in t1_angles)))
-        if model.kind == lhv.FACTORIZED:
-            p2_tables.append(tuple(sorted((float(b), model.p2(1, b, lam)) for b in t2_angles)))
-        else:
-            entries = []
-            for a, b in t2_pairs:
-                for A in (1, -1):
-                    entries.append((float(a), float(b), A, model.p2(1, a, b, A, lam)))
-            p2_tables.append(tuple(sorted(entries)))
+    if model.kind == lhv.FACTORIZED:
+        t2_keys = [(float(b),) for b in t2_angles]
+    else:
+        t2_keys = [(float(a), float(b), A) for a, b in t2_pairs for A in (1, -1)]
+
+    def tables(slot, keys):
+        column = model.t1_column if slot == "t1" else model.t2_column
+        table = np.array([column(*key)[0] for key in keys]).reshape(len(keys), len(model.weights))
+        if np.isnan(table).any():  # NaN marks a state with no tabulated response
+            key, k = (x[0] for x in np.nonzero(np.isnan(table)))
+            raise lhv.InvalidModelError(f"no {slot} response tabulated at {keys[key]} for id {k}")
+        rows = zip(*table.tolist()) if keys else [()] * len(model.weights)
+        return tuple(tuple(sorted((*key, p) for key, p in zip(keys, row))) for row in rows)
+
     return ModelSpec(
         kind=model.kind,
         weights=tuple(lam.weight for lam in model.support),
-        p1_tables=tuple(p1_tables),
-        p2_tables=tuple(p2_tables),
+        p1_tables=tables("t1", [(float(a),) for a in t1_angles]),
+        p2_tables=tables("t2", t2_keys),
     )
 
 

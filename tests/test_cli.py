@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface and its output contracts."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from ttbell import lhv
+from ttbell import lhv, polytope
 from ttbell.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -189,6 +190,37 @@ class TestLhvVerify:
         assert code == EXIT_OK
         assert "result: PASS" in out
 
+    def test_column_evaluations_do_not_grow_with_grid_size(self, capsys, monkeypatch):
+        # the per-state CHSH bound comes from one whole-support evaluation,
+        # not one evaluation per hidden state
+        calls = []
+        build = lhv.position_style_model
+
+        def counted(column):
+            def evaluate(*setting):
+                calls.append(setting)
+                return column(*setting)
+
+            return evaluate
+
+        def counting_model(grid_size):
+            model = build(grid_size)
+            return dataclasses.replace(
+                model, t1_column=counted(model.t1_column), t2_column=counted(model.t2_column)
+            )
+
+        monkeypatch.setattr(lhv, "position_style_model", counting_model)
+        counts = []
+        for grid_size in ("16", "1024"):
+            calls.clear()
+            code, out, _ = run_cli(
+                capsys, "lhv-verify", "--model", "position-style", "--grid-size", grid_size,
+                "--a", "0.4", "--b", "1.1",
+            )
+            assert code == EXIT_OK and "result: PASS" in out
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "lhv-verify", "--model", "fixed-setting-reproducer",
@@ -305,6 +337,34 @@ class TestPolytope:
         code, _, err = run_cli(capsys, "polytope")
         assert code == EXIT_USAGE
         assert "--alpha" in err or "--targets" in err
+
+    @pytest.mark.parametrize("alpha", ["1e308", "-1e308"])
+    def test_overflowing_ladder_is_usage_error(self, capsys, alpha):
+        # 3*alpha overflows to inf, and cos(inf) used to escape as a traceback
+        code, out, err = run_cli(capsys, "polytope", f"--alpha={alpha}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--alpha" in err and "Traceback" not in err
+
+
+class TestLibraryErrors:
+    def test_value_error_from_the_library_is_usage_error(self, capsys, monkeypatch):
+        def rejects(targets):
+            raise ValueError("targets rejected by the library")
+
+        monkeypatch.setattr(polytope, "polytope_check", rejects)
+        code, out, err = run_cli(capsys, "polytope", "--targets", "0,0,0,0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "ttbell polytope: error: targets rejected by the library\n"
+
+    def test_undecodable_model_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.model"
+        path.write_bytes(b"kind factorized\nlambda 0 1.0\xff\xfe\n")
+        code, out, err = run_cli(capsys, "lhv-verify", "--model-file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
 
 
 class TestNonFiniteInputs:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ttbell.cli import EXIT_USAGE, main
 
 VOCABULARY = (
-    "nan", "inf", "-inf", "-1", "0", "0.5", "1e-3", "x", "",
+    "nan", "inf", "-inf", "1e308", "-1e308", "-1", "0", "0.5", "1e-3", "x", "",
     "0,0.5", "0.5,1e-3,-1", "nan,0", ",", "0,0,0,0", "0.5,-1,1e-3,0",
 )
 EFFICIENCIES = ("--eta-d", "--f1", "--f21", "--fd2")

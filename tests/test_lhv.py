@@ -65,14 +65,14 @@ class TestConstruction:
     def test_response_out_of_range_rejected(self):
         m = single_lambda_model(0.5, 0.5)
         bad = lhv.factorized_model(
-            m.support, lambda A, a, l: 1.2 if A == 1 else -0.2, m.p2
+            m.support, lambda A, a, l: 1.2 if A == 1 else -0.2, lambda B, b, l: 0.5
         )
         with pytest.raises(lhv.InvalidModelError):
             lhv.per_lambda_joint(bad, 0.0, 0.0, bad.support[0])
 
     def test_response_sum_must_be_one(self):
         m = single_lambda_model(0.5, 0.5)
-        bad = lhv.factorized_model(m.support, lambda A, a, l: 0.4, m.p2)
+        bad = lhv.factorized_model(m.support, lambda A, a, l: 0.4, lambda B, b, l: 0.5)
         with pytest.raises(lhv.InvalidModelError):
             lhv.per_lambda_joint(bad, 0.0, 0.0, bad.support[0])
 
@@ -323,3 +323,75 @@ class TestConsistencyChecks:
         m = single_lambda_model(1.0, 0.5)
         with pytest.raises(UndefinedConditionalError):
             lhv.model_conditional_t2(m, 0.0, 0.0, -1, 1)
+
+
+class TestColumnContract:
+    """A model is evaluated one response column per setting over all states."""
+
+    def test_columns_hold_both_outcomes_over_all_states(self):
+        m = lhv.tabulated_factorized_model([0.25, 0.75], {0: {0.5: 0.2}, 1: {0.5: 1.0}}, {})
+        plus, minus = m.t1_column(0.5)
+        assert plus.tolist() == [0.2, 1.0]
+        assert minus.tolist() == [1.0 - 0.2, 0.0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.2, 1.0 + 1e-9])
+    def test_bad_table_entry_rejected_when_built(self, bad):
+        with pytest.raises(lhv.InvalidModelError):
+            lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.1: 0.3}, 1: {0.1: bad}}, {})
+        with pytest.raises(lhv.InvalidModelError):
+            lhv.tabulated_general_model([1.0], {0: {0.1: 0.3}}, {0: {(0.1, 0.2, -1): bad}})
+
+    def test_rounding_dust_clamped_when_built(self):
+        m = lhv.tabulated_factorized_model([1.0], {0: {0.1: 1.0 + 1e-13}}, {0: {0.2: -1e-13}})
+        assert [c.tolist() for c in m.t1_column(0.1)] == [[1.0], [0.0]]
+        assert [c.tolist() for c in m.t2_column(0.2)] == [[0.0], [1.0]]
+
+    @pytest.mark.parametrize("ids", [(1,), (0, 2), (1, 0)])
+    def test_non_dense_ids_rejected(self, ids):
+        support = [lhv.LambdaPoint(i, 1.0 / len(ids)) for i in ids]
+        with pytest.raises(lhv.InvalidModelError):
+            lhv.factorized_model(support, lambda A, a, l: 0.5, lambda B, b, l: 0.5)
+
+    def test_support_is_derived_from_weights(self):
+        m = lhv.random_factorized_model(np.random.default_rng(3), 3, [0.0], [1.0])
+        assert [lam.id for lam in m.support] == [0, 1, 2]
+        assert [lam.weight for lam in m.support] == m.weights.tolist()
+
+    def test_untabulated_angle_raises_everywhere(self):
+        m = lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.5: 0.7}, 1: {0.5: 0.1}},
+                                           {0: {0.25: 0.4}, 1: {0.25: 0.9}})
+        s = ChshSettings(a=0.5, a_prime=0.6, b=0.25, b_prime=0.25)
+        for evaluate in (
+            lambda: lhv.average_over_lambda(m, 0.6, 0.25),
+            lambda: lhv.per_lambda_joint(m, 0.5, 0.3, m.support[1]),
+            lambda: lhv.verify_consistency(m, 0.5, 0.3),
+            lambda: lhv.averaged_chsh(m, s),
+            lambda: lhv.per_state_chsh(m, s),
+            lambda: lhv.per_lambda_chsh(m, s, m.support[0]),
+        ):
+            with pytest.raises(lhv.InvalidModelError):
+                evaluate()
+
+    def test_angle_within_tolerance_answers(self):
+        m = lhv.tabulated_factorized_model([1.0], {0: {0.5: 0.7}}, {0: {0.25: 0.4}})
+        assert lhv.average_over_lambda(m, 0.5 + 5e-10, 0.25 - 5e-10) == lhv.average_over_lambda(
+            m, 0.5, 0.25
+        )
+
+    def test_states_with_different_angle_sets(self):
+        # state 0 tabulates a = 0.2, state 1 does not; state 1 tabulates
+        # b = 0.3 only to within the angle tolerance
+        m = lhv.tabulated_factorized_model(
+            [0.5, 0.5],
+            {0: {0.1: 0.3, 0.2: 0.9}, 1: {0.1: 0.6}},
+            {0: {0.3: 0.5}, 1: {0.3 + 5e-10: 0.25}},
+        )
+        joint = lhv.per_lambda_joint(m, 0.2, 0.3, m.support[0])
+        assert (joint.pp, joint.pm) == (0.9 * 0.5, 0.9 * 0.5)
+        with pytest.raises(lhv.InvalidModelError):
+            lhv.per_lambda_joint(m, 0.2, 0.3, m.support[1])
+        with pytest.raises(lhv.InvalidModelError):
+            lhv.average_over_lambda(m, 0.2, 0.3)
+        joint, _ = lhv.average_over_lambda(m, 0.1, 0.3)
+        assert joint.pp == 0.5 * (0.3 * 0.5) + 0.5 * (0.6 * 0.25)
+        assert joint.mm == 0.5 * ((1.0 - 0.3) * 0.5) + 0.5 * ((1.0 - 0.6) * (1.0 - 0.25))
