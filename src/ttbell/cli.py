@@ -521,7 +521,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, str]:
         return exit_code, json_text({
             "model": description,
             "kind": model.kind,
-            "states": len(model.support),
+            "states": len(model.weights),
             "settings": {
                 "a": jnum(a), "b": jnum(b),
                 "a_prime": jnum(opts["a_prime"]), "b_prime": jnum(opts["b_prime"]),
@@ -539,7 +539,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, str]:
     lines = [
         f"model: {description}",
         f"kind: {model.kind}",
-        f"states: {len(model.support)}",
+        f"states: {len(model.weights)}",
         f"settings: a={fmt(a)} b={fmt(b)} a_prime={fmt(opts['a_prime'])} b_prime={fmt(opts['b_prime'])}",
     ]
     for name, c in checks.items():

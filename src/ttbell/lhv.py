@@ -31,7 +31,7 @@ over independent lambda pairs) that underpin that derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -87,14 +87,12 @@ class LhvModel:
     ``t2_column(a, b, A)`` may also see the first setting and outcome.  A
     tabulated model marks a state with no response at a setting by NaN;
     any evaluation that touches that state raises ``InvalidModelError``.
-    ``support`` is derived from the weights: ``support[k].id == k``.
     """
 
     weights: np.ndarray
     kind: Literal["factorized", "general"]
     t1_column: Callable[..., Column]
     t2_column: Callable[..., Column]
-    support: tuple[LambdaPoint, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float).reshape(-1)
@@ -102,17 +100,20 @@ class LhvModel:
             raise InvalidModelError("model support is empty")
         if self.kind not in (FACTORIZED, GENERAL):
             raise InvalidModelError(f"unknown model kind {self.kind!r}")
-        # a list of floats is kept as given, so equal weights share one object
-        values = self.weights if isinstance(self.weights, list) else weights.tolist()
+        values = weights.tolist()
         for k, w in enumerate(values):
-            if w < -RESPONSE_TOL:
-                raise InvalidModelError(f"negative weight {w!r} at id {k}")
+            if not w >= -RESPONSE_TOL:  # NaN fails too
+                raise InvalidModelError(f"weight {w!r} at id {k} is negative or not a number")
         total = math.fsum(values)
         if abs(total - 1.0) > RESPONSE_TOL:
             raise InvalidModelError(f"weights sum to {total!r}, expected 1")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "support", tuple(LambdaPoint(k, w) for k, w in enumerate(values)))
+
+    @property
+    def support(self) -> tuple[LambdaPoint, ...]:
+        """The hidden states, derived from the weights: ``support[k].id == k``."""
+        return tuple(LambdaPoint(k, w) for k, w in enumerate(self.weights.tolist()))
 
 
 def factorized_model(support, p1, p2) -> LhvModel:
@@ -179,12 +180,12 @@ def _joint_terms(m: LhvModel, a_angles, b_angles, pairs) -> tuple[np.ndarray, ..
 
 
 def _require_tabulated(values, terms: np.ndarray, where: str) -> None:
-    """Raise if a NaN among ``values`` comes from a state with no tabulated
-    response (NaN in its ``terms``, states on the last axis), not a weight."""
+    """Raise if ``values`` hold a NaN, which only a state with no tabulated
+    response puts there: the first state with NaN in its ``terms`` (states
+    on the last axis) is named."""
     if any(math.isnan(v) for v in values):
-        missing = np.flatnonzero(np.isnan(terms).reshape(-1, terms.shape[-1]).any(axis=0))
-        if missing.size:
-            raise InvalidModelError(f"no response tabulated at {where} for id {missing[0]}")
+        k = np.isnan(terms).reshape(-1, terms.shape[-1]).any(axis=0).argmax()
+        raise InvalidModelError(f"no response tabulated at {where} for id {k}")
 
 
 def _ensemble(m: LhvModel, terms: np.ndarray) -> np.ndarray:
@@ -295,7 +296,7 @@ def position_style_model(grid_size: int) -> LhvModel:
         return column
 
     columns = (threshold_column(coord), threshold_column((coord + 0.5) % 1.0))
-    return LhvModel([1.0 / n] * n, FACTORIZED, *columns)
+    return LhvModel(np.full(n, 1.0 / n), FACTORIZED, *columns)
 
 
 def tabulated_factorized_model(

@@ -223,7 +223,7 @@ def spec_from_model(
 
     return ModelSpec(
         kind=model.kind,
-        weights=tuple(lam.weight for lam in model.support),
+        weights=tuple(model.weights.tolist()),
         p1_tables=tables("t1", [(float(a),) for a in t1_angles]),
         p2_tables=tables("t2", t2_keys),
     )

@@ -62,6 +62,11 @@ class TestConstruction:
         with pytest.raises(lhv.InvalidModelError):
             lhv.factorized_model(pts, lambda *a: 0.5, lambda *a: 0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(lhv.InvalidModelError):
+            lhv.tabulated_factorized_model([bad, 1.0], {}, {})
+
     def test_response_out_of_range_rejected(self):
         m = single_lambda_model(0.5, 0.5)
         bad = lhv.factorized_model(
