@@ -199,7 +199,8 @@ def _ensemble(m: LhvModel, terms: np.ndarray) -> np.ndarray:
 
 
 def _averaged(m: LhvModel, a: float, b: float):
-    """Slot-1 columns, per-state joint entries, ensemble joint and moments."""
+    """Per-state means e1 and e12 (the correlator of each state's joint),
+    then the ensemble joint and moments, all at (a, b)."""
     pa, _, terms = _joint_terms(m, [a], [b], [(0, 0)])
     pp, pm, mp, mm = entries = _ensemble(m, terms).ravel().tolist()
     _require_tabulated(entries, terms, f"(a={a!r}, b={b!r})")
@@ -209,7 +210,8 @@ def _averaged(m: LhvModel, a: float, b: float):
         mean_t2=(pp + mp) - (pm + mm),
         correlator=joint.correlator(),
     )
-    return pa, terms, joint, moments
+    e12 = terms[0, 0, 0] - terms[0, 1, 0] - terms[1, 0, 0] + terms[1, 1, 0]
+    return pa[0, 0] - pa[1, 0], e12, joint, moments
 
 
 def _state(m: LhvModel, a: float, b: float, lam: LambdaPoint):
@@ -486,7 +488,7 @@ class ConsistencyReport:
 
 def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TOL) -> ConsistencyReport:
     """Run the ensemble bookkeeping identities for a model at (a, b)."""
-    pa, terms, joint, moments = _averaged(m, a, b)
+    wx, wy, joint, moments = _averaged(m, a, b)  # per-state e1 and e12, weighted below
 
     # marginal from mean: P(B) = (1/2)(1 + B * mean_t2)
     err_marginal = 0.0
@@ -522,8 +524,8 @@ def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TO
 
     # double averages over independent hidden-state pairs factorize; the
     # per-state means e1 and e12 come from the columns of the joint above
-    wx = m.weights * (pa[0, 0] - pa[1, 0])
-    wy = m.weights * (terms[0, 0, 0] - terms[0, 1, 0] - terms[1, 0, 0] + terms[1, 1, 0])
+    wx *= m.weights
+    wy *= m.weights
     # naive pair sum (chunked to bound memory), kept independent of the
     # factorized product it is compared against
     double_sum = 0.0
