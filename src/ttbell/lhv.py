@@ -140,7 +140,7 @@ def _hand_written(support, p1, p2, kind) -> LhvModel:
                 _response_pair(lambda o: response(o, *setting, lam), f"{name}{setting} at id {k}")
                 for k, lam in enumerate(support)
             ]
-            return np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+            return np.array([p for p, _ in pairs], float), np.array([q for _, q in pairs], float)
 
         return column
 

@@ -223,7 +223,8 @@ def state_by_state_max(model, settings):
 
 @pytest.mark.parametrize("name, model, settings, ab", [pytest.param(*c, id=c[0]) for c in cases()])
 def test_results_keep_every_bit(name, model, settings, ab):
-    assert fingerprint(model, settings, ab, whole_support_max) == PINS[name]
+    got = fingerprint(model, settings, ab, whole_support_max)
+    assert got == PINS[name], [field for field, g, p in zip(FIELDS, got, PINS[name]) if g != p]
 
 
 @pytest.mark.parametrize("name, model, settings, ab", [
