@@ -27,6 +27,7 @@ CLASSICAL_BOUND = 2.0
 VIOLATION_TOL = 1e-12
 CRITICAL_ETA_F = 1.0 / math.sqrt(2.0)
 S_IDEAL_MAX = 2.0 * math.sqrt(2.0)
+MAX_SCAN_ROWS = 1 << 22  # bounds a scan's columns; step 1e-6 on [0, pi] is 3.1 M rows
 
 
 class InvalidCorrelatorError(ValueError):
@@ -184,7 +185,9 @@ def scan_alpha(
     ``math.cos`` (the tests check this).  The returned summary
     refines the grid argmax by golden section plus a parabolic polish;
     grid ties (the ladder has equal-height peaks) are broken toward the
-    smallest alpha.
+    smallest alpha.  Raises ValueError, before allocating anything, for
+    non-finite arguments, an empty range, a step that is not positive or
+    more than ``MAX_SCAN_ROWS`` rows.
     """
     for name, value in (("alpha_min", alpha_min), ("alpha_max", alpha_max), ("step", step)):
         if not math.isfinite(value):
@@ -197,6 +200,11 @@ def scan_alpha(
     if not math.isfinite(span):
         raise ValueError(f"(alpha_max - alpha_min) / step overflows: {span!r}")
     n = int(math.floor(span + 1e-9)) + 1
+    if n > MAX_SCAN_ROWS:
+        raise ValueError(
+            f"scan of {n} rows exceeds the limit of {MAX_SCAN_ROWS}; "
+            "use a larger step or a shorter range"
+        )
     alphas = alpha_min + np.arange(n) * step
     s_ideal = np.abs(3.0 * np.cos(alphas) - np.cos(3.0 * alphas))
     s_exp = eta_f * s_ideal

@@ -12,19 +12,27 @@ configuration and seed produce byte-identical output.  Values may come
 from command-line flags, which override a flat ``key = value`` config
 file, which overrides built-in defaults.
 
+A subcommand parses, validates and computes before it writes anything,
+so a usage error leaves stdout empty and creates no ``--out`` file.
+Records are then formatted and written ``ROW_BLOCK`` rows at a time.
+
 Exit codes: 0 success (and polytope-feasible), 1 usage error, 2 I/O
-error, 3 polytope-infeasible, 4 lhv-verify check failure.
+error, 3 polytope-infeasible, 4 lhv-verify check failure.  A stdout
+pipe closed by its reader ends the output early, with the command's own
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import lhv, model_io, montecarlo, polytope, quantum
 from .chsh import ChshSettings, ladder_settings, scan_alpha
@@ -176,49 +184,80 @@ _CELL_TEXT = {  # kind -> (CSV text, JSON text)
 }
 
 
-def _render_rows(columns, rows, template: str, order, json_side: bool) -> list[str]:
-    """``template`` filled, per row, with the text of the cells in ``order``."""
+ROW_BLOCK = 256  # rows formatted per output chunk; bounds the text held at once
+
+
+def _renderer(columns, json_side: bool, indent: str = ""):
+    """Function from a row to its CSV line or JSON object.
+
+    A JSON object has its keys sorted and its closing brace at ``indent``.
+    """
+    if json_side:
+        order = sorted(range(len(columns)), key=lambda i: columns[i][0])
+        template = (
+            "{\n"
+            + ",\n".join(f'{indent}  "{columns[i][0]}": %s' for i in order)
+            + f"\n{indent}}}"
+        )
+    else:
+        order = range(len(columns))
+        template = ",".join(["%s"] * len(columns)) + "\n"
     cells = [(i, _CELL_TEXT[columns[i][1]][json_side]) for i in order]
-    return [template % tuple([text(row[i]) for i, text in cells]) for row in rows]
+    return lambda row: template % tuple([text(row[i]) for i, text in cells])
 
 
-def _csv_block(columns, rows) -> str:
-    template = ",".join(["%s"] * len(columns)) + "\n"
-    lines = _render_rows(columns, rows, template, range(len(columns)), False)
-    return ",".join(name for name, _ in columns) + "\n" + "".join(lines)
+def _csv_header(columns) -> str:
+    return ",".join(name for name, _ in columns) + "\n"
 
 
-def _json_objects(columns, rows, indent: str) -> list[str]:
-    """One JSON object per row, keys sorted, closing brace at ``indent``."""
-    order = sorted(range(len(columns)), key=lambda i: columns[i][0])
-    template = (
-        "{\n"
-        + ",\n".join(f'{indent}  "{columns[i][0]}": %s' for i in order)
-        + f"\n{indent}}}"
-    )
-    return _render_rows(columns, rows, template, order, True)
+def record_text(fmt_name: str, columns, row) -> str:
+    """CSV or JSON text of a document that is one record.
+
+    ``columns`` are ``(name, kind)`` pairs and ``row`` a tuple of cells.
+    CSV is the header line and the record's line; JSON is the record's
+    object as ``json_text`` writes it.
+    """
+    if fmt_name == "csv":
+        return _csv_header(columns) + _renderer(columns, False)(row)
+    return _renderer(columns, True)(row) + "\n"
 
 
-def emit_records(fmt_name: str, columns, rows, summary=None) -> str:
-    """CSV or JSON text of records, with an optional one-row ``summary``.
+def _blocks(rows):
+    """Lists of up to ``ROW_BLOCK`` consecutive rows of an iterable."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, ROW_BLOCK)):
+        yield block
+
+
+def emit_records(fmt_name: str, columns, rows, summary=None):
+    """CSV or JSON text of a table of records, yielded in chunks.
 
     ``columns`` are ``(name, kind)`` pairs and ``rows`` an iterable of
-    tuples, or one tuple when the record is the whole document; ``summary``
-    is a ``(columns, row)`` pair.  JSON is ``{"rows": [...], "summary":
-    {...}}`` (or the one record) as ``json_text`` writes it; CSV is a
-    header line and one line per row, then the summary block after a
-    blank line.
+    tuples, consumed ``ROW_BLOCK`` rows at a time; ``summary`` is an
+    optional ``(columns, row)`` pair.  JSON is ``{"rows": [...],
+    "summary": {...}}`` as ``json_text`` writes it; CSV is a header line
+    and one line per row, then the summary after a blank line.  A chunk
+    is the opening, one block of rows, or the closing, so the text held
+    at once does not grow with the number of rows.
     """
-    single = isinstance(rows, tuple)
     if fmt_name == "csv":
-        text = _csv_block(columns, [rows] if single else rows)
-        return text if summary is None else text + "\n" + _csv_block(summary[0], [summary[1]])
-    if single:
-        return _json_objects(columns, [rows], "")[0] + "\n"
-    parts = ['{\n  "rows": [\n    ', ",\n    ".join(_json_objects(columns, rows, "    ")), "\n  ]"]
+        render = _renderer(columns, False)
+        yield _csv_header(columns)
+        for block in _blocks(rows):
+            yield "".join(map(render, block))
+        if summary is not None:
+            yield "\n" + record_text("csv", *summary)
+        return
+    render = _renderer(columns, True, "    ")
+    yield '{\n  "rows": [\n    '
+    separator = ""
+    for block in _blocks(rows):
+        yield separator + ",\n    ".join(map(render, block))
+        separator = ",\n    "
+    yield "\n  ]"
     if summary is not None:
-        parts += [',\n  "summary": ', *_json_objects(summary[0], [summary[1]], "  ")]
-    return "".join([*parts, "\n}\n"])
+        yield ',\n  "summary": ' + _renderer(summary[0], True, "  ")(summary[1])
+    yield "\n}\n"
 
 
 def _parse_angle_list(text: str, key: str) -> list[float]:
@@ -348,10 +387,9 @@ TABLE_COLUMNS = (
 )
 
 
-def cmd_table(opts: dict) -> tuple[int, str]:
-    a_list = _parse_angle_list(opts["a"], "a")
-    b_list = _parse_angle_list(opts["b"], "b")
-    rows = []
+def _table_rows(a_list, b_list):
+    """Table records, generated as they are written; the closed forms
+    cannot fail at the finite angles ``_parse_angle_list`` lets through."""
     for a in a_list:
         p1 = {A: quantum.marginal_t1(a, A) for A in quantum.OUTCOMES}
         for b in b_list:
@@ -361,8 +399,13 @@ def cmd_table(opts: dict) -> tuple[int, str]:
                     cond = quantum.conditional_t2(a, b, A, B)
                 except quantum.UndefinedConditionalError:
                     cond = None
-                rows.append((a, b, A, B, p_joint, p1[A], p2[B], cond))
-    return EXIT_OK, emit_records(opts["format"], TABLE_COLUMNS, rows)
+                yield (a, b, A, B, p_joint, p1[A], p2[B], cond)
+
+
+def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
+    a_list = _parse_angle_list(opts["a"], "a")
+    b_list = _parse_angle_list(opts["b"], "b")
+    return EXIT_OK, emit_records(opts["format"], TABLE_COLUMNS, _table_rows(a_list, b_list))
 
 
 MC_COLUMNS = (
@@ -374,7 +417,7 @@ MC_COLUMNS = (
 )
 
 
-def cmd_mc(opts: dict) -> tuple[int, str]:
+def cmd_mc(opts: dict) -> tuple[int, Iterable[str]]:
     _check_unit_interval(opts)
     a = _single_angle(opts, "a")
     b = _single_angle(opts, "b")
@@ -399,7 +442,7 @@ def cmd_mc(opts: dict) -> tuple[int, str]:
         est.std_error, est.std_error_conditioned,
         counts.seed,
     )
-    return EXIT_OK, emit_records(opts["format"], MC_COLUMNS, record)
+    return EXIT_OK, [record_text(opts["format"], MC_COLUMNS, record)]
 
 
 SCAN_COLUMNS = (("alpha", FLOAT), ("s_ideal", FLOAT), ("s_exp", FLOAT), ("violated", BOOL))
@@ -409,19 +452,23 @@ SCAN_SUMMARY_COLUMNS = (
 )
 
 
-def cmd_chsh_scan(opts: dict) -> tuple[int, str]:
+def _scan_rows(scan):
+    """Scan records, converted to Python scalars one block at a time."""
+    columns = (scan.alpha, scan.s_ideal, scan.s_exp, scan.violated)
+    for lo in range(0, len(scan), ROW_BLOCK):
+        yield from zip(*[column[lo:lo + ROW_BLOCK].tolist() for column in columns])
+
+
+def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
     _check_unit_interval(opts)
     eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
     scan, summary = scan_alpha(
         opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f
     )
-    rows = zip(
-        scan.alpha.tolist(), scan.s_ideal.tolist(), scan.s_exp.tolist(), scan.violated.tolist()
-    )
     summary_row = (summary.alpha_star, summary.s_max, summary.s_exp_max,
                    summary.eta_f, summary.eta_f_critical, summary.violated)
     return EXIT_OK, emit_records(
-        opts["format"], SCAN_COLUMNS, rows, (SCAN_SUMMARY_COLUMNS, summary_row)
+        opts["format"], SCAN_COLUMNS, _scan_rows(scan), (SCAN_SUMMARY_COLUMNS, summary_row)
     )
 
 
@@ -461,7 +508,7 @@ def _select_model(opts: dict):
     raise UsageError(f"unknown model {name!r}; expected one of: {', '.join(BUILTIN_MODELS)}")
 
 
-def cmd_lhv_verify(opts: dict) -> tuple[int, str]:
+def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
     model, description = _select_model(opts)
     a = _single_angle(opts, "a")
     b = _single_angle(opts, "b")
@@ -518,7 +565,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, str]:
     exit_code = EXIT_OK if passed else EXIT_VERIFY_FAILED
 
     if opts["format"] == "json":
-        return exit_code, json_text({
+        return exit_code, [json_text({
             "model": description,
             "kind": model.kind,
             "states": len(model.weights),
@@ -534,7 +581,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, str]:
             "outcome_swap_symmetric": report.outcome_swap_symmetric,
             "outcome_swap_error": jnum(report.outcome_swap_error),
             "passed": passed,
-        })
+        })]
 
     lines = [
         f"model: {description}",
@@ -556,10 +603,10 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, str]:
     if model.kind == lhv.GENERAL:
         lines.append("note per_lambda_chsh_bound: SKIPPED (general model)")
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    return exit_code, "\n".join(lines) + "\n"
+    return exit_code, ["\n".join(lines) + "\n"]
 
 
-def cmd_polytope(opts: dict) -> tuple[int, str]:
+def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:
     _check_unit_interval(opts)
     if opts["targets"] is not None and opts["alpha"] is not None:
         raise UsageError("give either --targets or --alpha, not both")
@@ -606,7 +653,7 @@ def cmd_polytope(opts: dict) -> tuple[int, str]:
         ),
     }
     exit_code = EXIT_OK if cert.feasible else EXIT_INFEASIBLE
-    return exit_code, json_text(payload)
+    return exit_code, [json_text(payload)]
 
 
 COMMANDS = {
@@ -618,12 +665,24 @@ COMMANDS = {
 }
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the chunks in turn to ``out``, or to stdout when it is None or ``-``.
+
+    A stdout pipe closed by its reader (``| head``) ends the output
+    quietly: what is left is dropped and stdout is pointed at devnull, so
+    the interpreter's flush at exit raises nothing either.
+    """
+    if out is not None and out != "-":
+        with open(out, "w", newline="") as fh:
+            fh.writelines(chunks)
         return
-    with open(out, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -639,7 +698,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         opts = _merge_options(args, SUBCOMMAND_KEYS[args.command])
-        exit_code, text = COMMANDS[args.command](opts)
+        exit_code, chunks = COMMANDS[args.command](opts)
     except (UsageError, ValueError) as exc:
         # a ValueError from the library is a bad input the flags let through
         print(f"ttbell {args.command}: error: {exc}", file=sys.stderr)
@@ -649,7 +708,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_IO
 
     try:
-        _emit(text, opts["out"])
+        _emit(chunks, opts["out"])
     except OSError as exc:
         print(f"ttbell {args.command}: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

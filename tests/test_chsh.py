@@ -1,6 +1,7 @@
 """Tests for the CHSH expression, ladder scan, and detection threshold."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -131,6 +132,26 @@ class TestScan:
     def test_overflowing_range_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             chsh.scan_alpha(-1e308, 1e308, 0.1)
+
+    def test_row_cap(self, monkeypatch):
+        monkeypatch.setattr(chsh, "MAX_SCAN_ROWS", 11)
+        assert len(chsh.scan_alpha(0.0, 1.0, 0.1)[0]) == 11
+        with pytest.raises(ValueError, match="rows exceeds the limit of 11"):
+            chsh.scan_alpha(0.0, 1.1, 0.1)
+
+    def test_row_cap_admits_a_micro_step_scan_over_pi(self):
+        assert chsh.MAX_SCAN_ROWS >= math.floor(math.pi / 1e-6 + 1e-9) + 1
+
+    def test_too_many_rows_rejected_before_allocating(self):
+        # 3.1e12 rows; without the cap numpy fails on a 25 TB arange
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                chsh.scan_alpha(0.0, math.pi, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_single_point_range(self):
         rows, summary = chsh.scan_alpha(0.3, 0.3, 0.1)

@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from ttbell import lhv, polytope
+from ttbell import cli, lhv, polytope
 from ttbell.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -17,6 +22,7 @@ from ttbell.cli import (
 )
 
 PI = math.pi
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +176,12 @@ class TestChshScan:
         assert code == EXIT_USAGE
         assert out == ""
         assert "overflows" in err and "Traceback" not in err
+
+    def test_row_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "chsh-scan", "--alpha-step", "1e-12")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "exceeds the limit" in err and "Traceback" not in err
 
 
 class TestLhvVerify:
@@ -470,3 +482,87 @@ class TestConfigAndIo:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "mc", "--warp", "9")
         assert code == EXIT_USAGE
+
+
+def _grid(n: int) -> str:
+    return ",".join(repr(0.01 * k) for k in range(n))
+
+
+def _traced_peak(argv) -> int:
+    """tracemalloc peak of one in-process run writing JSON to devnull."""
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--format", "json", "--out", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    return peak
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("argv", [
+        ("table", "--a", "nan", "--b", "0"),
+        ("chsh-scan", "--alpha-min", "1", "--alpha-max", "0.5"),
+    ])
+    def test_usage_error_writes_nothing(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        target = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_does_not_depend_on_block_size(self, capsys, monkeypatch, fmt):
+        invocations = [  # 48 table rows, 11 scan rows and a summary
+            ("table", "--a=0.1,0.5,0.9", "--b=0,0.3,0.7,1.1", "--format", fmt),
+            ("chsh-scan", "--alpha-max=1", "--alpha-step=0.1", "--format", fmt),
+        ]
+        for argv in invocations:
+            _, reference, _ = run_cli(capsys, *argv)
+            for block in (1, 2, 7, 11, 48):
+                monkeypatch.setattr(cli, "ROW_BLOCK", block)
+                _, out, _ = run_cli(capsys, *argv)
+                assert out == reference, (argv, block)
+
+    @pytest.mark.parametrize("small, big", [
+        ((("chsh-scan", "--alpha-step=4e-5"), 78_540),
+         (("chsh-scan", "--alpha-step=1e-5"), 314_160)),
+        ((("table", f"--a={_grid(50)}", f"--b={_grid(50)}"), 10_000),
+         (("table", f"--a={_grid(100)}", f"--b={_grid(100)}"), 40_000)),
+    ], ids=["chsh-scan", "table"])
+    def test_memory_does_not_grow_with_rows(self, small, big):
+        # beyond the scan's own numpy arrays (32 B a row at their peak),
+        # memory held for the output must not grow with the rows written;
+        # a whole document built in memory costs 380-620 B a row
+        _traced_peak(small[0])  # first use builds the cached parser and other one-offs
+        peaks = [_traced_peak(argv) for argv, _ in (small, big)]
+        per_row = (peaks[1] - peaks[0]) / (big[1] - small[1])
+        assert per_row < 64, peaks
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ttbell.cli", "chsh-scan", "--alpha-step=1e-5",
+             "--format=json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(100)  # the output is ~30 MB, far beyond a pipe buffer
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert head.startswith(b'{\n  "rows": [\n')
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_on_out_is_io_error(self, capsys):
+        code, out, err = run_cli(capsys, "chsh-scan", "--alpha-step=1e-4", "--out", "/dev/full")
+        assert code == EXIT_IO
+        assert out == ""
+        assert "i/o error" in err and "Traceback" not in err

