@@ -454,9 +454,9 @@ SCAN_SUMMARY_COLUMNS = (
 
 def _scan_rows(scan):
     """Scan records, converted to Python scalars one block at a time."""
-    columns = (scan.alpha, scan.s_ideal, scan.s_exp, scan.violated)
+    arrays = (scan.alpha, scan.s_ideal, scan.s_exp, scan.violated)
     for lo in range(0, len(scan), ROW_BLOCK):
-        yield from zip(*[column[lo:lo + ROW_BLOCK].tolist() for column in columns])
+        yield from zip(*[array[lo:lo + ROW_BLOCK].tolist() for array in arrays])
 
 
 def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
