@@ -389,7 +389,7 @@ TABLE_COLUMNS = (
 
 def _table_rows(a_list, b_list):
     """Table records, generated as they are written; the closed forms
-    cannot fail at the finite angles ``_parse_angle_list`` lets through."""
+    cannot fail once ``cmd_table`` has checked every a - b is finite."""
     for a in a_list:
         p1 = {A: quantum.marginal_t1(a, A) for A in quantum.OUTCOMES}
         for b in b_list:
@@ -405,6 +405,9 @@ def _table_rows(a_list, b_list):
 def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
     a_list = _parse_angle_list(opts["a"], "a")
     b_list = _parse_angle_list(opts["b"], "b")
+    # a - b is monotone in both angles, so its two extremes bound every pair
+    if not all(map(math.isfinite, (max(a_list) - min(b_list), min(a_list) - max(b_list)))):
+        raise UsageError("--a and --b are too far apart: a - b overflows for some pair")
     return EXIT_OK, emit_records(opts["format"], TABLE_COLUMNS, _table_rows(a_list, b_list))
 
 

@@ -8,14 +8,12 @@ contract, so the tests can check the vector route against them.
 from numpy.random import Generator, Philox
 
 from ttbell import quantum
-from ttbell.montecarlo import DetectionConfig, DetectorId
+from ttbell.montecarlo import DetectionConfig, DetectorId, _check_seed
 
 
 def trial_rng(seed: int, trial_index: int) -> Generator:
     """Generator positioned at the counter block owned by one trial."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit value, got {seed!r}")
-    return Generator(Philox(key=seed).advance(trial_index))
+    return Generator(Philox(key=_check_seed(seed)).advance(trial_index))
 
 
 def sample_trial(a: float, b: float, config: DetectionConfig, rng: Generator):

@@ -504,6 +504,7 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("argv", [
         ("table", "--a", "nan", "--b", "0"),
         ("chsh-scan", "--alpha-min", "1", "--alpha-max", "0.5"),
+        ("table", "--a", "1e308", "--b=-1e308"),  # both finite, but a - b overflows
     ])
     def test_usage_error_writes_nothing(self, capsys, tmp_path, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -530,10 +531,10 @@ class TestStreamedOutput:
                 assert out == reference, (argv, block)
 
     @pytest.mark.parametrize("small, big", [
-        ((("chsh-scan", "--alpha-step=4e-5"), 78_540),
-         (("chsh-scan", "--alpha-step=1e-5"), 314_160)),
-        ((("table", f"--a={_grid(50)}", f"--b={_grid(50)}"), 10_000),
-         (("table", f"--a={_grid(100)}", f"--b={_grid(100)}"), 40_000)),
+        ((("chsh-scan", "--alpha-step=4e-4"), 7_854),
+         (("chsh-scan", "--alpha-step=1e-4"), 31_416)),
+        ((("table", f"--a={_grid(25)}", f"--b={_grid(25)}"), 2_500),
+         (("table", f"--a={_grid(50)}", f"--b={_grid(50)}"), 10_000)),
     ], ids=["chsh-scan", "table"])
     def test_memory_does_not_grow_with_rows(self, small, big):
         # beyond the scan's own numpy arrays (32 B a row at their peak),
