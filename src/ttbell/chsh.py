@@ -205,8 +205,21 @@ def scan_alpha(
             f"scan of {n} rows exceeds the limit of {MAX_SCAN_ROWS}; "
             "use a larger step or a shorter range"
         )
-    alphas = alpha_min + np.arange(n) * step
-    s_ideal = np.abs(3.0 * np.cos(alphas) - np.cos(3.0 * alphas))
+    # built in place, so at most three float64 columns are alive at once
+    alphas = np.arange(n, dtype=np.float64)
+    alphas *= step
+    alphas += alpha_min
+    s_ideal = np.multiply(alphas, 3.0)
+    np.cos(s_ideal, out=s_ideal)
+    cos_alpha = np.cos(alphas)
+    cos_alpha *= 3.0
+    np.subtract(cos_alpha, s_ideal, out=s_ideal)
+    del cos_alpha
+    np.abs(s_ideal, out=s_ideal)
+
+    grid_max = s_ideal.max()
+    tie_tol = max(4.0 * step * step, 1e-12)
+    first = int(np.argmax(s_ideal >= grid_max - tie_tol))
     s_exp = eta_f * s_ideal
     scan = AlphaScan(
         alpha=alphas,
@@ -215,9 +228,6 @@ def scan_alpha(
         violated=s_exp > CLASSICAL_BOUND + VIOLATION_TOL,
     )
 
-    grid_max = s_ideal.max()
-    tie_tol = max(4.0 * step * step, 1e-12)
-    first = int(np.argmax(s_ideal >= grid_max - tie_tol))
     lo = float(alphas[max(first - 1, 0)])
     hi = float(alphas[min(first + 1, n - 1)])
     alpha_star = _refine_max(s_ideal_closed, lo, hi)

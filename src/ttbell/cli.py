@@ -14,7 +14,11 @@ file, which overrides built-in defaults.
 
 A subcommand parses, validates and computes before it writes anything,
 so a usage error leaves stdout empty and creates no ``--out`` file.
-Records are then formatted and written ``ROW_BLOCK`` rows at a time.
+Records are then formatted and written ``ROW_BLOCK`` rows at a time.  A
+block is rendered a column at a time with numpy, in the very bytes that
+formatting each cell with ``fmt`` / ``_json_number`` gives; those two
+still write one-record documents and the few cells outside the columns'
+exact range (None, non-finite, |x| >= 4e6, JSON values below 1e-4).
 
 Exit codes: 0 success (and polytope-feasible), 1 usage error, 2 I/O
 error, 3 polytope-infeasible, 4 lhv-verify check failure.  A stdout
@@ -33,6 +37,8 @@ import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
+
+import numpy as np
 
 from . import lhv, model_io, montecarlo, polytope, quantum
 from .chsh import ChshSettings, ladder_settings, scan_alpha
@@ -166,8 +172,8 @@ def json_text(obj) -> str:
 
 
 # Column kinds of a record: how a cell is written in CSV (as by ``fmt``)
-# and in JSON (as ``json_text`` writes ``jnum`` of it).  Cells are Python
-# scalars; a FLOAT cell may be None (missing).
+# and in JSON (as ``json_text`` writes ``jnum`` of it).  A FLOAT cell may
+# be None (missing), which is written like NaN.
 FLOAT, INT, SIGNED, BOOL = "float", "int", "signed", "bool"
 
 
@@ -184,11 +190,12 @@ _CELL_TEXT = {  # kind -> (CSV text, JSON text)
 }
 
 
-ROW_BLOCK = 256  # rows formatted per output chunk; bounds the text held at once
+ROW_BLOCK = 1024  # rows rendered per output chunk; bounds the memory held at once
 
 
-def _renderer(columns, json_side: bool, indent: str = ""):
-    """Function from a row to its CSV line or JSON object.
+def _template(columns, json_side: bool, indent: str = ""):
+    """%-template of one record's CSV line or JSON object, and the column
+    index of each of its ``%s`` cells in turn.
 
     A JSON object has its keys sorted and its closing brace at ``indent``.
     """
@@ -199,9 +206,13 @@ def _renderer(columns, json_side: bool, indent: str = ""):
             + ",\n".join(f'{indent}  "{columns[i][0]}": %s' for i in order)
             + f"\n{indent}}}"
         )
-    else:
-        order = range(len(columns))
-        template = ",".join(["%s"] * len(columns)) + "\n"
+        return template, order
+    return ",".join(["%s"] * len(columns)) + "\n", range(len(columns))
+
+
+def _renderer(columns, json_side: bool, indent: str = ""):
+    """Function from a row to its CSV line or JSON object, cell by cell."""
+    template, order = _template(columns, json_side, indent)
     cells = [(i, _CELL_TEXT[columns[i][1]][json_side]) for i in order]
     return lambda row: template % tuple([text(row[i]) for i, text in cells])
 
@@ -222,38 +233,214 @@ def record_text(fmt_name: str, columns, row) -> str:
     return _renderer(columns, True)(row) + "\n"
 
 
-def _blocks(rows):
-    """Lists of up to ``ROW_BLOCK`` consecutive rows of an iterable."""
+# Block rendering.  A FLOAT cell x is written from d = round-half-even(x * 1e9),
+# the integer that both f"{x:.9f}" and round(x, 9) round to.  TwoProduct
+# (Dekker 1971) gives x * 1e9 = p + e exactly in float64: only x needs
+# splitting, as 1e9 has 21 significant bits.  For |x| < 4e6, |p| < 2**52, so
+# ulp(p) <= 1/2, np.rint(p) and p - rint(p) are exact, and rint(p) is d
+# unless p is a half-integer, where the sign of e breaks the tie.  In JSON,
+# repr(round(x, 9)) is d / 1e9 with its trailing zeros stripped: below 4e6
+# the doubles are closer than 1e-9, so no other decimal of at most nine
+# places reads back as round(x, 9), and repr writes no exponent from 1e-4 up.
+_FAST_LIMIT = 4e6
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
+_UNITS = 10**9  # d counts billionths
+# the ASCII digits of each 3-digit group, one table per digit place
+_DIGITS = np.array([list(b"%03d" % g) for g in range(1000)], dtype=np.uint8).T.copy()
+_KEPT = np.array([len(f"{g:03d}".rstrip("0")) for g in range(1000)])  # digits up to the last nonzero
+_BOOL_TEXT = np.array([list(b"false"), list(b"true ")], dtype=np.uint8).T.copy()
+# cell slot widths: sign and 9 digits, then for a FLOAT the point and 9 decimals
+_WIDTH = {FLOAT: 20, INT: 10, SIGNED: 10, BOOL: 5}
+_DTYPE = {FLOAT: np.float64, INT: np.int64, SIGNED: np.int64, BOOL: np.bool_}
+_SCALAR = {FLOAT: float, INT: int, SIGNED: int, BOOL: bool}
+
+# The cell writers below fill a slot one byte column at a time: a column is
+# one strided loop over the block's rows, while an operation on an (n, 3)
+# or (n, 9) part of the matrix loops once per row.
+
+
+def _billionths(x: np.ndarray) -> np.ndarray:
+    """round-half-even(x * 1e9) as exact float64 integers, for |x| < 4e6."""
+    p = x * 1e9
+    hi = x * _SPLITTER
+    hi -= hi - x
+    e = (hi * 1e9 - p) + (x - hi) * 1e9
+    d = np.rint(p)
+    tie = p - d
+    d += (tie == 0.5) & (e > 0.0)
+    d -= (tie == -0.5) & (e < 0.0)
+    return d
+
+
+def _put_digits(chars: np.ndarray, value: np.ndarray):
+    """Write value (< 1e9) as 9 zero-padded digits; returns its three 3-digit groups."""
+    high, low = np.divmod(value, 1000)
+    high, middle = np.divmod(high, 1000)
+    for k, group in enumerate((high, middle, low)):
+        for place, digits in enumerate(_DIGITS):
+            chars[:, 3 * k + place] = digits[group]
+    return high, middle, low
+
+
+def _drop_leading_zeros(valid: np.ndarray, value: np.ndarray) -> None:
+    """Keep the 9-digit slot of value from its first nonzero digit (the last always)."""
+    for place in range(8):
+        np.greater_equal(value, 10 ** (8 - place), out=valid[:, place])
+
+
+def _float_cells(x, chars, valid, json_side):
+    """Write the cells of x with |x| < 4e6 (finite); returns the mask of rows
+    whose cell must take the scalar path."""
+    scalar = ~(np.abs(x) < _FAST_LIMIT)
+    if scalar.any():
+        x = np.where(scalar, 0.0, x)
+    units = np.abs(_billionths(x)).astype(np.int64)
+    whole, frac = np.divmod(units, _UNITS)
+    valid[:, 0] = np.signbit(x)  # np.signbit(x, out=<strided>) is wrong in numpy 2.4
+    _put_digits(chars[:, 1:10], whole)
+    _drop_leading_zeros(valid[:, 1:10], whole)
+    groups = _put_digits(chars[:, 11:20], frac)
+    if json_side:  # keep the decimals up to the last nonzero one, at least one
+        high, middle, low = (_KEPT[g] for g in groups)
+        kept = np.where(low > 0, 6 + low, np.where(middle > 0, 3 + middle, high))
+        for place in range(1, 9):
+            np.greater(kept, place, out=valid[:, 11 + place])
+        scalar |= (units > 0) & (units < 100_000)  # repr: exponent below 1e-4
+    return scalar
+
+
+def _int_cells(v, chars, valid, plus):
+    """Write the cells of v with |v| < 1e9; returns the mask of the others."""
+    scalar = ~((v > -_UNITS) & (v < _UNITS))
+    magnitude = np.abs(np.where(scalar, 0, v))
+    if plus:
+        chars[:, 0] = np.where(v < 0, ord("-"), ord("+"))
+    else:
+        np.less(v, 0, out=valid[:, 0])
+    _put_digits(chars[:, 1:10], magnitude)
+    _drop_leading_zeros(valid[:, 1:10], magnitude)
+    return scalar
+
+
+def _bool_cells(v, chars, valid):
+    for place, letters in enumerate(_BOOL_TEXT):
+        chars[:, place] = letters[v.view(np.uint8)]
+    np.logical_not(v, out=valid[:, 4])
+
+
+class _BlockRenderer:
+    """Text of whole blocks of records, a column at a time.
+
+    A block's rows are laid out in one preallocated byte matrix: the fixed
+    pieces of the record template (separators, JSON keys) in every row,
+    then one fixed-width slot per cell, and a mask of the bytes each row
+    keeps.  The text is the bytes ``chars[valid]``.  A row with a cell the
+    columns do not write (None or non-finite, |x| >= 4e6, in JSON also
+    0 < |round(x, 9)| < 1e-4; an integer of ten or more digits) is written
+    by ``fmt`` / ``_json_number`` instead and spliced in at its place.
+    Each row starts with ``lead``.
+    """
+
+    def __init__(self, columns, json_side: bool, indent: str = "", lead: str = ""):
+        template, order = _template(columns, json_side, indent)
+        self.lead = lead
+        self.json_side = json_side
+        self.kinds = [kind for _, kind in columns]
+        self.scalar_row = _renderer(columns, json_side, indent)
+        pieces = [piece.encode("ascii") for piece in (lead + template).split("%s")]
+        self.fixed, self.slots, at = [], [], 0
+        for piece, i in itertools.zip_longest(pieces, order):
+            self.fixed.append((at, piece))
+            at += len(piece)
+            if i is not None:
+                self.slots.append((i, at, at + _WIDTH[self.kinds[i]]))
+                at += _WIDTH[self.kinds[i]]
+        self.width = at
+        self._allocate(0)
+
+    def _allocate(self, rows: int) -> None:
+        """Fresh matrices of ``rows`` rows, with every byte that no block changes."""
+        self.chars = np.empty((rows, self.width), dtype=np.uint8)
+        self.valid = np.ones((rows, self.width), dtype=bool)
+        for at, piece in self.fixed:
+            self.chars[:, at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
+        for i, start, _ in self.slots:
+            if self.kinds[i] == FLOAT:
+                self.chars[:, start + 10] = ord(".")
+            self.chars[:, start] = ord("-")  # a sign, where one is written
+
+    def text(self, block) -> str:
+        """Text of the rows of ``block``: one column of cells per column."""
+        cells = [np.asarray(column, dtype=_DTYPE[kind]) for column, kind in zip(block, self.kinds)]
+        n = len(cells[0])
+        if n > len(self.chars):
+            self._allocate(n)
+        chars, valid = self.chars[:n], self.valid[:n]
+        scalar = np.zeros(n, dtype=bool)
+        for i, start, stop in self.slots:
+            kind, out = self.kinds[i], (chars[:, start:stop], valid[:, start:stop])
+            if kind == FLOAT:
+                scalar |= _float_cells(cells[i], *out, self.json_side)
+            elif kind == BOOL:
+                _bool_cells(cells[i], *out)
+            else:
+                scalar |= _int_cells(cells[i], *out, kind == SIGNED and not self.json_side)
+        if not scalar.any():
+            return str(chars[valid], "ascii")
+        rows = np.flatnonzero(scalar)
+        valid[rows] = False
+        ends = np.cumsum(np.count_nonzero(valid, axis=1))
+        body = str(chars[valid], "ascii")
+        valid[rows] = True  # every kept byte of a slot is written again next block
+        pieces, done = [], 0
+        for r in rows.tolist():
+            row = [_SCALAR[kind](column[r]) for column, kind in zip(cells, self.kinds)]
+            pieces += (body[done:ends[r]], self.lead, self.scalar_row(row))
+            done = ends[r]
+        pieces.append(body[done:])
+        return "".join(pieces)
+
+
+def _row_blocks(rows):
+    """Blocks of up to ``ROW_BLOCK`` consecutive row tuples, as columns."""
     rows = iter(rows)
     while block := list(itertools.islice(rows, ROW_BLOCK)):
-        yield block
+        yield list(zip(*block))
 
 
-def emit_records(fmt_name: str, columns, rows, summary=None):
+def _column_blocks(*columns):
+    """Blocks of ``ROW_BLOCK`` rows of equal-length columns, as slices."""
+    for lo in range(0, len(columns[0]), ROW_BLOCK):
+        yield [column[lo:lo + ROW_BLOCK] for column in columns]
+
+
+def emit_records(fmt_name: str, columns, blocks, summary=None):
     """CSV or JSON text of a table of records, yielded in chunks.
 
-    ``columns`` are ``(name, kind)`` pairs and ``rows`` an iterable of
-    tuples, consumed ``ROW_BLOCK`` rows at a time; ``summary`` is an
-    optional ``(columns, row)`` pair.  JSON is ``{"rows": [...],
+    ``columns`` are ``(name, kind)`` pairs and ``blocks`` an iterable of
+    blocks of rows, each a sequence of one column of cells (a numpy array
+    or a sequence of Python scalars) per entry of ``columns``; ``summary``
+    is an optional ``(columns, row)`` pair.  JSON is ``{"rows": [...],
     "summary": {...}}`` as ``json_text`` writes it; CSV is a header line
     and one line per row, then the summary after a blank line.  A chunk
-    is the opening, one block of rows, or the closing, so the text held
-    at once does not grow with the number of rows.
+    is the opening, the rows of one block, or the closing, so the text
+    held at once does not grow with the number of rows.
     """
     if fmt_name == "csv":
-        render = _renderer(columns, False)
+        renderer = _BlockRenderer(columns, False)
         yield _csv_header(columns)
-        for block in _blocks(rows):
-            yield "".join(map(render, block))
+        for block in blocks:
+            yield renderer.text(block)
         if summary is not None:
             yield "\n" + record_text("csv", *summary)
         return
-    render = _renderer(columns, True, "    ")
+    separator = ",\n    "
+    renderer = _BlockRenderer(columns, True, "    ", separator)
     yield '{\n  "rows": [\n    '
-    separator = ""
-    for block in _blocks(rows):
-        yield separator + ",\n    ".join(map(render, block))
-        separator = ",\n    "
+    skip = len(separator)  # the first row has no separator before it
+    for block in blocks:
+        yield renderer.text(block)[skip:]
+        skip = 0
     yield "\n  ]"
     if summary is not None:
         yield ',\n  "summary": ' + _renderer(summary[0], True, "  ")(summary[1])
@@ -408,7 +595,9 @@ def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
     # a - b is monotone in both angles, so its two extremes bound every pair
     if not all(map(math.isfinite, (max(a_list) - min(b_list), min(a_list) - max(b_list)))):
         raise UsageError("--a and --b are too far apart: a - b overflows for some pair")
-    return EXIT_OK, emit_records(opts["format"], TABLE_COLUMNS, _table_rows(a_list, b_list))
+    return EXIT_OK, emit_records(
+        opts["format"], TABLE_COLUMNS, _row_blocks(_table_rows(a_list, b_list))
+    )
 
 
 MC_COLUMNS = (
@@ -455,13 +644,6 @@ SCAN_SUMMARY_COLUMNS = (
 )
 
 
-def _scan_rows(scan):
-    """Scan records, converted to Python scalars one block at a time."""
-    arrays = (scan.alpha, scan.s_ideal, scan.s_exp, scan.violated)
-    for lo in range(0, len(scan), ROW_BLOCK):
-        yield from zip(*[array[lo:lo + ROW_BLOCK].tolist() for array in arrays])
-
-
 def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
     _check_unit_interval(opts)
     eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
@@ -470,8 +652,9 @@ def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
     )
     summary_row = (summary.alpha_star, summary.s_max, summary.s_exp_max,
                    summary.eta_f, summary.eta_f_critical, summary.violated)
+    blocks = _column_blocks(scan.alpha, scan.s_ideal, scan.s_exp, scan.violated)
     return EXIT_OK, emit_records(
-        opts["format"], SCAN_COLUMNS, _scan_rows(scan), (SCAN_SUMMARY_COLUMNS, summary_row)
+        opts["format"], SCAN_COLUMNS, blocks, (SCAN_SUMMARY_COLUMNS, summary_row)
     )
 
 

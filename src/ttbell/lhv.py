@@ -276,6 +276,11 @@ def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
     return LhvModel([w for _, w in kept], FACTORIZED, lambda angle: t1, lambda angle: t2)
 
 
+# bounds verify_consistency, which is O(K^2): at 2**16 states it takes
+# seconds and its 256-row chunks of pair products are 128 MiB
+MAX_GRID_SIZE = 1 << 16
+
+
 def position_style_model(grid_size: int) -> LhvModel:
     """Deterministic responses driven by a uniform initial coordinate.
 
@@ -284,9 +289,12 @@ def position_style_model(grid_size: int) -> LhvModel:
     the half-shifted coordinate lambda + 1/2 (mod 1) against
     (1 + sin b)/2.  The first-slot marginal converges to the quantum one as
     the grid refines.  An illustrative concrete instance, not canonical.
+    Raises ValueError for fewer than 2 or more than ``MAX_GRID_SIZE`` states.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    if grid_size > MAX_GRID_SIZE:
+        raise ValueError(f"grid_size {grid_size} exceeds the limit of {MAX_GRID_SIZE}")
     n = int(grid_size)
     coord = np.arange(n) / n
 

@@ -31,6 +31,8 @@ from . import quantum
 
 DRAWS_PER_TRIAL = 4  # one Philox counter block per trial (3 doubles used)
 _CHUNK_TRIALS = 1 << 16  # trials drawn at once; bounds memory whatever n is
+# bounds the time of one run: 2**34 trials take about 12 min at 24 M trials/s
+MAX_TRIALS = 1 << 34
 
 
 class DetectorId(NamedTuple):
@@ -128,12 +130,14 @@ def run(
     generates which counter blocks.  Each shard is drawn in fixed-size
     chunks, so memory stays bounded by one chunk whatever n is; like
     sharding, chunking does not change the counts.  Raises ValueError
-    for non-finite settings.
+    for non-finite settings and for n above ``MAX_TRIALS``.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"settings must be finite, got a={a!r}, b={b!r}")
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
+    if n > MAX_TRIALS:
+        raise ValueError(f"{n} trials exceed the limit of {MAX_TRIALS}")
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
     _check_seed(seed)

@@ -153,6 +153,19 @@ class TestScan:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_peak_memory_per_row(self):
+        # the returned columns hold 25 B a row (three float64, one bool);
+        # building them may not hold more than one byte a row beyond that
+        n = math.floor(math.pi / 1e-5 + 1e-9) + 1
+        tracemalloc.start()
+        try:
+            scan, _ = chsh.scan_alpha(0.0, math.pi, 1e-5, eta_f=0.85)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scan) == n
+        assert peak / n <= 26, peak / n
+
     def test_single_point_range(self):
         rows, summary = chsh.scan_alpha(0.3, 0.3, 0.1)
         assert len(rows) == 1

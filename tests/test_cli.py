@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ttbell import cli, lhv, polytope
+from ttbell import cli, lhv, montecarlo, polytope
 from ttbell.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -77,6 +77,16 @@ class TestTable:
 
 
 class TestMc:
+    def test_trials_above_cap_is_usage_error(self, capsys, monkeypatch):
+        mc = ("mc", "--a", "0.5", "--b", "0.1", "--trials")
+        code, out, err = run_cli(capsys, *mc, str(montecarlo.MAX_TRIALS + 1))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"exceed the limit of {montecarlo.MAX_TRIALS}" in err
+        monkeypatch.setattr(montecarlo, "MAX_TRIALS", 1000)
+        assert run_cli(capsys, *mc, "1000")[0] == EXIT_OK
+        assert run_cli(capsys, *mc, "1001")[:2] == (EXIT_USAGE, "")
+
     def test_seed_echo_and_determinism(self, capsys):
         args = ("mc", "--a", "0.5", "--b", "0.1", "--trials", "2000", "--seed", "31")
         code1, out1, _ = run_cli(capsys, *args)
@@ -201,6 +211,17 @@ class TestLhvVerify:
         )
         assert code == EXIT_OK
         assert "result: PASS" in out
+
+    def test_grid_size_above_cap_is_usage_error(self, capsys, monkeypatch):
+        verify = ("lhv-verify", "--model", "position-style", "--grid-size")
+        code, out, err = run_cli(capsys, *verify, "1000000000000")  # once a numpy MemoryError
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"exceeds the limit of {lhv.MAX_GRID_SIZE}" in err
+        assert "Traceback" not in err
+        monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 64)
+        assert run_cli(capsys, *verify, "64")[0] == EXIT_OK
+        assert run_cli(capsys, *verify, "65")[:2] == (EXIT_USAGE, "")
 
     def test_column_evaluations_do_not_grow_with_grid_size(self, capsys, monkeypatch):
         # the per-state CHSH bound comes from one whole-support evaluation,
@@ -522,6 +543,11 @@ class TestStreamedOutput:
         invocations = [  # 48 table rows, 11 scan rows and a summary
             ("table", "--a=0.1,0.5,0.9", "--b=0,0.3,0.7,1.1", "--format", fmt),
             ("chsh-scan", "--alpha-max=1", "--alpha-step=0.1", "--format", fmt),
+            # rows written cell by cell among the others: 4e6 (beyond the
+            # exact column range), 1e-5 (exponent form in JSON) and undefined
+            # conditionals at a = +-pi/2
+            ("table", "--a=-1.5707963267948966,4e6,0.2,1e-5,1.5707963267948966",
+             "--b=0,-0.0", "--format", fmt),
         ]
         for argv in invocations:
             _, reference, _ = run_cli(capsys, *argv)

@@ -68,3 +68,25 @@ def test_output_bytes_match_pin(tmp_path, argv, exit_code, digest):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == exit_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ``--help`` text, recorded at an 80-column terminal width (argparse wraps
+# to the width it finds in COLUMNS)
+HELP_CASES = [
+    ((), "fed58760fa5f0b6f6777019548cd14e9f96014cba8d534e6168828f9de6614d7"),
+    (("table",), "1f7383ce113b7f4770b3f655d3715833dcdfa6e5e0423f1e9955ff5e8310e80a"),
+    (("mc",), "508d6640a9b88776f18ce0badab06b7454a8a215d44e80ad5bf09891aa7e8550"),
+    (("chsh-scan",), "62512d9a1fd4f1e0df1076f1b0b96d0347736fb3eac71609b8a101975e30989c"),
+    (("lhv-verify",), "19e185a29b94dff22ca190843552f661a4a498221cd7e2e4d25ba79b462af7bd"),
+    (("polytope",), "36f04abfa0ab985825b860c07d2623be9f425e19bf2ca64e58150b9ad49ffc61"),
+]
+
+
+@pytest.mark.parametrize("command, digest", HELP_CASES,
+                         ids=[" ".join(c) or "ttbell" for c, _ in HELP_CASES])
+def test_help_bytes_match_pin(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*command, "--help"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -1,0 +1,109 @@
+"""The block renderer of ``cli.emit_records`` against the cell-by-cell oracle.
+
+The oracle is the route the block renderer replaced: every cell through
+``cli.fmt`` / ``cli._json_number`` (by way of ``cli._renderer``), the rows
+joined the way the CSV and JSON documents lay them out.  Every column
+kind is checked in both formats on random and adversarial values.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from ttbell import cli
+from ttbell.cli import BOOL, FLOAT, INT, SIGNED
+
+
+def scalar_document(fmt_name, columns, rows) -> str:
+    if fmt_name == "csv":
+        return cli._csv_header(columns) + "".join(map(cli._renderer(columns, False), rows))
+    render = cli._renderer(columns, True, "    ")
+    return '{\n  "rows": [\n    ' + ",\n    ".join(map(render, rows)) + "\n  ]\n}\n"
+
+
+def mismatches(fmt_name, columns, rows) -> list:
+    """(expected, written) pairs of the lines where the two routes differ."""
+    written = "".join(cli.emit_records(fmt_name, columns, cli._row_blocks(rows)))
+    expected = scalar_document(fmt_name, columns, rows)
+    if written == expected:
+        return []
+    pairs = list(zip(expected.splitlines(), written.splitlines()))
+    return [pair for pair in pairs if pair[0] != pair[1]] or [("line count", None)]
+
+
+def _neighbours(values: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # the neighbour of the largest float is inf
+        return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+EDGES = np.array([
+    0.0, 5e-324, 2.2250738585072014e-308,   # zero, subnormals, the smallest normal
+    5e-10, 1e-9, 1.5e-9,                    # ties and units of the ninth decimal
+    1e-5, 1e-4, 9.9999995e-05, 9.99995e-05,  # repr's switch to exponent form
+    0.5, 1.0000000005, 999999.9999999995,   # 16 significant digits from 1e6 on
+    1e6, 1234567.123456789, 3999999.9999999995, 4e6, 4.5e6,  # the exact range ends at 4e6
+    1e15, 1e16, 1e300, np.finfo(float).max, np.inf, np.nan,
+])
+
+
+@functools.cache
+def adversarial_floats() -> list:
+    rng = np.random.default_rng(20_261_018)
+    n = 50_000
+    values = np.concatenate([
+        # bit patterns: every exponent, subnormals, inf and NaN payloads
+        rng.integers(-2**63, 2**63, n, dtype=np.int64).view(np.float64),
+        # every decimal magnitude the columns write
+        rng.standard_normal(n) * 10.0 ** rng.integers(-13, 8, n),
+        # multiples of 5e-10 up to 4e6, the ties of the ninth decimal
+        _neighbours(rng.integers(-8 * 10**15, 8 * 10**15, 10_000) * 5e-10),
+        # odd multiples of 2**-10: x * 1e9 is exactly half an integer
+        (2 * rng.integers(-2**31, 2**31, 10_000) + 1) / 1024.0,
+        _neighbours(EDGES), -_neighbours(EDGES),
+    ])
+    cells = values.tolist()
+    cells[::997] = [None] * len(cells[::997])  # missing cells among the others
+    return cells
+
+
+@functools.cache
+def adversarial_ints() -> list:
+    rng = np.random.default_rng(7)
+    edges = np.array([0, 1, 9, 10, 999_999_999, 10**9, 10**9 + 1, 2**63 - 1])
+    values = np.concatenate([
+        rng.integers(-2 * 10**9, 2 * 10**9, 20_000),
+        rng.integers(-2**63, 2**63, 2_000, dtype=np.int64),
+        edges, -edges, [-2**63],
+    ])
+    return values.tolist()
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("kind", [FLOAT, INT, SIGNED, BOOL])
+def test_block_renderer_matches_cell_by_cell_oracle(fmt_name, kind):
+    if kind == FLOAT:
+        cells = adversarial_floats()
+        assert len(cells) >= 10**5
+    elif kind == BOOL:
+        cells = (np.random.default_rng(3).random(5_000) < 0.5).tolist()
+    else:
+        cells = adversarial_ints()
+    bad = mismatches(fmt_name, [("x", kind)], [(cell,) for cell in cells])
+    assert not bad, (len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("block", [7, 1024])
+def test_rows_of_mixed_kinds_match_oracle(monkeypatch, fmt_name, block):
+    # rows written cell by cell fall inside blocks and on their boundaries
+    monkeypatch.setattr(cli, "ROW_BLOCK", block)
+    rng = np.random.default_rng(11)
+    floats, ints = adversarial_floats(), adversarial_ints()
+    rows = [
+        (floats[i], ints[j], int(rng.choice((-1, 1))), bool(rng.random() < 0.5), floats[-1 - i])
+        for i, j in zip(rng.integers(0, len(floats), 3_000), rng.integers(0, len(ints), 3_000))
+    ]
+    columns = [("b", FLOAT), ("n", INT), ("A", SIGNED), ("ok", BOOL), ("a", FLOAT)]
+    bad = mismatches(fmt_name, columns, rows)
+    assert not bad, (len(bad), bad[:5])
