@@ -190,7 +190,7 @@ _CELL_TEXT = {  # kind -> (CSV text, JSON text)
 }
 
 
-ROW_BLOCK = 1024  # rows rendered per output chunk; bounds the memory held at once
+ROW_BLOCK = 512  # rows rendered per output chunk; bounds the memory held at once
 
 
 def _template(columns, json_side: bool, indent: str = ""):
@@ -247,7 +247,8 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
 _UNITS = 10**9  # d counts billionths
 # the ASCII digits of each 3-digit group, one table per digit place
 _DIGITS = np.array([list(b"%03d" % g) for g in range(1000)], dtype=np.uint8).T.copy()
-_KEPT = np.array([len(f"{g:03d}".rstrip("0")) for g in range(1000)])  # digits up to the last nonzero
+# how many digits of each group to keep, up to its last nonzero one
+_KEPT = np.array([len(f"{g:03d}".rstrip("0")) for g in range(1000)])
 _BOOL_TEXT = np.array([list(b"false"), list(b"true ")], dtype=np.uint8).T.copy()
 # cell slot widths: sign and 9 digits, then for a FLOAT the point and 9 decimals
 _WIDTH = {FLOAT: 20, INT: 10, SIGNED: 10, BOOL: 5}
@@ -323,6 +324,7 @@ def _int_cells(v, chars, valid, plus):
 
 
 def _bool_cells(v, chars, valid):
+    """Write ``true`` or ``false`` (a space, dropped, pads ``true``)."""
     for place, letters in enumerate(_BOOL_TEXT):
         chars[:, place] = letters[v.view(np.uint8)]
     np.logical_not(v, out=valid[:, 4])
