@@ -214,7 +214,7 @@ class TestLhvVerify:
 
     def test_grid_size_above_cap_is_usage_error(self, capsys, monkeypatch):
         verify = ("lhv-verify", "--model", "position-style", "--grid-size")
-        code, out, err = run_cli(capsys, *verify, "1000000000000")  # once a numpy MemoryError
+        code, out, err = run_cli(capsys, *verify, "1000000000000")
         assert code == EXIT_USAGE
         assert out == ""
         assert f"exceeds the limit of {lhv.MAX_GRID_SIZE}" in err
