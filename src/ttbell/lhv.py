@@ -179,13 +179,14 @@ def _joint_terms(m: LhvModel, a_angles, b_angles, pairs) -> tuple[np.ndarray, ..
     return pa, pb, pa[:, None] * pb
 
 
-def _require_tabulated(values, terms: np.ndarray, where: str) -> None:
+def _require_tabulated(values, terms: np.ndarray, where: Callable[[], str]) -> None:
     """Raise if ``values`` hold a NaN, which only a state with no tabulated
     response puts there: the first state with NaN in its ``terms`` (states
-    on the last axis) is named."""
+    on the last axis) is named, at the setting ``where()`` describes; the
+    text is built only then."""
     if any(math.isnan(v) for v in values):
         k = np.isnan(terms).reshape(-1, terms.shape[-1]).any(axis=0).argmax()
-        raise InvalidModelError(f"no response tabulated at {where} for id {k}")
+        raise InvalidModelError(f"no response tabulated at {where()} for id {k}")
 
 
 def _ensemble(m: LhvModel, terms: np.ndarray) -> np.ndarray:
@@ -203,7 +204,7 @@ def _averaged(m: LhvModel, a: float, b: float):
     then the ensemble joint and moments, all at (a, b)."""
     pa, _, terms = _joint_terms(m, [a], [b], [(0, 0)])
     pp, pm, mp, mm = entries = _ensemble(m, terms).ravel().tolist()
-    _require_tabulated(entries, terms, f"(a={a!r}, b={b!r})")
+    _require_tabulated(entries, terms, lambda: f"(a={a!r}, b={b!r})")
     joint = JointDistribution(pp=pp, pm=pm, mp=mp, mm=mm)
     moments = Moments(
         mean_t1=(pp + pm) - (mp + mm),
@@ -445,7 +446,7 @@ def per_lambda_chsh(m: LhvModel, s: ChshSettings, lam: LambdaPoint) -> float:
 def per_state_chsh(m: LhvModel, s: ChshSettings) -> np.ndarray:
     """``per_lambda_chsh`` at every hidden state at once, in state order."""
     values = _chsh(*(p - q for p, q in _chsh_columns(m, s)))
-    _require_tabulated([values.max()], values, f"{s}")
+    _require_tabulated([values.max()], values, lambda: f"{s}")
     return values
 
 
@@ -456,7 +457,7 @@ def averaged_chsh(m: LhvModel, s: ChshSettings) -> float:
     sums = _ensemble(m, terms)
     c = (sums[0, 0] - sums[0, 1] - sums[1, 0] + sums[1, 1]).tolist()
     value = abs(c[0] + c[1] + c[2] - c[3])
-    _require_tabulated([value], terms, f"{s}")
+    _require_tabulated([value], terms, lambda: f"{s}")
     return value
 
 

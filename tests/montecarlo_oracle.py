@@ -8,7 +8,7 @@ contract, so the tests can check the vector route against them.
 from numpy.random import Generator, Philox
 
 from ttbell import quantum
-from ttbell.montecarlo import DetectionConfig, DetectorId, _check_seed
+from ttbell.montecarlo import DETECTORS, DetectionConfig, DetectorId, RunCounts, _check_seed
 
 
 def trial_rng(seed: int, trial_index: int) -> Generator:
@@ -29,6 +29,19 @@ def sample_trial(a: float, b: float, config: DetectionConfig, rng: Generator):
     if u3 < config.detect_prob:
         return DetectorId(a_outcome, b_outcome)
     return None
+
+
+def run_trials(a: float, b: float, config: DetectionConfig, n: int, seed: int) -> RunCounts:
+    """``montecarlo.run`` computed one ``sample_trial`` at a time."""
+    counts = {d: 0 for d in DETECTORS}
+    undetected = 0
+    for i in range(n):
+        out = sample_trial(a, b, config, trial_rng(seed, i))
+        if out is None:
+            undetected += 1
+        else:
+            counts[out] += 1
+    return RunCounts((a, b), config, n, counts, undetected, seed)
 
 
 def hv_detection_probability(model_joint: float, config: DetectionConfig) -> float:

@@ -377,6 +377,21 @@ class TestColumnContract:
             with pytest.raises(lhv.InvalidModelError):
                 evaluate()
 
+    def test_untabulated_angle_message(self):
+        # state 1 has no response at a' = 0.6, so every message names it
+        m = lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.5: 0.7, 0.6: 0.2}, 1: {0.5: 0.1}},
+                                           {0: {0.25: 0.4}, 1: {0.25: 0.9}})
+        s = ChshSettings(a=0.5, a_prime=0.6, b=0.25, b_prime=0.25)
+        at_s = "ChshSettings(a=0.5, a_prime=0.6, b=0.25, b_prime=0.25)"
+        for evaluate, where in (
+            (lambda: lhv.averaged_chsh(m, s), at_s),
+            (lambda: lhv.per_state_chsh(m, s), at_s),
+            (lambda: lhv.average_over_lambda(m, 0.6, 0.25), "(a=0.6, b=0.25)"),
+        ):
+            with pytest.raises(lhv.InvalidModelError) as err:
+                evaluate()
+            assert str(err.value) == f"no response tabulated at {where} for id 1"
+
     def test_angle_within_tolerance_answers(self):
         m = lhv.tabulated_factorized_model([1.0], {0: {0.5: 0.7}}, {0: {0.25: 0.4}})
         assert lhv.average_over_lambda(m, 0.5 + 5e-10, 0.25 - 5e-10) == lhv.average_over_lambda(

@@ -7,9 +7,11 @@ seeded run sits within its 4-sigma binomial band it stays there.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 import montecarlo_oracle as oracle
 from ttbell import montecarlo as mc
@@ -66,17 +68,26 @@ class TestRunDeterminism:
 
     def test_vector_run_matches_scalar_trials(self):
         cfg = mc.DetectionConfig(eta_d=0.8, f21=0.9)
-        n, seed = 300, 424242
-        counts = {d: 0 for d in mc.DETECTORS}
-        undetected = 0
-        for i in range(n):
-            out = oracle.sample_trial(0.7, 0.1, cfg, oracle.trial_rng(seed, i))
-            if out is None:
-                undetected += 1
-            else:
-                counts[out] += 1
-        r = mc.run(0.7, 0.1, cfg, n, seed)
-        assert r.counts == counts and r.n_undetected == undetected
+        assert oracle.run_trials(0.7, 0.1, cfg, 300, 424242) == mc.run(0.7, 0.1, cfg, 300, 424242)
+
+    @pytest.mark.parametrize(
+        "a, b, cfg",
+        [
+            # first-slot marginal exactly 1, then exactly 0
+            (math.pi / 2, 0.3, mc.DetectionConfig(eta_d=0.9)),
+            (-math.pi / 2, 0.3, mc.DetectionConfig(eta_d=0.9)),
+            # conditionals exactly 1 and 0: cos(a - b) = 1, then -1
+            (0.4, 0.4, mc.DetectionConfig(eta_d=0.8)),
+            (0.0, -math.pi, mc.DetectionConfig(eta_d=0.8)),
+            # detection probability exactly 0, subnormal, 2**-53 and 1
+            (0.7, 0.1, mc.DetectionConfig(eta_d=0.0)),
+            (0.7, 0.1, mc.DetectionConfig(eta_d=5e-324)),
+            (0.7, 0.1, mc.DetectionConfig(f1=2.0**-53)),
+            (0.7, 0.1, IDEAL),
+        ],
+    )
+    def test_run_matches_scalar_trials_at_edge_probabilities(self, a, b, cfg):
+        assert oracle.run_trials(a, b, cfg, 300, 424242) == mc.run(a, b, cfg, 300, 424242)
 
     def test_single_trial_zero_acceptance(self):
         r = mc.run(0.3, 0.0, mc.DetectionConfig(f_d2=0.0), 1, seed=5)
@@ -108,7 +119,9 @@ class TestRunDeterminism:
 # Exact counts (n_pp, n_pm, n_mp, n_mm, n_undetected) frozen from the
 # unchunked implementation: (seed, n, n_shards, a, b, eta_d, counts).
 # The cases cover single trials, sizes that are not a multiple of the
-# chunk size, and shards longer than one chunk.
+# chunk size, shards longer than one chunk, and trial counts next to the
+# edges of both the 2**16 and the 2**14 chunk (the last six were frozen
+# from the float-draw implementation before it moved to raw words).
 GOLDEN_COUNTS = [
     (0, 1, 1, 0.3, 0.1, 1.0, (1, 0, 0, 0, 0)),
     (2, 1, 1, -1.2, 0.4, 0.6, (0, 0, 0, 0, 1)),
@@ -122,7 +135,46 @@ GOLDEN_COUNTS = [
     (2024, 1_500_000, 4, math.pi / 4, 3 * math.pi / 4, 0.71,
      (454347, 455072, 77841, 78468, 434272)),
     (2**64 - 1, 131073, 2, -2.5, 4.0, 0.5, (12903, 160, 657, 51890, 65463)),
+    (31, 16383, 1, 0.6, -0.4, 0.8, (7998, 2341, 664, 2115, 3265)),
+    (32, 16385, 1, -0.8, 1.1, 0.95, (774, 1432, 8830, 4582, 767)),
+    (34, 32769, 1, math.pi / 5, -math.pi / 7, 0.9, (17094, 6336, 1675, 4410, 3254)),
+    (33, 16385, 2, 2.0, 0.5, 0.65, (5548, 4666, 216, 263, 5692)),
+    # shard boundaries at trials 16667 and 33333, inside a chunk
+    (35, 50000, 3, 1.0, 0.2, 0.77, (29951, 5439, 435, 2610, 11565)),
+    # first-slot marginal and detection probability exactly 1
+    (2**64 - 2, 40000, 7, math.pi / 2, 0.3, 1.0, (26118, 13882, 0, 0, 0)),
 ]
+
+
+EDGE_PROBABILITIES = [
+    (0.0, 0),
+    (-0.0, 0),
+    (5e-324, 2**11),
+    (2.0**-53, 2**11),
+    (0.5, 2**63),
+    (math.nextafter(0.5, 0.0), 2**63),  # no multiple of 2**-53 lies in [p, 0.5)
+    (1.0 - 2.0**-53, 2**64 - 2**11),
+    (1.0, 2**64),
+]
+
+
+@pytest.mark.parametrize("p, threshold", EDGE_PROBABILITIES)
+def test_word_threshold_is_exact(p, threshold):
+    assert mc._word_threshold(p) == threshold
+    words = [0, threshold - 1, threshold, threshold - 2048, threshold + 2048, 2**64 - 1]
+    words = [x for x in words if 0 <= x < 2**64]
+    # numpy's double from word x, computed in Python and in numpy
+    as_float = [(x >> 11) * 2.0**-53 < p for x in words]
+    as_numpy = (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53 < p
+    as_words = np.array(words, dtype=np.uint64) < threshold
+    assert as_float == as_numpy.tolist() == as_words.tolist() == [x < threshold for x in words]
+
+
+def test_generator_doubles_are_the_top_53_bits_of_philox_words():
+    # the premise of the word thresholds: Generator.random maps word x to (x >> 11) * 2**-53
+    words = Philox(key=7).advance(3).random_raw(4000)
+    doubles = Generator(Philox(key=7).advance(3)).random(4000)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
 
 
 @pytest.mark.parametrize("seed, n, n_shards, a, b, eta_d, expected", GOLDEN_COUNTS)
@@ -139,7 +191,7 @@ def test_memory_does_not_grow_with_trials():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 2 * 2**20
 
 
 class TestStatisticalConsistency:
