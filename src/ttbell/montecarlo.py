@@ -124,11 +124,8 @@ def _check_seed(seed: int) -> int:
 
 
 def _word_threshold(p: float) -> int:
-    """The T for which a Philox word x gives numpy's ``u < p`` exactly when x < T.
-
-    T = ceil(p * 2**53) * 2**11; ``p * 2**53`` is exact for p in [0, 1].
-    p = 1 gives T = 2**64, above every word.
-    """
+    """T such that a word x gives numpy's u < p exactly when x < T (p in [0, 1];
+    ``p * 2**53`` is exact, and p = 1 gives 2**64, above every word)."""
     return math.ceil(p * 2.0**53) << 11
 
 
