@@ -1,11 +1,14 @@
 """Tests for local-polytope membership: facet oracle vs simplex certificate."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import polytope_oracle
 
 from ttbell import polytope as pt
 from ttbell.chsh import ladder_settings
@@ -139,3 +142,66 @@ class TestAgreement:
             assert cert.feasible
             rec = pt.reconstruct_targets(cert.weights)
             assert max(abs(x - y) for x, y in zip(rec, targets)) < 1e-9
+
+
+def _hexed(weights):
+    return None if weights is None else [(s, w.hex()) for s, w in weights.items()]
+
+
+def _near_facet_targets(rng, count):
+    """Targets at 2 +- up to 1e-9 on every facet, from both sides."""
+    out = []
+    for signs in pt.FACET_SIGNS:
+        for t in rng.uniform(-0.6, 0.6, (count, 4)):
+            on = t + (2.0 - float(np.dot(signs, t))) / 4.0 * np.array(signs)
+            for delta in (-1e-9, -7e-10, -1e-12, 0.0, 1e-12, 7e-10, 1e-9):
+                shifted = on + delta / 4.0 * np.array(signs)
+                if np.all(np.abs(shifted) <= 1.0):
+                    out.append(tuple(shifted.tolist()))
+    return out
+
+
+def _signed_zero_targets(rng):
+    zeros = [tuple(z) for z in itertools.product((0.0, -0.0), repeat=4)]
+    mixed = []
+    for t in rng.uniform(-1.0, 1.0, (200, 4)).tolist():
+        for mask in itertools.product((False, True), repeat=4):
+            mixed.append(tuple(z if m else x for x, m, z in zip(t, mask, (-0.0, 0.0, -0.0, 0.0))))
+    return zeros + mixed
+
+
+class TestSimplexOracle:
+    """``_simplex_weights`` against the numpy tableau it replaced, bit for bit."""
+
+    def check(self, targets_list):
+        nones = 0
+        for targets in targets_list:
+            got = pt._simplex_weights(targets, pt.FEASIBILITY_TOL)
+            want = polytope_oracle.simplex_weights(targets, pt.FEASIBILITY_TOL)
+            assert _hexed(got) == _hexed(want), targets
+            nones += want is None
+        return nones
+
+    def test_uniform_targets(self):
+        targets = [tuple(t) for t in np.random.default_rng(20_000).uniform(-1.0, 1.0, (20_000, 4)).tolist()]
+        nones = self.check(targets)
+        assert 0 < nones < len(targets)
+
+    def test_scaled_ladder_targets(self):
+        targets = [
+            quantum_targets(alpha, eta)
+            for alpha in np.linspace(0.0, math.pi, 61).tolist()
+            for eta in (0.5, 0.7, 1.0 / math.sqrt(2.0), 0.72, 0.9, 1.0)
+        ]
+        assert 0 < self.check(targets) < len(targets)
+
+    def test_vertices(self):
+        assert self.check([tuple(map(float, pt.strategy_correlators(s))) for s in pt.STRATEGIES]) == 0
+
+    def test_targets_within_1e_9_of_a_facet(self):
+        targets = _near_facet_targets(np.random.default_rng(17), 40)
+        assert len(targets) > 1000
+        self.check(targets)
+
+    def test_signed_zero_targets(self):
+        self.check(_signed_zero_targets(np.random.default_rng(29)))
