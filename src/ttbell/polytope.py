@@ -66,11 +66,32 @@ def targets_from_correlator(
 
 
 def facet_values(targets: Sequence[float]) -> list[tuple[tuple[int, int, int, int], float]]:
-    """All eight signed CHSH combinations of the targets."""
+    """All eight signed CHSH combinations of the targets, each summed left
+    to right from 0.0."""
+    t0, t1, t2, t3 = targets
     return [
-        (signs, sum(e * t for e, t in zip(signs, targets)))
+        (signs, 0.0 + e0 * t0 + e1 * t1 + e2 * t2 + e3 * t3)
         for signs in FACET_SIGNS
+        for e0, e1, e2, e3 in (signs,)
     ]
+
+
+def _tableau_rows() -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+    """Row i of the phase-1 tableau without its right-hand side, as given and
+    negated: strategy columns (correlator i of each strategy, 1 for the
+    normalization row) then the artificial identity, which never flips."""
+    rows = []
+    for i in range(5):
+        strategy = [float(strategy_correlators(s)[i]) if i < 4 else 1.0 for s in STRATEGIES]
+        artificial = [float(i == r) for r in range(5)]
+        rows.append((tuple(strategy + artificial), tuple([-v for v in strategy] + artificial)))
+    return tuple(rows)
+
+
+# made once: the 5 x 21 constraint part of the tableau, each row as given and
+# negated (a row is negated when its target is negative)
+_TABLEAU_ROWS = _tableau_rows()
+_PIVOT_TOL = 1e-11
 
 
 def _simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Strategy, float]]:
@@ -80,46 +101,49 @@ def _simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Stra
     (four correlators plus normalization) over the 16 strategy weights,
     with Bland's rule for termination.  Returns None when the residual
     optimum exceeds tol.
+
+    The tableau is five rows of Python floats: the 16 strategy columns, the
+    5 artificial columns and the right-hand side.  Every entry is updated
+    by the same IEEE operations, in the same order, as a numpy tableau
+    would be (``tests/polytope_oracle.py`` is one), so the weights agree
+    with it bit for bit, signed zeros included.
     """
-    n_rows, n_cols = 5, len(STRATEGIES)
-    a_mat = np.ones((n_rows, n_cols))
-    for j, s in enumerate(STRATEGIES):
-        a_mat[:4, j] = strategy_correlators(s)
-    rhs = np.array([*targets, 1.0], dtype=float)
+    rhs = [*targets, 1.0]
+    tab = []
+    for i, t in enumerate(rhs):
+        given, negated = _TABLEAU_ROWS[i]
+        tab.append([*negated, -t] if t < 0.0 else [*given, t])
+    n_vars = len(tab[0]) - 1
+    basis = list(range(len(STRATEGIES), n_vars))
+    # phase-1 reduced costs: z_j - c_j for cost 1 on the artificials; every
+    # column sum is an exact small integer, the rhs sum runs top to bottom
+    obj = [-sum(column) for column in zip(*tab)]
+    for j in basis:
+        obj[j] += 1.0
 
-    for i in range(n_rows):
-        if rhs[i] < 0.0:
-            a_mat[i] *= -1.0
-            rhs[i] *= -1.0
-
-    # tableau: strategy columns | artificial identity | rhs
-    tab = np.hstack([a_mat, np.eye(n_rows), rhs[:, None]])
-    basis = list(range(n_cols, n_cols + n_rows))
-    # phase-1 reduced costs: z_j - c_j for cost 1 on artificials
-    obj = np.zeros(n_cols + n_rows + 1)
-    obj[: n_cols + n_rows] = -tab[:, :-1].sum(axis=0)
-    obj[n_cols: n_cols + n_rows] += 1.0  # artificial columns have cost 1
-    obj[-1] = -tab[:, -1].sum()
-
-    pivot_tol = 1e-11
+    below = -_PIVOT_TOL
     for _ in range(10000):
-        entering = next((j for j in range(n_cols + n_rows) if obj[j] < -pivot_tol), None)
-        if entering is None:
+        for entering in range(n_vars):
+            if obj[entering] < below:
+                break
+        else:
             break
         ratios = [
-            (tab[i, -1] / tab[i, entering], basis[i], i)
-            for i in range(n_rows)
-            if tab[i, entering] > pivot_tol
+            (row[-1] / row[entering], basis[i], i)
+            for i, row in enumerate(tab)
+            if row[entering] > _PIVOT_TOL
         ]
         if not ratios:
             return None  # unbounded phase-1 cannot happen; bail out defensively
         _, _, leaving = min(ratios)
-        pivot = tab[leaving, entering]
-        tab[leaving] /= pivot
-        for i in range(n_rows):
-            if i != leaving and tab[i, entering] != 0.0:
-                tab[i] -= tab[i, entering] * tab[leaving]
-        obj -= obj[entering] * tab[leaving]
+        pivot = tab[leaving][entering]
+        lead = tab[leaving] = [v / pivot for v in tab[leaving]]
+        for i, row in enumerate(tab):
+            f = row[entering]
+            if i != leaving and f != 0.0:
+                tab[i] = [v - f * w for v, w in zip(row, lead)]
+        f = obj[entering]
+        obj = [v - f * w for v, w in zip(obj, lead)]
         basis[leaving] = entering
     else:
         raise RuntimeError("simplex did not terminate")
@@ -128,10 +152,10 @@ def _simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Stra
     if infeasibility > tol:
         return None
 
-    weights = {s: 0.0 for s in STRATEGIES}
-    for i, var in enumerate(basis):
-        if var < n_cols:
-            weights[STRATEGIES[var]] = max(float(tab[i, -1]), 0.0)
+    weights = dict.fromkeys(STRATEGIES, 0.0)
+    for row, var in zip(tab, basis):
+        if var < len(STRATEGIES):
+            weights[STRATEGIES[var]] = max(row[-1], 0.0)
     return weights
 
 
