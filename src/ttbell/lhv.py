@@ -15,10 +15,11 @@ every quantity of interest is an expectation, which finite weighted sums
 evaluate exactly.
 
 A model is evaluated a *column* at a time: for one setting, the validated
-pair (P(+1), P(-1)) as float64 arrays over all K states; every result is an
-array reduction over columns.  Sums over states run strictly left to right,
-so each equals a Python loop over the states bit for bit.  Tabulated models
-are checked once, when built, and hand out ready columns.
+pair (P(+1), P(-1)) as the two rows of a (2, K) float64 array over all K
+states; every result is an array reduction over columns.  Sums over states
+run strictly left to right, so each equals a Python loop over the states bit
+for bit.  Tabulated models are checked once, when built, into one read-only
+array of columns and a key -> column index, and hand out views of it.
 
 For factorized models the per-lambda product mean factorizes,
 E12 = E1 * E2, which is what bounds the per-lambda CHSH combination by 2.
@@ -50,7 +51,7 @@ RESPONSE_TOL = 1e-12
 FACTORIZED = "factorized"
 GENERAL = "general"
 
-Column = tuple[np.ndarray, np.ndarray]  # (P(+1), P(-1)), each of shape (K,)
+Column = np.ndarray  # shape (2, K): row 0 is P(+1), row 1 is P(-1)
 
 
 class InvalidModelError(ValueError):
@@ -82,7 +83,8 @@ class PerLambdaStats:
 class LhvModel:
     """Finite hidden-variable model, evaluated a column at a time.
 
-    ``t1_column(a)`` is the first-slot response at angle a as a ``Column``.
+    ``t1_column(a)`` is the first-slot response at angle a as a ``Column``
+    (a read-only array, or a fresh one).
     For factorized models ``t2_column(b)`` likewise; for general models
     ``t2_column(a, b, A)`` may also see the first setting and outcome.  A
     tabulated model marks a state with no response at a setting by NaN;
@@ -140,7 +142,7 @@ def _hand_written(support, p1, p2, kind) -> LhvModel:
                 _response_pair(lambda o: response(o, *setting, lam), f"{name}{setting} at id {k}")
                 for k, lam in enumerate(support)
             ]
-            return np.array([p for p, _ in pairs], float), np.array([q for _, q in pairs], float)
+            return np.array(pairs, float).reshape(-1, 2).T
 
         return column
 
@@ -162,21 +164,18 @@ def _response_pair(evaluate: Callable[[int], float], what: str) -> tuple[float, 
     return values[0], values[1]
 
 
-def _joint_terms(m: LhvModel, a_angles, b_angles, pairs) -> tuple[np.ndarray, ...]:
-    """Columns at setting pairs (i, j) = (a_angles[i], b_angles[j]), each
-    fetched once: slot 1, shape (2, P, K); slot 2, shape (2, P, K) for
-    factorized models and (2, 2, P, K) after A=+1 / A=-1 for general ones;
-    and the per-state joint entries, shape (2, 2, P, K), where
-    ``terms[i, j]`` has first outcome OUTCOMES[i], second OUTCOMES[j]."""
-    t1 = [m.t1_column(a) for a in a_angles]
-    pa = np.array([[t1[i][o] for i, _ in pairs] for o in (0, 1)])
+def _joint_terms(m: LhvModel, a_angles, b_angles) -> tuple[np.ndarray, ...]:
+    """Columns at every setting pair (a_angles[i], b_angles[j]), each fetched
+    once: slot 1, shape (I, 2, K); slot 2, shape (J, 2, K) for factorized
+    models and (I, J, 2, 2, K), after A=+1 / A=-1, for general ones; and the
+    per-state joint entries, shape (I, J, 2, 2, K), where ``terms[i, j, o, p]``
+    has first outcome OUTCOMES[o], second OUTCOMES[p]."""
+    pa = np.array([m.t1_column(a) for a in a_angles])
     if m.kind == FACTORIZED:
-        t2 = [m.t2_column(b) for b in b_angles]
-        pb = np.array([[t2[j][o] for _, j in pairs] for o in (0, 1)])
-    else:
-        t2 = [[m.t2_column(a_angles[i], b_angles[j], A) for i, j in pairs] for A in OUTCOMES]
-        pb = np.array([[[c[o] for c in after] for o in (0, 1)] for after in t2])
-    return pa, pb, pa[:, None] * pb
+        pb = np.array([m.t2_column(b) for b in b_angles])
+        return pa, pb, pa[:, None, :, None] * pb[:, None]
+    pb = np.array([[[m.t2_column(a, b, A) for A in OUTCOMES] for b in b_angles] for a in a_angles])
+    return pa, pb, pa[:, None, :, None] * pb
 
 
 def _require_tabulated(values, terms: np.ndarray, where: Callable[[], str]) -> None:
@@ -189,35 +188,36 @@ def _require_tabulated(values, terms: np.ndarray, where: Callable[[], str]) -> N
         raise InvalidModelError(f"no response tabulated at {where()} for id {k}")
 
 
-def _ensemble(m: LhvModel, terms: np.ndarray) -> np.ndarray:
-    """Weighted sums over states (the last axis), in state order.
+def _ensemble(m: LhvModel, terms: np.ndarray) -> list[float]:
+    """Weighted sums over states (the last axis), in state order, as a flat
+    list in the C order of the other axes.
 
     ``np.add.accumulate`` adds strictly left to right; the final ``+ 0.0``
     turns an all-negative-zero sum into +0.0, as a Python sum from 0.0 would.
     """
     weighted = terms * m.weights
-    return np.add.accumulate(weighted, axis=-1, out=weighted)[..., -1] + 0.0
+    sums = np.add.accumulate(weighted, axis=-1, out=weighted)[..., -1]
+    return [v + 0.0 for v in sums.ravel().tolist()]
 
 
 def _averaged(m: LhvModel, a: float, b: float):
-    """Per-state means e1 and e12 (the correlator of each state's joint),
-    then the ensemble joint and moments, all at (a, b)."""
-    pa, _, terms = _joint_terms(m, [a], [b], [(0, 0)])
-    pp, pm, mp, mm = entries = _ensemble(m, terms).ravel().tolist()
+    """Slot-1 columns and per-state joint entries at (a, b) (as
+    ``_joint_terms`` gives them), then the ensemble joint and moments."""
+    pa, _, terms = _joint_terms(m, (a,), (b,))
+    pp, pm, mp, mm = entries = _ensemble(m, terms)
     _require_tabulated(entries, terms, lambda: f"(a={a!r}, b={b!r})")
     joint = JointDistribution(pp=pp, pm=pm, mp=mp, mm=mm)
     moments = Moments(
         mean_t1=(pp + pm) - (mp + mm),
         mean_t2=(pp + mp) - (pm + mm),
-        correlator=joint.correlator(),
+        correlator=pp - pm - mp + mm,
     )
-    e12 = terms[0, 0, 0] - terms[0, 1, 0] - terms[1, 0, 0] + terms[1, 1, 0]
-    return pa[0, 0] - pa[1, 0], e12, joint, moments
+    return pa, terms, joint, moments
 
 
 def _state(m: LhvModel, a: float, b: float, lam: LambdaPoint):
     """Slot-1 and slot-2 columns and the joint of one hidden state at (a, b)."""
-    pa, pb, terms = (x[..., lam.id] for x in _joint_terms(m, [a], [b], [(0, 0)]))
+    pa, pb, terms = (x[..., lam.id] for x in _joint_terms(m, (a,), (b,)))
     entries = terms.ravel().tolist()
     if any(math.isnan(v) for v in entries):
         raise InvalidModelError(f"no response tabulated at (a={a!r}, b={b!r}) for id {lam.id}")
@@ -268,12 +268,9 @@ def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
     construction settings only.
     """
     kept = [(outcomes, w) for outcomes, w in quantum_joint(a, b).items() if w != 0.0]
-    t1, t2 = (
-        tuple(np.array([float(ab[slot] == o) for ab, _ in kept]) for o in OUTCOMES)
-        for slot in (0, 1)
-    )
-    for column in (*t1, *t2):
-        column.setflags(write=False)
+    t1, t2 = (np.array([[float(ab[slot] == o) for ab, _ in kept] for o in OUTCOMES]) for slot in (0, 1))
+    t1.setflags(write=False)
+    t2.setflags(write=False)
     return LhvModel([w for _, w in kept], FACTORIZED, lambda angle: t1, lambda angle: t2)
 
 
@@ -302,7 +299,7 @@ def position_style_model(grid_size: int) -> LhvModel:
     def threshold_column(coords):
         def column(angle):
             plus = np.where(coords < 0.5 * (1.0 + math.sin(angle)), 1.0, 0.0)
-            return plus, 1.0 - plus
+            return np.array((plus, 1.0 - plus))
 
         return column
 
@@ -342,65 +339,93 @@ def tabulated_model(kind, weights, p1_entries, p2_entries, angle_tol: float = 1e
     """Model from per-state table entries, each checked here once:
     ``(angle, p_plus)`` for slot 1 and factorized slot 2, ``(a, b, A,
     p_plus)`` for general slot 2.  A later equal key replaces an earlier one."""
+    return flat_tabulated_model(kind, weights, _flat(p1_entries), _flat(p2_entries), angle_tol)
+
+
+def _flat(per_state):
+    """Per-state entries ``(*key, p)`` as one flat table (see ``flat_tabulated_model``),
+    keys in first-seen order."""
+    index: dict = {}
+    rows, cols, values = [], [], []
+    for k, entries in enumerate(per_state):
+        for *key, p in entries:
+            rows.append(k)
+            cols.append(index.setdefault(tuple(key), len(index)))
+            values.append(p)
+    return list(index), rows, cols, values
+
+
+def flat_tabulated_model(kind, weights, p1, p2, angle_tol: float = 1e-9) -> LhvModel:
+    """Model from one flat table per slot, ``(keys, rows, cols, values)``:
+    state ``rows[i]`` has P(+1) = ``values[i]`` at ``keys[cols[i]]``, keys
+    ``(angle,)`` or, for general slot 2, ``(a, b, A)``.  A later entry for the
+    same state and key replaces an earlier one."""
     t2_tol = (angle_tol,) if kind == FACTORIZED else (angle_tol, angle_tol, 0.0)
+    n_states = len(weights)
     return LhvModel(
         weights=weights,
         kind=kind,
-        t1_column=_entries_column("t1", p1_entries, (angle_tol,)),
-        t2_column=_entries_column("t2", p2_entries, t2_tol),
+        t1_column=_flat_column("t1", n_states, *p1, (angle_tol,)),
+        t2_column=_flat_column("t2", n_states, *p2, t2_tol),
     )
 
 
-def _entries_column(slot: str, per_state, tol) -> Callable[..., Column]:
-    index: dict = {}  # every key any state tabulates, in first-seen order
-    cells = {}  # (state, key position) -> P(+1); a later entry replaces an earlier one
-    for k, entries in enumerate(per_state):
-        for *key, p in entries:
-            cells[k, index.setdefault(tuple(key), len(index))] = p
-    plus = np.full((len(per_state), len(index)), np.nan)
+def _flat_column(slot, n_states, keys, rows, cols, values, tol) -> "_TableColumn":
+    plus = np.full((len(keys), n_states), np.nan)
     absent = np.ones(plus.shape, dtype=bool)
-    if cells:
-        rows, cols = np.array(list(cells)).T
-        plus[rows, cols] = list(cells.values())
-        absent[rows, cols] = False
-    return _table_column(slot, list(index), plus, tol, absent if absent.any() else None)
+    cells = np.asarray(cols, dtype=np.intp) * n_states + np.asarray(rows, dtype=np.intp)
+    # the last entry of each cell: the first of the reversed list
+    cells, last = np.unique(cells[::-1], return_index=True)
+    plus.flat[cells] = np.asarray(values, dtype=float)[::-1][last]
+    absent.flat[cells] = False
+    return _TableColumn(slot, keys, plus.tolist(), n_states, tol, absent if absent.any() else None)
 
 
-def _table_column(slot, keys, plus, tol, absent=None) -> Callable[..., Column]:
+class _TableColumn:
     """Column function over response tables, checked here once.
 
-    ``plus[k, j]`` is state k's raw P(+1) at ``keys[j]`` (distinct tuples);
-    NaN where ``absent``.  A state answers at the exact key, else at its first
-    key within ``tol`` (per key component), else with NaN.
+    ``table[j][k]`` is state k's raw P(+1) at ``keys[j]`` (distinct tuples),
+    a list of ``n_states`` values per key; NaN where ``absent[j, k]``.  The checked (P(+1), P(-1))
+    columns are held in one read-only array of shape (2, len(keys), K).  A
+    key that every state tabulates is answered by a view of its column;
+    otherwise a state answers at the exact key, else at its first key within
+    ``tol`` (per key component), else with NaN.
     """
-    given = plus.ravel().tolist() if absent is None else plus[~absent].tolist()
-    if not all(0.0 <= v <= 1.0 for v in given):  # clamp rounding dust, reject the rest
-        plus = plus.copy()
-        for k, row in enumerate(plus.tolist()):
-            for j, v in enumerate(row):
-                if absent is None or not absent[k, j]:
-                    what = f"{slot} table at {keys[j]} for id {k}"
-                    plus[k, j] = _response_pair(lambda o: v if o == 1 else 1.0 - v, what)[0]
-    minus = 1.0 - plus
-    plus.setflags(write=False)
-    minus.setflags(write=False)
-    complete = range(len(keys)) if absent is None else np.flatnonzero(~absent.any(axis=0)).tolist()
-    ready = {keys[j]: (plus[:, j], minus[:, j]) for j in complete}
 
-    def column(*key):
-        hit = ready.get(key)
-        if hit is not None or not keys:
-            return hit or (np.full(len(plus), np.nan),) * 2
-        grid = np.array(keys, dtype=float)
+    __slots__ = ("keys", "tol", "columns", "index")
+
+    def __init__(self, slot, keys, table, n_states, tol, absent=None):
+        given = table if absent is None else [np.array(table)[~absent].tolist()]
+        if not all(0.0 <= v <= 1.0 for row in given for v in row):  # clamp dust, reject the rest
+            table = [list(row) for row in table]
+            for k in range(n_states):
+                for j, row in enumerate(table):
+                    if absent is None or not absent[j, k]:
+                        v = row[k]
+                        what = f"{slot} table at {keys[j]} for id {k}"
+                        row[k] = _response_pair(lambda o: v if o == 1 else 1.0 - v, what)[0]
+        columns = np.array((table, [[1.0 - v for v in row] for row in table])).reshape(2, len(keys), n_states)
+        columns.setflags(write=False)
+        complete = range(len(keys)) if absent is None else np.flatnonzero(~absent.any(axis=1)).tolist()
+        self.keys = keys
+        self.tol = tol
+        self.columns = columns
+        self.index = {keys[j]: j for j in complete}
+
+    def __call__(self, *key) -> Column:
+        j = self.index.get(key)
+        if j is not None:
+            return self.columns[:, j]
+        plus = self.columns[0].T  # (K, len(keys))
+        if not self.keys:
+            return np.full((2, len(plus)), np.nan)
+        grid = np.array(self.keys, dtype=float)
         x = np.array(key, dtype=float)
         exact = (grid == x).all(axis=-1) & ~np.isnan(plus)
-        near = (np.abs(grid - x) <= np.array(tol)).all(axis=-1) & ~np.isnan(plus)
+        near = (np.abs(grid - x) <= np.array(self.tol)).all(axis=-1) & ~np.isnan(plus)
         pick = np.where(exact.any(axis=1), exact.argmax(axis=1), near.argmax(axis=1))
         found = (exact | near).any(axis=1)
-        rows = np.arange(len(plus))
-        return np.where(found, plus[rows, pick], np.nan), np.where(found, minus[rows, pick], np.nan)
-
-    return column
+        return np.where(found, self.columns[:, pick, np.arange(len(plus))], np.nan)
 
 
 def random_factorized_model(
@@ -414,9 +439,10 @@ def random_factorized_model(
     weights = raw / raw.sum()
     columns = []
     for slot, angles in (("t1", t1_angles), ("t2", t2_angles)):
-        p_plus = rng.random((n_lambda, len(angles)))
+        by_angle = rng.random((n_lambda, len(angles))).T.tolist()
         at = {(float(x),): j for j, x in enumerate(angles)}  # as in a dict: last value wins
-        columns.append(_table_column(slot, list(at), p_plus[:, list(at.values())], (1e-9,)))
+        table = [by_angle[j] for j in at.values()]
+        columns.append(_TableColumn(slot, list(at), table, n_lambda, (1e-9,)))
     return LhvModel(weights=weights, kind=FACTORIZED, t1_column=columns[0], t2_column=columns[1])
 
 
@@ -437,26 +463,26 @@ def per_lambda_chsh(m: LhvModel, s: ChshSettings, lam: LambdaPoint) -> float:
     product mean splits into slot means.  Bounded by 2 for any response
     probabilities.
     """
-    value = _chsh(*(p.item(lam.id) - q.item(lam.id) for p, q in _chsh_columns(m, s)))
+    k = lam.id
+    value = _chsh(*(c.item(0, k) - c.item(1, k) for c in _chsh_columns(m, s)))
     if math.isnan(value):
-        raise InvalidModelError(f"no response tabulated at {s} for id {lam.id}")
+        raise InvalidModelError(f"no response tabulated at {s} for id {k}")
     return value
 
 
 def per_state_chsh(m: LhvModel, s: ChshSettings) -> np.ndarray:
     """``per_lambda_chsh`` at every hidden state at once, in state order."""
-    values = _chsh(*(p - q for p, q in _chsh_columns(m, s)))
+    values = _chsh(*(c[0] - c[1] for c in _chsh_columns(m, s)))
     _require_tabulated([values.max()], values, lambda: f"{s}")
     return values
 
 
 def averaged_chsh(m: LhvModel, s: ChshSettings) -> float:
     """CHSH combination of the ensemble correlators."""
-    pairs = [(0, 0), (0, 1), (1, 1), (1, 0)]  # (a, b), (a, b'), (a', b'), (a', b)
-    terms = _joint_terms(m, [s.a, s.a_prime], [s.b, s.b_prime], pairs)[2]
-    sums = _ensemble(m, terms)
-    c = (sums[0, 0] - sums[0, 1] - sums[1, 0] + sums[1, 1]).tolist()
-    value = abs(c[0] + c[1] + c[2] - c[3])
+    terms = _joint_terms(m, (s.a, s.a_prime), (s.b, s.b_prime))[2]
+    sums = _ensemble(m, terms)  # (pp, pm, mp, mm) at (a, b), (a, b'), (a', b), (a', b')
+    c_ab, c_abp, c_apb, c_apbp = (sums[i] - sums[i + 1] - sums[i + 2] + sums[i + 3] for i in (0, 4, 8, 12))
+    value = abs(c_ab + c_abp + c_apbp - c_apb)
     _require_tabulated([value], terms, lambda: f"{s}")
     return value
 
@@ -497,7 +523,7 @@ class ConsistencyReport:
 
 def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TOL) -> ConsistencyReport:
     """Run the ensemble bookkeeping identities for a model at (a, b)."""
-    wx, wy, joint, moments = _averaged(m, a, b)  # per-state e1 and e12, weighted below
+    pa, terms, joint, moments = _averaged(m, a, b)
 
     # marginal from mean: P(B) = (1/2)(1 + B * mean_t2)
     err_marginal = 0.0
@@ -533,8 +559,9 @@ def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TO
 
     # double averages over independent hidden-state pairs factorize; the
     # per-state means e1 and e12 come from the columns of the joint above
-    wx *= m.weights
-    wy *= m.weights
+    (p, q), ((pp, pm), (mp, mm)) = pa[0], terms[0, 0]
+    wx = (p - q) * m.weights
+    wy = (pp - pm - mp + mm) * m.weights
     # naive pair sum (chunked to bound memory), kept independent of the
     # factorized product it is compared against
     double_sum = 0.0

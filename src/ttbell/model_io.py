@@ -21,7 +21,9 @@ is byte-stable.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -72,128 +74,290 @@ def _parse_prob(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def parse_model_text(text: str) -> ModelSpec:
-    """Parse model-file content; raises ModelFileError with a line number."""
-    kind: Optional[str] = None
-    weights: dict[int, float] = {}
-    p1_raw: dict[int, dict[float, float]] = {}
-    p2_fact: dict[int, dict[float, float]] = {}
-    p2_gen: dict[int, dict[tuple[float, float, int], float]] = {}
+class _Slot:
+    """The response lines of one slot, held flat in line order, one entry
+    per line: the line number, the declaration position of the state, the
+    key's numbers as written (``angle``, or ``a``, ``b`` and ``A``) and
+    P(+1)."""
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive = tokens[0]
+    def __init__(self, directive: str, general: bool = False):
+        self.directive = directive
+        self.arity = 6 if general else 4
+        self.line = array("q")
+        self.pos = array("q")
+        self.key = tuple(array("d") for _ in range(3 if general else 1))
+        self.value = array("d")
 
-        if directive == "kind":
-            if kind is not None:
-                _fail(line_no, "duplicate kind directive")
-            if len(tokens) != 2 or tokens[1] not in (lhv.FACTORIZED, lhv.GENERAL):
-                _fail(line_no, "expected 'kind factorized' or 'kind general'")
-            kind = tokens[1]
-            continue
+    @functools.cached_property
+    def keys(self):
+        """Key components as arrays (A as int), the index of each entry's key
+        among the distinct keys, and the entry where each key first occurs;
+        keys are equal as Python numbers are, so 0.0 and -0.0 are one key.
+        Read once the slot is complete."""
+        parts = [np.asarray(x) for x in self.key]
+        if len(parts) == 3:
+            parts[2] = parts[2].astype(int)
+        rows = np.stack([x + 0.0 for x in parts[:2]] + parts[2:], axis=1)  # + 0.0: -0.0 -> 0.0
+        _, first, index = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        return parts, index.reshape(-1), first
+
+    def duplicate(self) -> Optional[tuple[int, str]]:
+        """(line, message) of the first line that repeats a state's key."""
+        if not self.value:
+            return None
+        _, index, _ = self.keys
+        cells = np.asarray(self.pos) * (index.max() + 1) + index
+        repeat = np.ones(len(cells), dtype=bool)
+        repeat[np.unique(cells, return_index=True)[1]] = False
+        if not repeat.any():
+            return None
+        e = int(repeat.argmax())
+        if self.arity == 4:
+            return self.line[e], f"duplicate {self.directive} entry at angle {self.key[0][e]!r}"
+        return self.line[e], "duplicate p2 entry for these settings and outcome"
+
+    def flat(self, rank: np.ndarray):
+        """``(keys, rows, cols, values)`` with rows the states' ranks and
+        the keys in the order in which they first occur over the states in
+        rank order, each state's keys ascending."""
+        parts, index, first_entry = self.keys
+        keys = list(zip(*(x[first_entry].tolist() for x in parts)))
+        rows = rank[np.asarray(self.pos, dtype=np.intp)]
+        first = np.full(len(keys), len(rank))
+        np.minimum.at(first, index, rows)
+        order = sorted(range(len(keys)), key=lambda j: (first[j], keys[j]))
+        renumber = np.empty(len(keys), dtype=np.intp)
+        renumber[order] = np.arange(len(keys))
+        return [keys[j] for j in order], rows, renumber[index], np.asarray(self.value)
+
+    def tables(self, rank: np.ndarray) -> tuple[tuple[tuple, ...], ...]:
+        """Per state in rank order, its entries ``(*key, p)`` as written, ascending."""
+        parts, _, _ = self.keys
+        rows = rank[np.asarray(self.pos, dtype=np.intp)]
+        order = np.lexsort((*parts[::-1], rows))
+        entries = list(zip(*(x[order].tolist() for x in parts), np.asarray(self.value)[order].tolist()))
+        ends = np.cumsum(np.bincount(rows, minlength=len(rank))).tolist()
+        return tuple(tuple(entries[start:end]) for start, end in zip([0] + ends, ends))
+
+
+class _Parsed:
+    """A model file read line by line into flat tables (``_Slot``)."""
+
+    def __init__(self, blocks):
+        kind: Optional[str] = None
+        positions: dict[int, int] = {}  # hidden-state id -> declaration position
+        ids: list[int] = []
+        weights = array("d")
+        p1 = _Slot("p1")
+        p2 = None  # made once the kind is known
+        line_no = 0
+        try:
+            for lines in blocks:
+                for raw in lines:
+                    line_no += 1
+                    tokens = raw.split("#", 1)[0].split()
+                    if not tokens:
+                        continue
+                    directive = tokens[0]
+
+                    if directive == "p1" or directive == "p2":
+                        if kind is None:
+                            _fail(line_no, "kind must be declared before any other directive")
+                        slot = p1 if directive == "p1" else p2
+                        if len(tokens) != slot.arity:
+                            _fail(line_no, f"expected {slot.arity} fields for {directive} in a {kind} model")
+                        try:
+                            state_id = int(tokens[1])
+                        except ValueError:
+                            _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
+                        pos = positions.get(state_id)
+                        if pos is None:
+                            _fail(line_no, f"response references undeclared hidden state {state_id}")
+                        if slot.arity == 4:
+                            try:
+                                angle, p = float(tokens[2]), float(tokens[3])
+                            except ValueError:
+                                angle = p = math.nan
+                            if not (angle - angle == 0.0 and 0.0 <= p <= 1.0):  # fails on NaN too
+                                _parse_float(tokens[2], line_no, "angle")  # raises the error
+                                _parse_prob(tokens[3], line_no, "p_plus")
+                            slot.key[0].append(angle)
+                        else:
+                            a = _parse_float(tokens[2], line_no, "first angle")
+                            b = _parse_float(tokens[3], line_no, "second angle")
+                            if tokens[4] not in ("+1", "-1", "1"):
+                                _fail(line_no, f"first outcome must be +1 or -1, got {tokens[4]!r}")
+                            p = _parse_prob(tokens[5], line_no, "p_plus")
+                            for part, v in zip(slot.key, (a, b, 1.0 if tokens[4] in ("+1", "1") else -1.0)):
+                                part.append(v)
+                        slot.line.append(line_no)
+                        slot.pos.append(pos)
+                        slot.value.append(p)
+                        continue
+
+                    if directive == "kind":
+                        if kind is not None:
+                            _fail(line_no, "duplicate kind directive")
+                        if len(tokens) != 2 or tokens[1] not in (lhv.FACTORIZED, lhv.GENERAL):
+                            _fail(line_no, "expected 'kind factorized' or 'kind general'")
+                        kind = tokens[1]
+                        p2 = _Slot("p2", general=kind == lhv.GENERAL)
+                        continue
+
+                    if kind is None:
+                        _fail(line_no, "kind must be declared before any other directive")
+
+                    if directive == "lambda":
+                        if len(tokens) != 3:
+                            _fail(line_no, "expected 'lambda <id> <weight>'")
+                        try:
+                            state_id = int(tokens[1])
+                        except ValueError:
+                            _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
+                        if state_id in positions:
+                            _fail(line_no, f"duplicate hidden-state id {state_id}")
+                        try:
+                            weight = float(tokens[2])
+                        except ValueError:
+                            weight = math.nan
+                        if not weight - weight == 0.0:
+                            _parse_float(tokens[2], line_no, "weight")  # raises the error
+                        if weight < 0.0:
+                            _fail(line_no, f"weight must be nonnegative, got {weight!r}")
+                        positions[state_id] = len(ids)
+                        ids.append(state_id)
+                        weights.append(weight)
+                        continue
+
+                    _fail(line_no, f"unknown directive {directive!r}")
+        except ModelFileError:
+            _first_repeat(p1, p2)  # the earlier error
+            raise
+        _first_repeat(p1, p2)
 
         if kind is None:
-            _fail(line_no, "kind must be declared before any other directive")
+            raise ModelFileError("model file declares no kind")
+        if not ids:
+            raise ModelFileError("model file declares no hidden states")
+        total = math.fsum(weights)
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ModelFileError(f"hidden-state weights sum to {total!r}, expected 1")
 
-        if directive == "lambda":
-            if len(tokens) != 3:
-                _fail(line_no, "expected 'lambda <id> <weight>'")
-            try:
-                state_id = int(tokens[1])
-            except ValueError:
-                _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
-            if state_id in weights:
-                _fail(line_no, f"duplicate hidden-state id {state_id}")
-            weight = _parse_float(tokens[2], line_no, "weight")
-            if weight < 0.0:
-                _fail(line_no, f"weight must be nonnegative, got {weight!r}")
-            weights[state_id] = weight
-            continue
+        # states are renumbered densely in sorted id order
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.rank = np.empty(len(ids), dtype=np.intp)
+        self.rank[order] = np.arange(len(ids))
+        self.kind = kind
+        self.weights = [weights[pos] for pos in order]
+        self.slots = (p1, p2)
 
-        if directive in ("p1", "p2"):
-            want_general_p2 = directive == "p2" and kind == lhv.GENERAL
-            arity = 6 if want_general_p2 else 4
-            if len(tokens) != arity:
-                _fail(line_no, f"expected {arity} fields for {directive} in a {kind} model")
-            try:
-                state_id = int(tokens[1])
-            except ValueError:
-                _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
-            if state_id not in weights:
-                _fail(line_no, f"response references undeclared hidden state {state_id}")
-            if directive == "p1":
-                angle = _parse_float(tokens[2], line_no, "angle")
-                prob = _parse_prob(tokens[3], line_no, "p_plus")
-                table = p1_raw.setdefault(state_id, {})
-                if angle in table:
-                    _fail(line_no, f"duplicate p1 entry at angle {angle!r}")
-                table[angle] = prob
-            elif want_general_p2:
-                a = _parse_float(tokens[2], line_no, "first angle")
-                b = _parse_float(tokens[3], line_no, "second angle")
-                if tokens[4] not in ("+1", "-1", "1"):
-                    _fail(line_no, f"first outcome must be +1 or -1, got {tokens[4]!r}")
-                a_outcome = 1 if tokens[4] in ("+1", "1") else -1
-                prob = _parse_prob(tokens[5], line_no, "p_plus")
-                table = p2_gen.setdefault(state_id, {})
-                if (a, b, a_outcome) in table:
-                    _fail(line_no, "duplicate p2 entry for these settings and outcome")
-                table[(a, b, a_outcome)] = prob
-            else:
-                angle = _parse_float(tokens[2], line_no, "angle")
-                prob = _parse_prob(tokens[3], line_no, "p_plus")
-                table = p2_fact.setdefault(state_id, {})
-                if angle in table:
-                    _fail(line_no, f"duplicate p2 entry at angle {angle!r}")
-                table[angle] = prob
-            continue
+    def spec(self) -> ModelSpec:
+        p1, p2 = (slot.tables(self.rank) for slot in self.slots)
+        return ModelSpec(kind=self.kind, weights=tuple(self.weights), p1_tables=p1, p2_tables=p2)
 
-        _fail(line_no, f"unknown directive {directive!r}")
+    def model(self) -> lhv.LhvModel:
+        return lhv.flat_tabulated_model(self.kind, self.weights, *(slot.flat(self.rank) for slot in self.slots))
 
-    if kind is None:
-        raise ModelFileError("model file declares no kind")
-    if not weights:
-        raise ModelFileError("model file declares no hidden states")
-    total = math.fsum(weights.values())
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ModelFileError(f"hidden-state weights sum to {total!r}, expected 1")
 
-    order = sorted(weights)
-    dense_weights = tuple(weights[i] for i in order)
-    p1_tables = tuple(tuple(sorted(p1_raw.get(i, {}).items())) for i in order)
-    if kind == lhv.FACTORIZED:
-        p2_tables = tuple(tuple(sorted(p2_fact.get(i, {}).items())) for i in order)
-    else:
-        p2_tables = tuple(
-            tuple(sorted((a, b, A, p) for (a, b, A), p in p2_gen.get(i, {}).items()))
-            for i in order
-        )
-    return ModelSpec(kind=kind, weights=dense_weights, p1_tables=p1_tables, p2_tables=p2_tables)
+def _first_repeat(*slots) -> None:
+    """Fail at the first response line that repeats its state's key, if any."""
+    repeats = [r for r in (slot.duplicate() for slot in slots if slot is not None) if r]
+    if repeats:
+        _fail(*min(repeats))
+
+
+def _blocks(f, size: int = 1 << 16):
+    """The lines of a text file, as ``str.splitlines`` splits the whole
+    text, in lists read about ``size`` characters at a time."""
+    tail = ""
+    for chunk in iter(lambda: f.read(size), ""):
+        lines = (tail + chunk).splitlines()
+        tail = "" if chunk[-1] in _LINE_ENDS else lines.pop()
+        yield lines
+    if tail:
+        yield [tail]
+
+
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
+
+
+def parse_model_text(text: str) -> ModelSpec:
+    """Parse model-file content; raises ModelFileError with a line number."""
+    return _Parsed([text.splitlines()]).spec()
+
+
+def _key_texts(parts):
+    """Keys as a model file writes them, ``angle`` or ``a b A``, from their
+    components: a column of angles, or columns of a, b and A."""
+    if len(parts) == 3:
+        a, b, A = parts
+        return map("{!r} {!r} {:+d}".format, map(float, a), map(float, b), A)
+    return map(repr, map(float, parts[0] if parts else ()))
+
+
+def _lines(kind: str, weights, slots) -> list[str]:
+    """The canonical text, as lines: the kind, the weights, then each slot's
+    entries ``(state, key text, p)`` in the order given.  Values are coerced
+    with ``float`` first, so numpy scalars are written as plain numbers
+    rather than as ``np.float64(...)``."""
+    lines = [f"kind {kind}\n"]
+    lines += [f"lambda {i} {float(w)!r}\n" for i, w in enumerate(weights)]
+    for directive, entries in zip(("p1", "p2"), slots):
+        lines += [f"{directive} {i} {key} {float(p)!r}\n" for i, key, p in entries]
+    return lines
 
 
 def dump_model_spec(spec: ModelSpec) -> str:
-    """Canonical text form; full-precision floats so parsing is lossless.
+    """Canonical text form; full-precision floats so parsing is lossless."""
+    slots = []
+    for tables in (spec.p1_tables, spec.p2_tables):
+        states = [i for i, table in enumerate(tables) for _ in table]
+        *key, p = list(zip(*(entry for table in tables for entry in table))) or [(), ()]
+        slots.append(zip(states, _key_texts(key), p))
+    return "".join(_lines(spec.kind, spec.weights, slots))
 
-    Values are coerced with ``float`` first, so numpy scalars are written
-    as plain numbers rather than as ``np.float64(...)``.
-    """
-    lines = [f"kind {spec.kind}"]
-    for i, w in enumerate(spec.weights):
-        lines.append(f"lambda {i} {float(w)!r}")
-    for i, entries in enumerate(spec.p1_tables):
-        for angle, p in entries:
-            lines.append(f"p1 {i} {float(angle)!r} {float(p)!r}")
-    for i, entries in enumerate(spec.p2_tables):
-        if spec.kind == lhv.FACTORIZED:
-            for angle, p in entries:
-                lines.append(f"p2 {i} {float(angle)!r} {float(p)!r}")
+
+class _Tabulated:
+    """A model's responses at given settings, a whole column per key:
+    ``table[j]`` is P(+1) of every state at ``keys[j]``, keys ascending."""
+
+    def __init__(self, model: lhv.LhvModel, t1_angles, t2_angles, t2_pairs):
+        if model.kind == lhv.FACTORIZED:
+            t2_keys = [(float(b),) for b in t2_angles]
         else:
-            for a, b, A, p in entries:
-                lines.append(f"p2 {i} {float(a)!r} {float(b)!r} {A:+d} {float(p)!r}")
-    return "\n".join(lines) + "\n"
+            t2_keys = [(float(a), float(b), A) for a, b in t2_pairs for A in (1, -1)]
+        self.model = model
+        self.slots = (
+            self._columns(model.t1_column, "t1", [(float(a),) for a in t1_angles]),
+            self._columns(model.t2_column, "t2", t2_keys),
+        )
+
+    def _columns(self, column, slot: str, keys):
+        table = np.array([column(*key)[0] for key in keys]).reshape(len(keys), len(self.model.weights))
+        if np.isnan(table).any():  # NaN marks a state with no tabulated response
+            key, k = (x[0] for x in np.nonzero(np.isnan(table)))
+            raise lhv.InvalidModelError(f"no {slot} response tabulated at {keys[key]} for id {k}")
+        order = sorted(range(len(keys)), key=keys.__getitem__)  # every state lists its keys ascending
+        return [keys[j] for j in order], table[order].tolist()
+
+    def spec(self) -> ModelSpec:
+        tables = (
+            tuple(tuple((*key, p) for key, p in zip(keys, ps)) for ps in zip(*table))
+            if keys else ((),) * len(self.model.weights)
+            for keys, table in self.slots
+        )
+        return ModelSpec(self.model.kind, tuple(self.model.weights.tolist()), *tables)
+
+    def lines(self) -> list[str]:
+        slots = (_by_state(list(_key_texts(list(zip(*keys)))), table) for keys, table in self.slots)
+        return _lines(self.model.kind, self.model.weights.tolist(), slots)
+
+
+def _by_state(texts: list[str], table: list[list[float]]):
+    """``(state, key text, p)`` of whole columns, by state, then by key."""
+    for i, ps in enumerate(zip(*table)):
+        for text, p in zip(texts, ps):
+            yield i, text, p
 
 
 def spec_from_model(
@@ -207,30 +371,19 @@ def spec_from_model(
     Factorized models need ``t2_angles``; general models need ``t2_pairs``
     of (first, second) angles, tabulated for both first-slot outcomes.
     """
-    if model.kind == lhv.FACTORIZED:
-        t2_keys = [(float(b),) for b in t2_angles]
-    else:
-        t2_keys = [(float(a), float(b), A) for a, b in t2_pairs for A in (1, -1)]
-
-    def tables(slot, keys):
-        column = model.t1_column if slot == "t1" else model.t2_column
-        table = np.array([column(*key)[0] for key in keys]).reshape(len(keys), len(model.weights))
-        if np.isnan(table).any():  # NaN marks a state with no tabulated response
-            key, k = (x[0] for x in np.nonzero(np.isnan(table)))
-            raise lhv.InvalidModelError(f"no {slot} response tabulated at {keys[key]} for id {k}")
-        rows = zip(*table.tolist()) if keys else [()] * len(model.weights)
-        return tuple(tuple(sorted((*key, p) for key, p in zip(keys, row))) for row in rows)
-
-    return ModelSpec(
-        kind=model.kind,
-        weights=tuple(model.weights.tolist()),
-        p1_tables=tables("t1", [(float(a),) for a in t1_angles]),
-        p2_tables=tables("t2", t2_keys),
-    )
+    return _Tabulated(model, t1_angles, t2_angles, t2_pairs).spec()
 
 
 def load_model(path: str | Path) -> lhv.LhvModel:
-    return parse_model_text(Path(path).read_text()).build()
+    """Read a model file line by line straight into the model's tables."""
+    with open(path) as f:
+        try:
+            parsed = _Parsed(_blocks(f))
+        except ModelFileError:
+            for _ in _blocks(f):  # the whole file is decoded first, as if read at once
+                pass
+            raise
+    return parsed.model()
 
 
 def write_model_file(
@@ -240,5 +393,6 @@ def write_model_file(
     t2_angles: Sequence[float] = (),
     t2_pairs: Sequence[tuple[float, float]] = (),
 ) -> None:
-    spec = spec_from_model(model, t1_angles, t2_angles, t2_pairs)
-    Path(path).write_text(dump_model_spec(spec))
+    lines = _Tabulated(model, t1_angles, t2_angles, t2_pairs).lines()
+    with open(path, "w") as out:
+        out.writelines(lines)
