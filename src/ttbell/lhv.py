@@ -385,8 +385,9 @@ class _TableColumn:
     """Column function over response tables, checked here once.
 
     ``table[j][k]`` is state k's raw P(+1) at ``keys[j]`` (distinct tuples),
-    a list of ``n_states`` values per key; NaN where ``absent[j, k]``.  The checked (P(+1), P(-1))
-    columns are held in one read-only array of shape (2, len(keys), K).  A
+    a list of ``n_states`` values per key; NaN where ``absent[j, k]``.  The
+    checked columns are held in one read-only array of shape
+    (len(keys), 2, K), ``columns[j]`` being the ``Column`` at ``keys[j]``.  A
     key that every state tabulates is answered by a view of its column;
     otherwise a state answers at the exact key, else at its first key within
     ``tol`` (per key component), else with NaN.
@@ -404,7 +405,7 @@ class _TableColumn:
                         v = row[k]
                         what = f"{slot} table at {keys[j]} for id {k}"
                         row[k] = _response_pair(lambda o: v if o == 1 else 1.0 - v, what)[0]
-        columns = np.array((table, [[1.0 - v for v in row] for row in table])).reshape(2, len(keys), n_states)
+        columns = np.array([(row, [1.0 - v for v in row]) for row in table]).reshape(len(keys), 2, n_states)
         columns.setflags(write=False)
         complete = range(len(keys)) if absent is None else np.flatnonzero(~absent.any(axis=1)).tolist()
         self.keys = keys
@@ -415,8 +416,8 @@ class _TableColumn:
     def __call__(self, *key) -> Column:
         j = self.index.get(key)
         if j is not None:
-            return self.columns[:, j]
-        plus = self.columns[0].T  # (K, len(keys))
+            return self.columns[j]
+        plus = self.columns[:, 0].T  # (K, len(keys))
         if not self.keys:
             return np.full((2, len(plus)), np.nan)
         grid = np.array(self.keys, dtype=float)
@@ -425,7 +426,7 @@ class _TableColumn:
         near = (np.abs(grid - x) <= np.array(self.tol)).all(axis=-1) & ~np.isnan(plus)
         pick = np.where(exact.any(axis=1), exact.argmax(axis=1), near.argmax(axis=1))
         found = (exact | near).any(axis=1)
-        return np.where(found, self.columns[:, pick, np.arange(len(plus))], np.nan)
+        return np.where(found, self.columns[pick, :, np.arange(len(plus))].T, np.nan)
 
 
 def random_factorized_model(
@@ -464,7 +465,11 @@ def per_lambda_chsh(m: LhvModel, s: ChshSettings, lam: LambdaPoint) -> float:
     probabilities.
     """
     k = lam.id
-    value = _chsh(*(c.item(0, k) - c.item(1, k) for c in _chsh_columns(m, s)))
+    a, ap, b, bp = _chsh_columns(m, s)
+    value = _chsh(
+        a.item(0, k) - a.item(1, k), ap.item(0, k) - ap.item(1, k),
+        b.item(0, k) - b.item(1, k), bp.item(0, k) - bp.item(1, k),
+    )
     if math.isnan(value):
         raise InvalidModelError(f"no response tabulated at {s} for id {k}")
     return value

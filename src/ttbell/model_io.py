@@ -87,6 +87,8 @@ class _Slot:
         self.pos = array("q")
         self.key = tuple(array("d") for _ in range(3 if general else 1))
         self.value = array("d")
+        # one response line's (line, position, P(+1), *key) go to these
+        self.append = (self.line.append, self.pos.append, self.value.append, *(x.append for x in self.key))
 
     @functools.cached_property
     def keys(self):
@@ -155,7 +157,7 @@ class _Parsed:
             for lines in blocks:
                 for raw in lines:
                     line_no += 1
-                    tokens = raw.split("#", 1)[0].split()
+                    tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
                     if not tokens:
                         continue
                     directive = tokens[0]
@@ -181,18 +183,21 @@ class _Parsed:
                             if not (angle - angle == 0.0 and 0.0 <= p <= 1.0):  # fails on NaN too
                                 _parse_float(tokens[2], line_no, "angle")  # raises the error
                                 _parse_prob(tokens[3], line_no, "p_plus")
-                            slot.key[0].append(angle)
+                            add_line, add_pos, add_value, add_angle = slot.append
+                            add_angle(angle)
                         else:
                             a = _parse_float(tokens[2], line_no, "first angle")
                             b = _parse_float(tokens[3], line_no, "second angle")
                             if tokens[4] not in ("+1", "-1", "1"):
                                 _fail(line_no, f"first outcome must be +1 or -1, got {tokens[4]!r}")
                             p = _parse_prob(tokens[5], line_no, "p_plus")
-                            for part, v in zip(slot.key, (a, b, 1.0 if tokens[4] in ("+1", "1") else -1.0)):
-                                part.append(v)
-                        slot.line.append(line_no)
-                        slot.pos.append(pos)
-                        slot.value.append(p)
+                            add_line, add_pos, add_value, add_a, add_b, add_outcome = slot.append
+                            add_a(a)
+                            add_b(b)
+                            add_outcome(1.0 if tokens[4] in ("+1", "1") else -1.0)
+                        add_line(line_no)
+                        add_pos(pos)
+                        add_value(p)
                         continue
 
                     if directive == "kind":

@@ -415,3 +415,38 @@ class TestColumnContract:
         joint, _ = lhv.average_over_lambda(m, 0.1, 0.3)
         assert joint.pp == 0.5 * (0.3 * 0.5) + 0.5 * (0.6 * 0.25)
         assert joint.mm == 0.5 * ((1.0 - 0.3) * 0.5) + 0.5 * ((1.0 - 0.6) * (1.0 - 0.25))
+
+
+class TestFineStrategyWeights:
+    """Fine's theorem for factorized models, without sampling: each state's
+    four response probabilities give a product distribution over the
+    deterministic strategies, and the ensemble's mixture of them reproduces
+    the four ensemble correlators."""
+
+    @pytest.mark.parametrize("n_lambda", [1, 2, 3, 7])
+    def test_strategy_mixture_reproduces_correlators(self, n_lambda):
+        from ttbell import polytope
+
+        s = ladder_settings(math.pi / 4)
+        rng = np.random.default_rng(1982 + n_lambda)
+        for _ in range(50):
+            m = lhv.random_factorized_model(rng, n_lambda, [s.a, s.a_prime], [s.b, s.b_prime])
+            # P(outcome | state) of each slot setting, keyed by outcome
+            slots = [
+                {o: column[i].tolist() for i, o in enumerate((1, -1))}
+                for column in (m.t1_column(s.a), m.t1_column(s.a_prime), m.t2_column(s.b), m.t2_column(s.b_prime))
+            ]
+            weights = {
+                strategy: sum(
+                    w * math.prod(slot[o][k] for slot, o in zip(slots, strategy))
+                    for k, w in enumerate(m.weights.tolist())
+                )
+                for strategy in polytope.STRATEGIES
+            }
+            assert abs(math.fsum(weights.values()) - 1.0) <= TOL
+            expected = [
+                lhv.average_over_lambda(m, a, b)[1].correlator
+                for a, b in ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b_prime), (s.a_prime, s.b))
+            ]
+            got = polytope.reconstruct_targets(weights)
+            assert max(abs(x - y) for x, y in zip(got, expected)) <= TOL

@@ -1,6 +1,7 @@
 """Tests for the model file format: parsing, canonical dumps, round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,3 +150,20 @@ class TestRoundTrip:
         j1 = lhv.per_lambda_joint(model, 0.3, 0.9, model.support[0])
         j2 = lhv.per_lambda_joint(rebuilt, 0.3, 0.9, rebuilt.support[0])
         assert j1 == j2
+
+
+def test_load_memory_is_bounded_by_lines_not_file(tmp_path):
+    # the 10 000-state position file (about 500 KB): reading it whole, with
+    # a splitlines() list and per-state dicts, peaked at about 10.1 MB of
+    # traced allocations; read a block of lines at a time into flat arrays,
+    # about 2.8 MB
+    path = tmp_path / "position.model"
+    model_io.write_model_file(path, lhv.position_style_model(10_000), t1_angles=[0.4], t2_angles=[1.1])
+    tracemalloc.start()
+    try:
+        model = model_io.load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.weights) == 10_000
+    assert peak <= 5_000_000, peak
