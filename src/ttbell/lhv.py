@@ -83,8 +83,7 @@ class PerLambdaStats:
 class LhvModel:
     """Finite hidden-variable model, evaluated a column at a time.
 
-    ``t1_column(a)`` is the first-slot response at angle a as a ``Column``
-    (a read-only array, or a fresh one).
+    ``t1_column(a)`` is the first-slot response at angle a as a ``Column``.
     For factorized models ``t2_column(b)`` likewise; for general models
     ``t2_column(a, b, A)`` may also see the first setting and outcome.  A
     tabulated model marks a state with no response at a setting by NaN;
@@ -371,6 +370,7 @@ def flat_tabulated_model(kind, weights, p1, p2, angle_tol: float = 1e-9) -> LhvM
 
 
 def _flat_column(slot, n_states, keys, rows, cols, values, tol) -> "_TableColumn":
+    """One slot's flat table (see ``flat_tabulated_model``) as a table column."""
     plus = np.full((len(keys), n_states), np.nan)
     absent = np.ones(plus.shape, dtype=bool)
     cells = np.asarray(cols, dtype=np.intp) * n_states + np.asarray(rows, dtype=np.intp)

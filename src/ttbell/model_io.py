@@ -87,8 +87,8 @@ class _Slot:
         self.pos = array("q")
         self.key = tuple(array("d") for _ in range(3 if general else 1))
         self.value = array("d")
-        # one response line's (line, position, P(+1), *key) go to these
-        self.append = (self.line.append, self.pos.append, self.value.append, *(x.append for x in self.key))
+        # the appends of one response line's line, position, P(+1) and key
+        self.appends = (self.line.append, self.pos.append, self.value.append, *(x.append for x in self.key))
 
     @functools.cached_property
     def keys(self):
@@ -99,7 +99,8 @@ class _Slot:
         parts = [np.asarray(x) for x in self.key]
         if len(parts) == 3:
             parts[2] = parts[2].astype(int)
-        rows = np.stack([x + 0.0 for x in parts[:2]] + parts[2:], axis=1)  # + 0.0: -0.0 -> 0.0
+        # + 0.0 turns -0.0 into 0.0, so that equal keys are equal rows
+        rows = np.stack([x + 0.0 for x in parts[:2]] + parts[2:], axis=1)
         _, first, index = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         return parts, index.reshape(-1), first
 
@@ -183,7 +184,7 @@ class _Parsed:
                             if not (angle - angle == 0.0 and 0.0 <= p <= 1.0):  # fails on NaN too
                                 _parse_float(tokens[2], line_no, "angle")  # raises the error
                                 _parse_prob(tokens[3], line_no, "p_plus")
-                            add_line, add_pos, add_value, add_angle = slot.append
+                            add_line, add_pos, add_value, add_angle = slot.appends
                             add_angle(angle)
                         else:
                             a = _parse_float(tokens[2], line_no, "first angle")
@@ -191,7 +192,7 @@ class _Parsed:
                             if tokens[4] not in ("+1", "-1", "1"):
                                 _fail(line_no, f"first outcome must be +1 or -1, got {tokens[4]!r}")
                             p = _parse_prob(tokens[5], line_no, "p_plus")
-                            add_line, add_pos, add_value, add_a, add_b, add_outcome = slot.append
+                            add_line, add_pos, add_value, add_a, add_b, add_outcome = slot.appends
                             add_a(a)
                             add_b(b)
                             add_outcome(1.0 if tokens[4] in ("+1", "1") else -1.0)
@@ -385,7 +386,7 @@ def load_model(path: str | Path) -> lhv.LhvModel:
         try:
             parsed = _Parsed(_blocks(f))
         except ModelFileError:
-            for _ in _blocks(f):  # the whole file is decoded first, as if read at once
+            for _ in _blocks(f):  # an undecodable byte anywhere comes first, as if read whole
                 pass
             raise
     return parsed.model()

@@ -36,6 +36,9 @@ FACET_SIGNS: tuple[tuple[int, int, int, int], ...] = tuple(
 )
 
 
+_FACETS = tuple((signs, *signs) for signs in FACET_SIGNS)
+
+
 def strategy_correlators(s: Strategy) -> tuple[int, int, int, int]:
     a, ap, b, bp = s
     return (a * b, a * bp, ap * bp, ap * b)
@@ -69,11 +72,7 @@ def facet_values(targets: Sequence[float]) -> list[tuple[tuple[int, int, int, in
     """All eight signed CHSH combinations of the targets, each summed left
     to right from 0.0."""
     t0, t1, t2, t3 = targets
-    return [
-        (signs, 0.0 + e0 * t0 + e1 * t1 + e2 * t2 + e3 * t3)
-        for signs in FACET_SIGNS
-        for e0, e1, e2, e3 in (signs,)
-    ]
+    return [(signs, 0.0 + e0 * t0 + e1 * t1 + e2 * t2 + e3 * t3) for signs, e0, e1, e2, e3 in _FACETS]
 
 
 def _tableau_rows() -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
