@@ -177,14 +177,13 @@ def _joint_terms(m: LhvModel, a_angles, b_angles) -> tuple[np.ndarray, ...]:
     return pa, pb, pa[:, None, :, None] * pb
 
 
-def _require_tabulated(values, terms: np.ndarray, where: Callable[[], str]) -> None:
-    """Raise if ``values`` hold a NaN, which only a state with no tabulated
-    response puts there: the first state with NaN in its ``terms`` (states
-    on the last axis) is named, at the setting ``where()`` describes; the
-    text is built only then."""
-    if any(math.isnan(v) for v in values):
-        k = np.isnan(terms).reshape(-1, terms.shape[-1]).any(axis=0).argmax()
-        raise InvalidModelError(f"no response tabulated at {where()} for id {k}")
+def _untabulated(terms: np.ndarray, where: str) -> InvalidModelError:
+    """The error for a NaN result, which only a state with no tabulated
+    response puts there: it names the first state with NaN in its ``terms``
+    (states on the last axis), at the setting ``where`` describes.  Callers
+    build it, and the text, only once a NaN is found."""
+    k = np.isnan(terms).reshape(-1, terms.shape[-1]).any(axis=0).argmax()
+    return InvalidModelError(f"no response tabulated at {where} for id {k}")
 
 
 def _ensemble(m: LhvModel, terms: np.ndarray) -> list[float]:
@@ -204,7 +203,8 @@ def _averaged(m: LhvModel, a: float, b: float):
     ``_joint_terms`` gives them), then the ensemble joint and moments."""
     pa, _, terms = _joint_terms(m, (a,), (b,))
     pp, pm, mp, mm = entries = _ensemble(m, terms)
-    _require_tabulated(entries, terms, lambda: f"(a={a!r}, b={b!r})")
+    if any(map(math.isnan, entries)):
+        raise _untabulated(terms, f"(a={a!r}, b={b!r})")
     joint = JointDistribution(pp=pp, pm=pm, mp=mp, mm=mm)
     moments = Moments(
         mean_t1=(pp + pm) - (mp + mm),
@@ -478,7 +478,8 @@ def per_lambda_chsh(m: LhvModel, s: ChshSettings, lam: LambdaPoint) -> float:
 def per_state_chsh(m: LhvModel, s: ChshSettings) -> np.ndarray:
     """``per_lambda_chsh`` at every hidden state at once, in state order."""
     values = _chsh(*(c[0] - c[1] for c in _chsh_columns(m, s)))
-    _require_tabulated([values.max()], values, lambda: f"{s}")
+    if math.isnan(values.max()):
+        raise _untabulated(values, f"{s}")
     return values
 
 
@@ -486,9 +487,10 @@ def averaged_chsh(m: LhvModel, s: ChshSettings) -> float:
     """CHSH combination of the ensemble correlators."""
     terms = _joint_terms(m, (s.a, s.a_prime), (s.b, s.b_prime))[2]
     sums = _ensemble(m, terms)  # (pp, pm, mp, mm) at (a, b), (a, b'), (a', b), (a', b')
-    c_ab, c_abp, c_apb, c_apbp = (sums[i] - sums[i + 1] - sums[i + 2] + sums[i + 3] for i in (0, 4, 8, 12))
+    c_ab, c_abp, c_apb, c_apbp = [sums[i] - sums[i + 1] - sums[i + 2] + sums[i + 3] for i in (0, 4, 8, 12)]
     value = abs(c_ab + c_abp + c_apbp - c_apb)
-    _require_tabulated([value], terms, lambda: f"{s}")
+    if math.isnan(value):
+        raise _untabulated(terms, f"{s}")
     return value
 
 

@@ -153,20 +153,18 @@ class _Parsed:
         weights = array("d")
         p1 = _Slot("p1")
         p2 = None  # made once the kind is known
+        slots: dict[str, _Slot] = {}  # by directive, once the kind is known
         line_no = 0
         try:
             for lines in blocks:
-                for raw in lines:
-                    line_no += 1
+                for line_no, raw in enumerate(lines, line_no + 1):
                     tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
                     if not tokens:
                         continue
                     directive = tokens[0]
 
-                    if directive == "p1" or directive == "p2":
-                        if kind is None:
-                            _fail(line_no, "kind must be declared before any other directive")
-                        slot = p1 if directive == "p1" else p2
+                    slot = slots.get(directive)
+                    if slot is not None:
                         if len(tokens) != slot.arity:
                             _fail(line_no, f"expected {slot.arity} fields for {directive} in a {kind} model")
                         try:
@@ -208,6 +206,7 @@ class _Parsed:
                             _fail(line_no, "expected 'kind factorized' or 'kind general'")
                         kind = tokens[1]
                         p2 = _Slot("p2", general=kind == lhv.GENERAL)
+                        slots = {"p1": p1, "p2": p2}
                         continue
 
                     if kind is None:
