@@ -75,19 +75,32 @@ def facet_values(targets: Sequence[float]) -> list[tuple[tuple[int, int, int, in
     return [(signs, 0.0 + e0 * t0 + e1 * t1 + e2 * t2 + e3 * t3) for signs, e0, e1, e2, e3 in _FACETS]
 
 
+# Strategies s and -s have the same correlators, so their tableau columns
+# are equal and stay equal through every pivot; Bland's rule always reaches
+# the lower index first, so the higher one never enters the basis.  The
+# tableau keeps one column per distinct correlator vector, the first
+# strategy that has it, and then the artificial columns; _VARIABLES maps a
+# kept column to its variable (strategy index, or 16 + row for an artificial).
+_KEPT = [
+    j for j, s in enumerate(STRATEGIES)
+    if strategy_correlators(s) not in {strategy_correlators(t) for t in STRATEGIES[:j]}
+]
+_VARIABLES = (*_KEPT, *range(len(STRATEGIES), len(STRATEGIES) + 5))
+
+
 def _tableau_rows() -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
     """Row i of the phase-1 tableau without its right-hand side, as given and
-    negated: strategy columns (correlator i of each strategy, 1 for the
-    normalization row) then the artificial identity, which never flips."""
+    negated: the kept strategy columns (correlator i of the strategy, 1 for
+    the normalization row) then the artificial identity, which never flips."""
     rows = []
     for i in range(5):
-        strategy = [float(strategy_correlators(s)[i]) if i < 4 else 1.0 for s in STRATEGIES]
+        strategy = [float(strategy_correlators(STRATEGIES[j])[i]) if i < 4 else 1.0 for j in _KEPT]
         artificial = [float(i == r) for r in range(5)]
         rows.append((tuple(strategy + artificial), tuple([-v for v in strategy] + artificial)))
     return tuple(rows)
 
 
-# made once: the 5 x 21 constraint part of the tableau, each row as given and
+# made once: the constraint part of the tableau, each row as given and
 # negated (a row is negated when its target is negative)
 _TABLEAU_ROWS = _tableau_rows()
 _PIVOT_TOL = 1e-11
@@ -101,28 +114,28 @@ def _simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Stra
     with Bland's rule for termination.  Returns None when the residual
     optimum exceeds tol.
 
-    The tableau is five rows of Python floats: the 16 strategy columns, the
-    5 artificial columns and the right-hand side.  Every entry is updated
-    by the same IEEE operations, in the same order, as a numpy tableau
-    would be (``tests/polytope_oracle.py`` is one), so the weights agree
-    with it bit for bit, signed zeros included.
+    The tableau is five rows of Python floats: the kept strategy columns,
+    the 5 artificial columns and the right-hand side.  Every entry is
+    updated by the same IEEE operations, in the same order, as a numpy
+    tableau of all 16 strategies would be (``tests/polytope_oracle.py`` is
+    one), so the weights agree with it bit for bit, signed zeros included.
     """
     rhs = [*targets, 1.0]
     tab = []
     for i, t in enumerate(rhs):
         given, negated = _TABLEAU_ROWS[i]
         tab.append([*negated, -t] if t < 0.0 else [*given, t])
-    n_vars = len(tab[0]) - 1
-    basis = list(range(len(STRATEGIES), n_vars))
+    n_columns = len(_VARIABLES)
+    basis = list(_VARIABLES[len(_KEPT):])  # the artificials, by variable
     # phase-1 reduced costs: z_j - c_j for cost 1 on the artificials; every
     # column sum is an exact small integer, the rhs sum runs top to bottom
     obj = [-sum(column) for column in zip(*tab)]
-    for j in basis:
+    for j in range(len(_KEPT), n_columns):
         obj[j] += 1.0
 
     below = -_PIVOT_TOL
     for _ in range(10000):
-        for entering in range(n_vars):
+        for entering in range(n_columns):
             if obj[entering] < below:
                 break
         else:
@@ -143,7 +156,7 @@ def _simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Stra
                 tab[i] = [v - f * w for v, w in zip(row, lead)]
         f = obj[entering]
         obj = [v - f * w for v, w in zip(obj, lead)]
-        basis[leaving] = entering
+        basis[leaving] = _VARIABLES[entering]
     else:
         raise RuntimeError("simplex did not terminate")
 
