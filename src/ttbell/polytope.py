@@ -20,8 +20,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .chsh import CLASSICAL_BOUND, ChshSettings
 
 FEASIBILITY_TOL = 1e-9
