@@ -157,7 +157,10 @@ def _refine_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > 2e-5:
+    width = math.inf
+    # beyond about 1e11 an ulp of alpha exceeds 2e-5: stop once the bracket stops shrinking
+    while width > (b - a) > 2e-5:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -186,8 +189,9 @@ def scan_alpha(
     refines the grid argmax by golden section plus a parabolic polish;
     grid ties (the ladder has equal-height peaks) are broken toward the
     smallest alpha.  Raises ValueError, before allocating anything, for
-    non-finite arguments, an empty range, a step that is not positive or
-    more than ``MAX_SCAN_ROWS`` rows.
+    non-finite arguments, an empty range, a step that is not positive,
+    more than ``MAX_SCAN_ROWS`` rows or a grid alpha whose 3*alpha
+    overflows.
     """
     for name, value in (("alpha_min", alpha_min), ("alpha_max", alpha_max), ("step", step)):
         if not math.isfinite(value):
@@ -205,6 +209,13 @@ def scan_alpha(
             f"scan of {n} rows exceeds the limit of {MAX_SCAN_ROWS}; "
             "use a larger step or a shorter range"
         )
+    # the grid's first and last alpha, the last as numpy computes it below
+    for name, value, edge in (("alpha_min", alpha_min, alpha_min),
+                              ("alpha_max", alpha_max, (n - 1) * step + alpha_min)):
+        if not math.isfinite(3.0 * edge):
+            raise ValueError(
+                f"{name} {value!r} is out of range: the ladder angle 3*alpha overflows"
+            )
     # built in place, so at most three float64 columns are alive at once
     alphas = np.arange(n, dtype=np.float64)
     alphas *= step

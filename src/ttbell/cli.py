@@ -8,9 +8,15 @@ bounds), ``polytope`` (local-model membership certificate).
 Output is CSV (a header line, then one line per record; fields are
 numbers or true/false and never need quoting; floats with nine decimal
 places) or JSON (sorted keys, floats rounded to nine decimals); identical
-configuration and seed produce byte-identical output.  Values may come
-from command-line flags, which override a flat ``key = value`` config
-file, which overrides built-in defaults.
+configuration and seed produce byte-identical output.
+
+Each option is described once, by a row of ``OPTIONS``: its key, how a
+string converts, its default, its help text, the subcommands that read
+it, whether it is an angle and whether it must lie in [0, 1].  The
+parser, the config-key check, ``_merge_options`` (flag, else config
+file, else default; then ``--degrees`` on the angles and the [0, 1]
+checks) are built from that table.  A config file may hold any option
+key; a subcommand ignores the keys it does not read.
 
 A subcommand parses, validates and computes before it writes anything,
 so a usage error leaves stdout empty and creates no ``--out`` file.
@@ -36,7 +42,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,34 +64,6 @@ class UsageError(Exception):
     pass
 
 
-# option keys holding angles; converted from degrees when --degrees is active
-_ANGLE_KEYS = ("a", "b", "a_prime", "b_prime", "alpha", "alpha_min", "alpha_max", "alpha_step")
-
-DEFAULTS = {
-    "a": math.pi / 4,
-    "b": 0.0,
-    "a_prime": 0.0,
-    "b_prime": math.pi / 4,
-    "alpha": None,
-    "alpha_min": 0.0,
-    "alpha_max": math.pi,
-    "alpha_step": 1e-3,
-    "eta_d": 1.0,
-    "f1": 1.0,
-    "f21": 1.0,
-    "fd2": 1.0,
-    "trials": 100000,
-    "seed": 2024,
-    "model": None,
-    "model_file": None,
-    "grid_size": 1000,
-    "targets": None,
-    "out": None,
-    "format": "csv",
-    "degrees": False,
-}
-
-
 def _to_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -95,43 +73,56 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-CONVERTERS = {
-    "a": str,
-    "b": str,
-    "a_prime": float,
-    "b_prime": float,
-    "alpha": float,
-    "alpha_min": float,
-    "alpha_max": float,
-    "alpha_step": float,
-    "eta_d": float,
-    "f1": float,
-    "f21": float,
-    "fd2": float,
-    "trials": int,
-    "seed": int,
-    "model": str,
-    "model_file": str,
-    "grid_size": int,
-    "targets": str,
-    "out": str,
-    "format": str,
-    "degrees": _to_bool,
-}
+class Option(NamedTuple):
+    """One option: its config key (the flag is ``--`` plus the key with
+    ``-`` for ``_``), how a string value converts, its default, its help
+    text, the subcommands that read it, whether it is an angle (scaled by
+    ``--degrees``) and whether it must lie in [0, 1]."""
 
-SUBCOMMAND_KEYS = {
-    "table": ("a", "b", "out", "format", "degrees"),
-    "mc": ("a", "b", "eta_d", "f1", "f21", "fd2", "trials", "seed", "out", "format", "degrees"),
-    "chsh-scan": (
-        "alpha_min", "alpha_max", "alpha_step",
-        "eta_d", "f1", "f21", "fd2", "out", "format", "degrees",
-    ),
-    "lhv-verify": (
-        "model", "model_file", "grid_size",
-        "a", "b", "a_prime", "b_prime", "out", "format", "degrees",
-    ),
-    "polytope": ("alpha", "targets", "eta_d", "f1", "f21", "fd2", "out", "format", "degrees"),
-}
+    key: str
+    convert: Callable
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    angle: bool = False
+    unit: bool = False
+
+
+FORMATS = ("csv", "json")
+EVERY_COMMAND = ("table", "mc", "chsh-scan", "lhv-verify", "polytope")
+DETECTION_COMMANDS = ("mc", "chsh-scan", "polytope")  # those that read the efficiencies
+
+# In the order each subcommand lists its flags.
+OPTIONS = (
+    Option("model", str, None, f"built-in model name: {', '.join(BUILTIN_MODELS)}", ("lhv-verify",)),
+    Option("model_file", str, None, "path to a model file (see model file schema in the README)",
+           ("lhv-verify",)),
+    Option("grid_size", int, 1000, "hidden-state count for the position-style model", ("lhv-verify",)),
+    Option("a", str, math.pi / 4,
+           "first-slot analyzer angle (radians; table accepts a comma-separated list)",
+           ("table", "mc", "lhv-verify"), angle=True),
+    Option("b", str, 0.0,
+           "second-slot analyzer angle (radians; table accepts a comma-separated list)",
+           ("table", "mc", "lhv-verify"), angle=True),
+    Option("a_prime", float, 0.0, "alternate first-slot angle", ("lhv-verify",), angle=True),
+    Option("b_prime", float, math.pi / 4, "alternate second-slot angle", ("lhv-verify",), angle=True),
+    Option("alpha", float, None, "ladder separation angle", ("polytope",), angle=True),
+    Option("targets", str, None, "four comma-separated correlators E(a,b),E(a,b'),E(a',b'),E(a',b)",
+           ("polytope",)),
+    Option("alpha_min", float, 0.0, "scan start", ("chsh-scan",), angle=True),
+    Option("alpha_max", float, math.pi, "scan end (inclusive)", ("chsh-scan",), angle=True),
+    Option("alpha_step", float, 1e-3, "scan step", ("chsh-scan",), angle=True),
+    Option("eta_d", float, 1.0, "detector efficiency in [0, 1]", DETECTION_COMMANDS, unit=True),
+    Option("f1", float, 1.0, "acceptance into the first analyzer", DETECTION_COMMANDS, unit=True),
+    Option("f21", float, 1.0, "acceptance into the second analyzer", DETECTION_COMMANDS, unit=True),
+    Option("fd2", float, 1.0, "acceptance from second analyzer into a detector", DETECTION_COMMANDS, unit=True),
+    Option("trials", int, 100000, "number of Monte Carlo trials", ("mc",)),
+    Option("seed", int, 2024, "RNG seed (64-bit)", ("mc",)),
+    Option("out", str, None, "output path (default: stdout)", EVERY_COMMAND),
+    Option("format", str, "csv", "output format: csv or json", EVERY_COMMAND),
+    Option("degrees", _to_bool, False, "interpret all angle inputs as degrees", EVERY_COMMAND),
+)
+OPTION_KEYS = frozenset(opt.key for opt in OPTIONS)
 
 
 def _flag(key: str) -> str:
@@ -472,7 +463,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in CONVERTERS:
+        if key not in OPTION_KEYS:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -485,89 +476,64 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-time single-particle CHSH experiment toolkit.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    helps = {
-        "a": "first-slot analyzer angle (radians; table accepts a comma-separated list)",
-        "b": "second-slot analyzer angle (radians; table accepts a comma-separated list)",
-        "a_prime": "alternate first-slot angle",
-        "b_prime": "alternate second-slot angle",
-        "alpha": "ladder separation angle",
-        "alpha_min": "scan start",
-        "alpha_max": "scan end (inclusive)",
-        "alpha_step": "scan step",
-        "eta_d": "detector efficiency in [0, 1]",
-        "f1": "acceptance into the first analyzer",
-        "f21": "acceptance into the second analyzer",
-        "fd2": "acceptance from second analyzer into a detector",
-        "trials": "number of Monte Carlo trials",
-        "seed": "RNG seed (64-bit)",
-        "model": f"built-in model name: {', '.join(BUILTIN_MODELS)}",
-        "model_file": "path to a model file (see model file schema in the README)",
-        "grid_size": "hidden-state count for the position-style model",
-        "targets": "four comma-separated correlators E(a,b),E(a,b'),E(a',b'),E(a',b)",
-        "out": "output path (default: stdout)",
-        "format": "output format: csv or json",
-    }
-
-    for command, keys in SUBCOMMAND_KEYS.items():
+    for command in COMMANDS:
         sp = sub.add_parser(command)
-        for key in keys:
-            if key == "degrees":
-                sp.add_argument("--degrees", action="store_true", default=None,
-                                help="interpret all angle inputs as degrees")
-            elif key == "format":
-                sp.add_argument("--format", default=None, choices=("csv", "json"),
-                                help=helps[key])
+        for opt in OPTIONS:
+            if command not in opt.commands:
+                continue
+            if opt.convert is _to_bool:
+                kind = {"action": "store_true"}
             else:
-                sp.add_argument(_flag(key), dest=key, default=None, help=helps[key])
+                kind = {"choices": FORMATS if opt.key == "format" else None}
+            sp.add_argument(_flag(opt.key), dest=opt.key, default=None, help=opt.help, **kind)
         sp.add_argument("--config", default=None, help="flat key = value config file")
     return parser
 
 
-def _merge_options(args: argparse.Namespace, keys) -> dict:
+def _merge_options(args: argparse.Namespace) -> dict:
+    """The options of ``args.command``: each from its flag, else from the
+    config file, else its default; converted, then scaled by ``--degrees``
+    and checked against [0, 1] where the table says so."""
     config_values: dict[str, str] = {}
     if getattr(args, "config", None):
         config_values = _load_config_file(args.config)
 
+    options = [opt for opt in OPTIONS if args.command in opt.commands]
     merged = {}
-    for key in keys:
+    for opt in options:
+        key = opt.key
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             raw = flag_value
         elif key in config_values:
             raw = config_values[key]
         else:
-            merged[key] = DEFAULTS[key]
+            merged[key] = opt.default
             continue
         if isinstance(raw, str):
             try:
-                merged[key] = CONVERTERS[key](raw)
+                merged[key] = opt.convert(raw)
             except ValueError as exc:
                 raise UsageError(f"bad value for {_flag(key)}: {exc}")
             if isinstance(merged[key], float) and not math.isfinite(merged[key]):
                 raise UsageError(f"{_flag(key)} must be finite, got {raw!r}")
         else:
             merged[key] = raw
-    if merged.get("format") not in (None, "csv", "json"):
+    if merged["format"] not in FORMATS:
         raise UsageError(f"--format must be csv or json, got {merged['format']!r}")
 
-    if merged.get("degrees"):
-        scale = math.pi / 180.0
-        for key in _ANGLE_KEYS:
-            if key in merged and merged[key] is not None:
-                if key in ("a", "b"):  # may still be a comma list at this point
-                    merged[key] = ",".join(
-                        repr(v * scale) for v in _parse_angle_list(merged[key], key)
-                    )
-                else:
-                    merged[key] = merged[key] * scale
+    scale = math.pi / 180.0
+    for opt in options:
+        key = opt.key
+        if merged["degrees"] and opt.angle and merged[key] is not None:
+            if opt.convert is str:  # may still be a comma list at this point
+                merged[key] = ",".join(repr(v * scale) for v in _parse_angle_list(merged[key], key))
+            else:
+                merged[key] = merged[key] * scale
+    for opt in options:
+        if opt.unit and not 0.0 <= merged[opt.key] <= 1.0:
+            raise UsageError(f"{_flag(opt.key)} must lie in [0, 1], got {merged[opt.key]!r}")
     return merged
-
-
-def _check_unit_interval(opts: dict, keys=("eta_d", "f1", "f21", "fd2")) -> None:
-    for key in keys:
-        if not 0.0 <= opts[key] <= 1.0:
-            raise UsageError(f"{_flag(key)} must lie in [0, 1], got {opts[key]!r}")
 
 
 TABLE_COLUMNS = (
@@ -612,7 +578,6 @@ MC_COLUMNS = (
 
 
 def cmd_mc(opts: dict) -> tuple[int, Iterable[str]]:
-    _check_unit_interval(opts)
     a = _single_angle(opts, "a")
     b = _single_angle(opts, "b")
     if opts["trials"] < 1:
@@ -647,7 +612,6 @@ SCAN_SUMMARY_COLUMNS = (
 
 
 def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
-    _check_unit_interval(opts)
     eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
     scan, summary = scan_alpha(
         opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f
@@ -668,7 +632,11 @@ def _single_angle(opts: dict, key: str) -> float:
 
 
 def _select_model(opts: dict):
-    """Build the requested model; returns (model, description)."""
+    """Build the requested model; returns (model, description, a, b).
+
+    A model file is read before the angles are parsed and a built-in
+    model is built after, so of several bad inputs the same one is
+    always reported first."""
     name = opts["model"]
     path = opts["model_file"]
     if name and path:
@@ -680,26 +648,24 @@ def _select_model(opts: dict):
             model = model_io.load_model(path)
         except model_io.ModelFileError as exc:
             raise UsageError(f"{path}: {exc}")
-        return model, f"file:{path}"
+        description = f"file:{path}"
     a = _single_angle(opts, "a")
     b = _single_angle(opts, "b")
     if name == "fixed-setting-reproducer":
-        return lhv.fixed_setting_reproducer(a, b), (
-            f"fixed-setting-reproducer(a={fmt(a)}, b={fmt(b)})"
-        )
-    if name == "position-style":
+        model = lhv.fixed_setting_reproducer(a, b)
+        description = f"fixed-setting-reproducer(a={fmt(a)}, b={fmt(b)})"
+    elif name == "position-style":
         if opts["grid_size"] < 2:
             raise UsageError(f"--grid-size must be at least 2, got {opts['grid_size']}")
-        return lhv.position_style_model(opts["grid_size"]), (
-            f"position-style(grid_size={opts['grid_size']})"
-        )
-    raise UsageError(f"unknown model {name!r}; expected one of: {', '.join(BUILTIN_MODELS)}")
+        model = lhv.position_style_model(opts["grid_size"])
+        description = f"position-style(grid_size={opts['grid_size']})"
+    elif name:
+        raise UsageError(f"unknown model {name!r}; expected one of: {', '.join(BUILTIN_MODELS)}")
+    return model, description, a, b
 
 
 def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
-    model, description = _select_model(opts)
-    a = _single_angle(opts, "a")
-    b = _single_angle(opts, "b")
+    model, description, a, b = _select_model(opts)
     chsh_settings = ChshSettings(a=a, a_prime=opts["a_prime"], b=b, b_prime=opts["b_prime"])
 
     try:
@@ -707,49 +673,27 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
     except lhv.InvalidModelError as exc:
         raise UsageError(f"model evaluation failed: {exc}")
 
-    checks: dict[str, dict] = {
-        "marginal_from_mean": {
-            "passed": report.marginal_from_mean_error <= report.tol,
-            "error": report.marginal_from_mean_error,
-        },
-        "conditional_moment_route": {
-            "passed": report.conditional_moment_route_error <= report.tol,
-            "error": report.conditional_moment_route_error,
-        },
-        "double_average_factorization": {
-            "passed": report.double_average_error <= report.tol,
-            "error": report.double_average_error,
-        },
-        "marginal_double_average": {
-            "passed": report.marginal_double_average_error <= report.tol,
-            "error": report.marginal_double_average_error,
-        },
-    }
+    errors = [
+        ("marginal_from_mean", report.marginal_from_mean_error),
+        ("conditional_moment_route", report.conditional_moment_route_error),
+        ("double_average_factorization", report.double_average_error),
+        ("marginal_double_average", report.marginal_double_average_error),
+    ]
     if report.outcome_swap_symmetric:
-        checks["mean_product"] = {
-            "passed": report.mean_product_error <= report.tol,
-            "error": report.mean_product_error,
-        }
-
-    bounds: dict[str, dict] = {}
+        errors.append(("mean_product", report.mean_product_error))
+    # one entry per check: (name, passed, "error" or "value", that number)
+    checks = [(name, error <= report.tol, "error", error) for name, error in errors]
     if model.kind == lhv.FACTORIZED:
         try:
-            per_lambda_max = float(lhv.per_state_chsh(model, chsh_settings).max())
-            averaged = lhv.averaged_chsh(model, chsh_settings)
+            bounds = [
+                ("per_lambda_chsh_bound", float(lhv.per_state_chsh(model, chsh_settings).max())),
+                ("averaged_chsh_bound", lhv.averaged_chsh(model, chsh_settings)),
+            ]
         except lhv.InvalidModelError as exc:
             raise UsageError(f"model evaluation failed: {exc}")
-        bounds["per_lambda_chsh_bound"] = {
-            "passed": per_lambda_max <= 2.0 + CHSH_TOL,
-            "value": per_lambda_max,
-        }
-        bounds["averaged_chsh_bound"] = {
-            "passed": averaged <= 2.0 + CHSH_TOL,
-            "value": averaged,
-        }
+        checks += [(name, value <= 2.0 + CHSH_TOL, "value", value) for name, value in bounds]
 
-    passed = all(c["passed"] for c in checks.values()) and all(
-        c["passed"] for c in bounds.values()
-    )
+    passed = all(check[1] for check in checks)
     exit_code = EXIT_OK if passed else EXIT_VERIFY_FAILED
 
     if opts["format"] == "json":
@@ -762,32 +706,33 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
                 "a_prime": jnum(opts["a_prime"]), "b_prime": jnum(opts["b_prime"]),
             },
             "checks": {
-                name: {"passed": c["passed"], "error": jnum(c.get("error")),
-                       "value": jnum(c.get("value"))}
-                for name, c in {**checks, **bounds}.items()
+                name: {"passed": ok, "error": None, "value": None, field: jnum(number)}
+                for name, ok, field, number in checks
             },
             "outcome_swap_symmetric": report.outcome_swap_symmetric,
             "outcome_swap_error": jnum(report.outcome_swap_error),
             "passed": passed,
         })]
 
+    def check_lines(field: str, text) -> list[str]:
+        return [
+            f"check {name}: {'PASS' if ok else 'FAIL'} ({field} {text(number)})"
+            for name, ok, kind, number in checks if kind == field
+        ]
+
+    swap = "HOLDS" if report.outcome_swap_symmetric else "BROKEN"
+    swap_err = "n/a" if report.outcome_swap_error is None else fmt_sci(report.outcome_swap_error)
     lines = [
         f"model: {description}",
         f"kind: {model.kind}",
         f"states: {len(model.weights)}",
         f"settings: a={fmt(a)} b={fmt(b)} a_prime={fmt(opts['a_prime'])} b_prime={fmt(opts['b_prime'])}",
+        *check_lines("error", fmt_sci),
+        f"note outcome_swap_symmetry: {swap} (error {swap_err})",
     ]
-    for name, c in checks.items():
-        status = "PASS" if c["passed"] else "FAIL"
-        lines.append(f"check {name}: {status} (error {fmt_sci(c['error'])})")
-    swap = "HOLDS" if report.outcome_swap_symmetric else "BROKEN"
-    swap_err = "n/a" if report.outcome_swap_error is None else fmt_sci(report.outcome_swap_error)
-    lines.append(f"note outcome_swap_symmetry: {swap} (error {swap_err})")
     if not report.outcome_swap_symmetric:
         lines.append("note mean_product: SKIPPED (requires outcome-swap symmetry)")
-    for name, c in bounds.items():
-        status = "PASS" if c["passed"] else "FAIL"
-        lines.append(f"check {name}: {status} (value {fmt(c['value'])})")
+    lines += check_lines("value", fmt)
     if model.kind == lhv.GENERAL:
         lines.append("note per_lambda_chsh_bound: SKIPPED (general model)")
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
@@ -795,7 +740,6 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
 
 
 def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:
-    _check_unit_interval(opts)
     if opts["targets"] is not None and opts["alpha"] is not None:
         raise UsageError("give either --targets or --alpha, not both")
     if opts["targets"] is not None:
@@ -885,7 +829,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
 
     try:
-        opts = _merge_options(args, SUBCOMMAND_KEYS[args.command])
+        opts = _merge_options(args)
         exit_code, chunks = COMMANDS[args.command](opts)
     except (UsageError, ValueError) as exc:
         # a ValueError from the library is a bad input the flags let through

@@ -324,7 +324,8 @@ def dump_model_spec(spec: ModelSpec) -> str:
 
 class _Tabulated:
     """A model's responses at given settings, a whole column per key:
-    ``table[j]`` is P(+1) of every state at ``keys[j]``, keys ascending."""
+    ``table[j]`` is P(+1) of every state at ``keys[j]``, keys ascending
+    and distinct."""
 
     def __init__(self, model: lhv.LhvModel, t1_angles, t2_angles, t2_pairs):
         if model.kind == lhv.FACTORIZED:
@@ -338,6 +339,7 @@ class _Tabulated:
         )
 
     def _columns(self, column, slot: str, keys):
+        keys = list(dict.fromkeys(keys))  # keys that compare equal (0.0, -0.0) once, the first given
         table = np.array([column(*key)[0] for key in keys]).reshape(len(keys), len(self.model.weights))
         if np.isnan(table).any():  # NaN marks a state with no tabulated response
             key, k = (x[0] for x in np.nonzero(np.isnan(table)))

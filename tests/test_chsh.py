@@ -133,6 +133,20 @@ class TestScan:
         with pytest.raises(ValueError, match="overflows"):
             chsh.scan_alpha(-1e308, 1e308, 0.1)
 
+    @pytest.mark.parametrize("args, name", [
+        ((5e307, 7e307, 1e307), "alpha_max"),
+        ((-7e307, -5e307, 1e307), "alpha_min"),
+    ])
+    def test_overflowing_ladder_angle_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} .* the ladder angle 3\\*alpha overflows"):
+            chsh.scan_alpha(*args)
+
+    def test_refinement_ends_where_ulps_exceed_its_tolerance(self):
+        # an ulp of 5e307 is about 1e291: the bracket stops shrinking at once
+        scan, summary = chsh.scan_alpha(5e307, 5.9e307, 1e306)
+        assert len(scan) == 10
+        assert 5e307 <= summary.alpha_star <= 5.9e307
+
     def test_row_cap(self, monkeypatch):
         monkeypatch.setattr(chsh, "MAX_SCAN_ROWS", 11)
         assert len(chsh.scan_alpha(0.0, 1.0, 0.1)[0]) == 11

@@ -31,6 +31,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _cli_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_process(*argv, timeout=60):
+    """Run ``ttbell`` in a fresh interpreter, so that warnings reach stderr."""
+    return subprocess.run([sys.executable, "-m", "ttbell.cli", *argv], capture_output=True,
+                          env=_cli_env(), timeout=timeout)
+
+
 class TestTable:
     def test_aligned_settings_row(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--a", repr(PI / 2), "--b", repr(PI / 2))
@@ -186,6 +198,27 @@ class TestChshScan:
         assert code == EXIT_USAGE
         assert out == ""
         assert "overflows" in err and "Traceback" not in err
+
+    def test_huge_finite_range_ends(self):
+        # beyond an ulp of 2e-5 the golden-section bracket stops shrinking;
+        # the refinement used to cycle there forever
+        proc = run_cli_process("chsh-scan", "--alpha-min", "1e20",
+                               "--alpha-max", "1.0000000000000003e20", "--alpha-step", "16384")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith(b"alpha,s_ideal,s_exp,violated\n")
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("argv", [
+        ("--alpha-max=1e308", "--alpha-step=1e308"),
+        ("--alpha-min=-1e308", "--alpha-max=0", "--alpha-step=1e308"),
+    ])
+    def test_overflowing_ladder_is_usage_error(self, argv):
+        # 3*alpha overflows: numpy used to warn and math.cos to fail
+        proc = run_cli_process("chsh-scan", *argv)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == b""
+        assert b"ladder angle 3*alpha overflows" in proc.stderr
+        assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
 
     def test_row_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "chsh-scan", "--alpha-step", "1e-12")
@@ -572,12 +605,10 @@ class TestStreamedOutput:
         assert per_row < 64, peaks
 
     def test_closed_stdout_pipe_ends_quietly(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "ttbell.cli", "chsh-scan", "--alpha-step=1e-5",
              "--format=json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
         )
         head = proc.stdout.read(100)  # the output is ~30 MB, far beyond a pipe buffer
         proc.stdout.close()

@@ -143,6 +143,21 @@ class TestRoundTrip:
                 j2, m2 = lhv.average_over_lambda(loaded, a, b)
                 assert j1 == j2 and m1 == m2
 
+    def test_angles_that_compare_equal_are_written_once(self, tmp_path):
+        # a repeated angle and 0.0 beside -0.0 used to give a state two
+        # entries for one key, which load_model rejects
+        model = lhv.random_factorized_model(np.random.default_rng(0), 3, [0.1, 0.1, -0.0], [0.0, 0.2])
+        path = tmp_path / "repeated.model"
+        model_io.write_model_file(path, model, t1_angles=[0.1, 0.1, -0.0, 0.0], t2_angles=[0.0, 0.2])
+        assert "p1 0 -0.0 " in path.read_text()  # the first of the equal keys given
+        assert path.read_text().count("p1 0 ") == 2
+        loaded = model_io.load_model(path)
+        for a in (0.1, -0.0, 0.0):
+            for b in (0.0, 0.2):
+                j1, m1 = lhv.average_over_lambda(model, a, b)
+                j2, m2 = lhv.average_over_lambda(loaded, a, b)
+                assert j1 == j2 and m1 == m2
+
     def test_general_model_tabulation(self):
         model = model_io.parse_model_text(GENERAL_TEXT).build()
         spec = model_io.spec_from_model(model, t1_angles=[0.3], t2_pairs=[(0.3, 0.9)])
