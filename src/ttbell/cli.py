@@ -482,10 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
             if command not in opt.commands:
                 continue
             if opt.convert is _to_bool:
-                kind = {"action": "store_true"}
+                sp.add_argument(_flag(opt.key), action="store_true", default=None, help=opt.help)
             else:
-                kind = {"choices": FORMATS if opt.key == "format" else None}
-            sp.add_argument(_flag(opt.key), dest=opt.key, default=None, help=opt.help, **kind)
+                sp.add_argument(_flag(opt.key), dest=opt.key, default=None, help=opt.help,
+                                choices=FORMATS if opt.key == "format" else None)
         sp.add_argument("--config", default=None, help="flat key = value config file")
     return parser
 

@@ -46,10 +46,6 @@ CONFIG_KEYS = tuple(opt.key for opt in cli.OPTIONS if opt.key != "out")  # write
 SMALL_SCAN = 20_000
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
 def _admitted_scan_rows(values: dict) -> float:
     """Rows of a chsh-scan with these option values that the row cap
     admits, else 0 (as ``--degrees`` scales the range and the step alike,
@@ -77,7 +73,7 @@ def invocations(draw):
         config = {key: value(key) for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), unique=True))}
     if command == "chsh-scan":
         assume(_admitted_scan_rows({**(config or {}), **flags}) <= SMALL_SCAN)
-    argv = [command] + [f"{_flag(key)}={text}" for key, text in flags.items()]
+    argv = [command] + [f"{cli._flag(key)}={text}" for key, text in flags.items()]
     if command == "mc":
         argv.append(f"--trials={value('trials')}")
     if draw(st.booleans()):
@@ -136,7 +132,8 @@ def _radians(text: str) -> str:
 def test_degrees_scale_exactly_the_angle_options():
     # a --degrees run equals the run given every angle option in radians,
     # scaled as --degrees scales it, and every other option as it is
-    angles = {opt.key for opt in cli.OPTIONS if opt.angle}
+    angles = {"a", "b", "a_prime", "b_prime", "alpha", "alpha_min", "alpha_max", "alpha_step"}
+    assert angles == {opt.key for opt in cli.OPTIONS if opt.angle}
     cases = [
         ("table", {"a": "30,60", "b": "15"}),
         ("mc", {"a": "45", "b": "10", "eta_d": "0.9", "f1": "0.5", "trials": "1000", "seed": "7"}),
@@ -150,9 +147,9 @@ def test_degrees_scale_exactly_the_angle_options():
     ]
     for command, values in cases:
         radian = [command] + [
-            f"{_flag(key)}={_radians(text) if key in angles else text}" for key, text in values.items()
+            f"{cli._flag(key)}={_radians(text) if key in angles else text}" for key, text in values.items()
         ]
-        degree = [command] + [f"{_flag(key)}={text}" for key, text in values.items()] + ["--degrees"]
+        degree = [command] + [f"{cli._flag(key)}={text}" for key, text in values.items()] + ["--degrees"]
         code, out = _run(radian)
         assert code != EXIT_USAGE and out, radian
         assert _run(degree) == (code, out), command
