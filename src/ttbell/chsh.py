@@ -188,9 +188,10 @@ def scan_alpha(
     ``math.cos`` (the tests check this).  The returned summary
     refines the grid argmax by golden section plus a parabolic polish;
     grid ties (the ladder has equal-height peaks) are broken toward the
-    smallest alpha.  Raises ValueError, before allocating anything, for
-    non-finite arguments, an empty range, a step that is not positive,
-    more than ``MAX_SCAN_ROWS`` rows or a grid alpha whose 3*alpha
+    smallest alpha, and ``s_max`` is never more than 1e-9 below the
+    grid's largest ``s_ideal``.  Raises ValueError, before allocating
+    anything, for non-finite arguments, an empty range, a step that is not
+    positive, more than ``MAX_SCAN_ROWS`` rows or a grid alpha whose 3*alpha
     overflows.
     """
     for name, value in (("alpha_min", alpha_min), ("alpha_max", alpha_max), ("step", step)):
@@ -239,9 +240,22 @@ def scan_alpha(
         violated=s_exp > CLASSICAL_BOUND + VIOLATION_TOL,
     )
 
-    lo = float(alphas[max(first - 1, 0)])
-    hi = float(alphas[min(first + 1, n - 1)])
-    alpha_star = _refine_max(s_ideal_closed, lo, hi)
+    def refined(k: int) -> float:
+        return _refine_max(s_ideal_closed, float(alphas[max(k - 1, 0)]), float(alphas[min(k + 1, n - 1)]))
+
+    alpha_star = refined(first)
+    # where the polish is skipped at a bracket edge, the refinement ends up to
+    # 1e-5 from a peak, about 3e-10 below it; further below the grid maximum,
+    # the tie tolerance (wide on a coarse grid) picked a row whose bracket
+    # misses the peak, or the maximum lies on the range's edge: climb to the
+    # next local maximum of the grid and refine there, else take that row,
+    # else the grid's maximum row
+    if s_ideal_closed(alpha_star) < grid_max - 1e-9:
+        top = first
+        while top + 1 < n and s_ideal[top + 1] > s_ideal[top]:
+            top += 1
+        tops = (refined(top), float(alphas[top]), float(alphas[np.argmax(s_ideal)]))
+        alpha_star = next((x for x in tops if s_ideal_closed(x) >= grid_max - 1e-9), tops[-1])
     s_max = s_ideal_closed(alpha_star)
     s_exp_max = eta_f * s_max
     summary = ScanSummary(

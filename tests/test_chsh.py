@@ -95,6 +95,25 @@ class TestScan:
         _, summary = chsh.scan_alpha(0.0, math.pi, 1e-3)
         assert summary.alpha_star < math.pi / 2
 
+    @pytest.mark.parametrize("grid", [
+        (0.0, 3.14159, 0.3),
+        (0.0, 3.14159, 0.5),  # the first tie within 4*step**2 is alpha = 0, at S = 2
+        (0.0, 3.14159, 1.0),
+        (0.0, 0.5, 0.01),  # the maximum on the range's edge
+        (0.0, math.pi, 4e-5),  # refined to 7.6e-6 from pi/4, 2.3e-10 below the grid maximum
+    ])
+    def test_summary_never_below_the_grid_maximum(self, grid):
+        scan, summary = chsh.scan_alpha(*grid)
+        assert summary.s_max >= scan.s_ideal.max() - 1e-9
+        assert summary.s_max == chsh.s_ideal_closed(summary.alpha_star)
+        assert grid[0] <= summary.alpha_star <= grid[1]
+
+    def test_coarse_grid_breaks_ties_toward_smaller_alpha(self):
+        # the grid maximum is the row at 2.5, beside 3*pi/4; the first tie,
+        # alpha = 0, brackets no peak, and the equal peak at pi/4 comes first
+        _, summary = chsh.scan_alpha(0.0, 3.14159, 0.5)
+        assert summary.alpha_star == pytest.approx(math.pi / 4, abs=1e-9)
+
     def test_rows_scale_with_eta_f(self):
         rows, summary = chsh.scan_alpha(0.0, 1.0, 0.1, eta_f=0.8)
         for s_exp, s_ideal in zip(rows.s_exp, rows.s_ideal):

@@ -5,13 +5,16 @@ reproducer's weights), Riemann sums (position-style marginals), and
 enumeration of deterministic strategies (CHSH bounds).
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lhv_oracle
 from ttbell import lhv
 from ttbell.chsh import ChshSettings, ladder_settings
 from ttbell.quantum import UndefinedConditionalError, quantum_joint
@@ -330,6 +333,58 @@ class TestConsistencyChecks:
             lhv.model_conditional_t2(m, 0.0, 0.0, -1, 1)
 
 
+# 256*K just below, on and just above 1, 2 and 4 leaves of 2**16 products;
+# at 419 and 8193 some halving of a chunk is rounded down to a multiple of 8
+PAIR_SUM_SIZES = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 419, 511, 512, 513, 1023, 1024, 1025, 4095, 8193, 10_000]
+SPECIAL_WEIGHTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315]
+
+
+def mixed_weights(rng, k, magnitude):
+    """k weights of random sign and magnitude ``magnitude(size)``, about a
+    tenth of them replaced by zeros of either sign and subnormals."""
+    w = rng.choice((-1.0, 1.0), k) * magnitude(k)
+    spots = rng.random(k) < 0.1
+    w[spots] = rng.choice(SPECIAL_WEIGHTS, int(spots.sum()))
+    return w
+
+
+def pair_sum_weights(kind, k, rng):
+    """(x, y) for ``_pair_sum``: normal, or magnitudes 1e-300 to 1e300 on one
+    side against ones small enough that every product and sum stays finite."""
+    if kind == "normal":
+        return mixed_weights(rng, k, rng.standard_normal), mixed_weights(rng, k, rng.standard_normal)
+    wide = mixed_weights(rng, k, lambda n: 10.0 ** rng.uniform(-300.0, 300.0, n))
+    small = mixed_weights(rng, k, lambda n: 10.0 ** rng.uniform(-300.0, 0.0, n) / (k * k))
+    return (wide, small) if kind == "wide" else (small, wide)
+
+
+def hexed(report):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+class TestPairSum:
+    """``verify_consistency``'s O(K^2) pair sum, summed a leaf of numpy's
+    pairwise tree at a time, equals the whole-chunk oracle bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["normal", "wide", "wide-swapped"])
+    @pytest.mark.parametrize("k", PAIR_SUM_SIZES)
+    def test_pair_sum_equals_oracle_bitwise(self, k, kind):
+        x, y = pair_sum_weights(kind, k, np.random.default_rng([k, len(kind)]))
+        assert lhv._pair_sum(x, y).hex() == lhv_oracle.pair_sum(x, y).hex()
+
+    @pytest.mark.parametrize("k", PAIR_SUM_SIZES)
+    def test_verify_consistency_equals_oracle_copy(self, k, monkeypatch):
+        models = [(lhv.random_factorized_model(np.random.default_rng(k), k, [0.6], [1.2]), 0.6, 1.2)]
+        if k >= 2:
+            models.append((lhv.position_style_model(k), -2.3, 0.77))
+        for model, a, b in models:
+            got = lhv.verify_consistency(model, a, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(lhv, "_pair_sum", lhv_oracle.pair_sum)
+                want = lhv.verify_consistency(model, a, b)
+            assert hexed(got) == hexed(want)
+
+
 class TestColumnContract:
     """A model is evaluated one response column per setting over all states."""
 
@@ -450,3 +505,17 @@ class TestFineStrategyWeights:
             ]
             got = polytope.reconstruct_targets(weights)
             assert max(abs(x - y) for x, y in zip(got, expected)) <= TOL
+
+
+def test_verify_consistency_memory_is_bounded():
+    # whole 256-row chunks of pair products were 20 MB temporaries at
+    # 10 000 states, a traced peak of about 20.1 MiB; summed a leaf of
+    # numpy's pairwise tree at a time, about 1.1 MiB
+    model = lhv.position_style_model(10_000)
+    tracemalloc.start()
+    try:
+        lhv.verify_consistency(model, -2.3, 0.77)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
