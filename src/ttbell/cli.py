@@ -20,11 +20,14 @@ key; a subcommand ignores the keys it does not read.
 
 A subcommand parses, validates and computes before it writes anything,
 so a usage error leaves stdout empty and creates no ``--out`` file.
-Records are then formatted and written ``ROW_BLOCK`` rows at a time.  A
-block is rendered a column at a time with numpy, in the very bytes that
-formatting each cell with ``fmt`` / ``_json_number`` gives; those two
-still write one-record documents and the few cells outside the columns'
-exact range (None, non-finite, |x| >= 4e6, JSON values below 1e-4).
+Records are then formatted and written ``ROW_BLOCK`` rows at a time.
+``table`` builds a block's rows as columns, with the closed forms of
+``quantum.probability_columns`` on sines and cosines taken by ``math``.
+A block is rendered with numpy, all its float columns in one pass and
+each other column on its own, in the very bytes that formatting each
+cell with ``fmt`` / ``_json_number`` gives; those two still write
+one-record documents and the few cells outside the columns' exact range
+(None, non-finite, |x| >= 4e6, JSON values below 1e-4).
 
 Exit codes: 0 success (and polytope-feasible), 1 usage error, 2 I/O
 error, 3 polytope-infeasible, 4 lhv-verify check failure.  A stdout
@@ -281,8 +284,8 @@ def _drop_leading_zeros(valid: np.ndarray, value: np.ndarray) -> None:
 
 
 def _float_cells(x, chars, valid, json_side):
-    """Write the cells of x with |x| < 4e6 (finite); returns the mask of rows
-    whose cell must take the scalar path."""
+    """Write the cells of x with |x| < 4e6 (finite), one a row of ``chars``;
+    returns the mask of the cells that must take the scalar path."""
     scalar = ~(np.abs(x) < _FAST_LIMIT)
     if scalar.any():
         x = np.where(scalar, 0.0, x)
@@ -322,16 +325,20 @@ def _bool_cells(v, chars, valid):
 
 
 class _BlockRenderer:
-    """Text of whole blocks of records, a column at a time.
+    """Text of whole blocks of records, a column kind at a time.
 
     A block's rows are laid out in one preallocated byte matrix: the fixed
     pieces of the record template (separators, JSON keys) in every row,
     then one fixed-width slot per cell, and a mask of the bytes each row
-    keeps.  The text is the bytes ``chars[valid]``.  A row with a cell the
-    columns do not write (None or non-finite, |x| >= 4e6, in JSON also
-    0 < |round(x, 9)| < 1e-4; an integer of ten or more digits) is written
-    by ``fmt`` / ``_json_number`` instead and spliced in at its place.
-    Each row starts with ``lead``.
+    keeps.  The text is the bytes ``chars[valid]``.  The k FLOAT columns of
+    a block are written together: stacked into one array of k * n values,
+    rendered in one pass into a preallocated (k * n, 20) byte matrix and
+    mask, then copied a column's slots at a time into the rows.  Per-call
+    numpy overhead is then paid once a block, not once a FLOAT column.  A
+    row with a cell the columns do not write (None or non-finite,
+    |x| >= 4e6, in JSON also 0 < |round(x, 9)| < 1e-4; an integer of ten
+    or more digits) is written by ``fmt`` / ``_json_number`` instead and
+    spliced in at its place.  Each row starts with ``lead``.
     """
 
     def __init__(self, columns, json_side: bool, indent: str = "", lead: str = ""):
@@ -349,6 +356,7 @@ class _BlockRenderer:
                 self.slots.append((i, at, at + _WIDTH[self.kinds[i]]))
                 at += _WIDTH[self.kinds[i]]
         self.width = at
+        self.floats = [(i, start, stop) for i, start, stop in self.slots if self.kinds[i] == FLOAT]
         self._allocate(0)
 
     def _allocate(self, rows: int) -> None:
@@ -358,9 +366,14 @@ class _BlockRenderer:
         for at, piece in self.fixed:
             self.chars[:, at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
         for i, start, _ in self.slots:
-            if self.kinds[i] == FLOAT:
-                self.chars[:, start + 10] = ord(".")
-            self.chars[:, start] = ord("-")  # a sign, where one is written
+            if self.kinds[i] != FLOAT:  # FLOAT slots are copied whole from float_chars
+                self.chars[:, start] = ord("-")  # a sign, where one is written
+        cells = len(self.floats) * rows
+        self.float_x = np.empty(cells)
+        self.float_chars = np.empty((cells, _WIDTH[FLOAT]), dtype=np.uint8)
+        self.float_valid = np.ones((cells, _WIDTH[FLOAT]), dtype=bool)
+        self.float_chars[:, 0] = ord("-")
+        self.float_chars[:, 10] = ord(".")
 
     def text(self, block) -> str:
         """Text of the rows of ``block``: one column of cells per column."""
@@ -370,13 +383,20 @@ class _BlockRenderer:
             self._allocate(n)
         chars, valid = self.chars[:n], self.valid[:n]
         scalar = np.zeros(n, dtype=bool)
+        if self.floats:
+            k = len(self.floats)
+            x = np.concatenate([cells[i] for i, _, _ in self.floats], out=self.float_x[:k * n])
+            float_chars, float_valid = self.float_chars[:k * n], self.float_valid[:k * n]
+            scalar |= _float_cells(x, float_chars, float_valid, self.json_side).reshape(k, n).any(axis=0)
+            for c, (_, start, stop) in enumerate(self.floats):
+                column = slice(c * n, (c + 1) * n)
+                chars[:, start:stop] = float_chars[column]
+                valid[:, start:stop] = float_valid[column]
         for i, start, stop in self.slots:
             kind, out = self.kinds[i], (chars[:, start:stop], valid[:, start:stop])
-            if kind == FLOAT:
-                scalar |= _float_cells(cells[i], *out, self.json_side)
-            elif kind == BOOL:
+            if kind == BOOL:
                 _bool_cells(cells[i], *out)
-            else:
+            elif kind != FLOAT:
                 scalar |= _int_cells(cells[i], *out, kind == SIGNED and not self.json_side)
         if not scalar.any():
             return str(chars[valid], "ascii")
@@ -392,13 +412,6 @@ class _BlockRenderer:
             done = ends[r]
         pieces.append(body[done:])
         return "".join(pieces)
-
-
-def _row_blocks(rows):
-    """Blocks of up to ``ROW_BLOCK`` consecutive row tuples, as columns."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, ROW_BLOCK)):
-        yield list(zip(*block))
 
 
 def _column_blocks(*columns):
@@ -542,19 +555,29 @@ TABLE_COLUMNS = (
 )
 
 
-def _table_rows(a_list, b_list):
-    """Table records, generated as they are written; the closed forms
+# (A, B) of the four rows of a pair (a, b), in the order of ``quantum_joint``
+_ROW_A, _ROW_B = np.array(list(itertools.product(quantum.OUTCOMES, repeat=2))).T
+
+
+def _table_blocks(a_list, b_list):
+    """Table records in blocks of ``ROW_BLOCK`` rows, as columns: for each
+    a, each b, the four (A, B).  sin a is taken once per a and cos(a - b)
+    once per pair, with ``math``, and ``quantum.probability_columns`` does
+    the rest, so every cell has the bits of the scalar closed forms.  They
     cannot fail once ``cmd_table`` has checked every a - b is finite."""
-    for a in a_list:
-        p1 = {A: quantum.marginal_t1(a, A) for A in quantum.OUTCOMES}
-        for b in b_list:
-            p2 = {B: quantum.marginal_t2(a, b, B) for B in quantum.OUTCOMES}
-            for (A, B), p_joint in quantum.quantum_joint(a, b).items():
-                try:
-                    cond = quantum.conditional_t2(a, b, A, B)
-                except quantum.UndefinedConditionalError:
-                    cond = None
-                yield (a, b, A, B, p_joint, p1[A], p2[B], cond)
+    a_all, b_all = np.array(a_list), np.array(b_list)
+    sin_all = np.array([math.sin(a) for a in a_list])
+    rows = 4 * len(a_list) * len(b_list)
+    for lo in range(0, rows, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, rows)
+        i, j = np.divmod(np.arange(lo // 4, (hi + 3) // 4), len(b_list))  # the block's pairs
+        a, b = a_all[i], b_all[j]
+        cos_ab = np.array([math.cos(d) for d in (a - b).tolist()])
+        pair, outcome = np.divmod(np.arange(lo, hi), 4)
+        pair -= lo // 4
+        A, B = _ROW_A[outcome], _ROW_B[outcome]
+        yield [a[pair], b[pair], A, B,
+               *quantum.probability_columns(sin_all[i][pair], cos_ab[pair], A, B)]
 
 
 def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
@@ -564,7 +587,7 @@ def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
     if not all(map(math.isfinite, (max(a_list) - min(b_list), min(a_list) - max(b_list)))):
         raise UsageError("--a and --b are too far apart: a - b overflows for some pair")
     return EXIT_OK, emit_records(
-        opts["format"], TABLE_COLUMNS, _row_blocks(_table_rows(a_list, b_list))
+        opts["format"], TABLE_COLUMNS, _table_blocks(a_list, b_list)
     )
 
 

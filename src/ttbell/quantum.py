@@ -201,6 +201,38 @@ def conditional_t2(a: float, b: float, a_outcome: int, b_outcome: int) -> float:
     return clamp_probability(0.5 * (1.0 + a_outcome * b_outcome * math.cos(a - b)))
 
 
+def clamp_probabilities(p, tol: float = PROB_TOL):
+    """``clamp_probability`` over a numpy array, in place: the same
+    tolerance, the same error (for the first value beyond it); NaN passes."""
+    outside = (p < -tol) | (p > 1.0 + tol)
+    if outside.any():
+        raise ValueError(
+            f"probability {float(p[outside][0])!r} outside [0, 1] beyond tolerance {tol}"
+        )
+    p[p < 0.0] = 0.0
+    p[p > 1.0] = 1.0
+    return p
+
+
+def probability_columns(sin_a, cos_ab, a_outcome, b_outcome):
+    """``quantum_joint``, ``marginal_t1``, ``marginal_t2`` and
+    ``conditional_t2`` elementwise over numpy arrays of sin a, cos(a - b)
+    and the outcomes A, B (integers +1 or -1).
+
+    Each value is the scalar function's operation for operation, so with
+    sin a and cos(a - b) taken from ``math`` it has the scalar bits.  A
+    conditional whose P(A | a) is 0, which the scalar route rejects, is NaN.
+    Returns the arrays (joint, marginal_t1, marginal_t2, conditional_t2).
+    """
+    ab = a_outcome * b_outcome
+    p_t1 = clamp_probabilities(0.5 * (1.0 + a_outcome * sin_a))
+    joint = clamp_probabilities(0.25 * (1.0 + a_outcome * sin_a) * (1.0 + ab * cos_ab))
+    p_t2 = clamp_probabilities(0.5 * (1.0 + b_outcome * sin_a * cos_ab))
+    conditional = clamp_probabilities(0.5 * (1.0 + ab * cos_ab))
+    conditional[p_t1 == 0.0] = math.nan
+    return joint, p_t1, p_t2, conditional
+
+
 def ideal_correlator(a: float, b: float) -> float:
     """<sigma_a sigma_b> = cos(a - b) for perfect detection."""
     return math.cos(a - b)

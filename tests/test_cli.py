@@ -9,9 +9,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ttbell import cli, lhv, montecarlo, polytope
+from ttbell import cli, lhv, montecarlo, polytope, quantum
 from ttbell.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -86,6 +87,66 @@ class TestTable:
         code_rad, out_rad, _ = run_cli(capsys, "table", "--a", repr(PI / 2), "--b", "0.0")
         code_deg, out_deg, _ = run_cli(capsys, "table", "--a", "90", "--b", "0", "--degrees")
         assert out_rad == out_deg
+
+
+def scalar_table_rows(a_list, b_list):
+    """The table's records through the scalar closed forms, a call chain a
+    row; an undefined conditional is NaN."""
+    for a in a_list:
+        for b in b_list:
+            for (A, B), p_joint in quantum.quantum_joint(a, b).items():
+                try:
+                    cond = quantum.conditional_t2(a, b, A, B)
+                except quantum.UndefinedConditionalError:
+                    cond = math.nan
+                p_t1, p_t2 = quantum.marginal_t1(a, A), quantum.marginal_t2(a, b, B)
+                yield (a, b, A, B, p_joint, p_t1, p_t2, cond)
+
+
+def _bits(row) -> tuple:
+    return tuple(cell if isinstance(cell, int) else float(cell).hex() for cell in row)
+
+
+# a - b stays finite for every pair of these; +-pi/2 leave a conditional undefined
+TABLE_EDGES = (0.0, -0.0, PI / 2, -PI / 2, 4e6, 1e-5, 1e15, 1e300, -1e300)
+
+
+def random_angle(rng) -> float:
+    pick = rng.integers(4)
+    if pick == 0:
+        return float(rng.choice(TABLE_EDGES))
+    if pick == 1:
+        return float(rng.uniform(-10.0, 10.0))
+    if pick == 2:  # every magnitude from 1e-9 to 1e16, both signs
+        return float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-9, 16))
+    # near a multiple of pi/2, where sin a or cos(a - b) is near +-1 or 0
+    return float(rng.integers(-8, 9) * PI / 2 + rng.normal() * 1e-9)
+
+
+class TestTableColumns:
+    def test_columns_equal_scalar_route_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(20_261_018)
+        rows = 0
+        for _ in range(240):
+            a_list = [random_angle(rng) for _ in range(rng.integers(1, 8))]
+            b_list = [random_angle(rng) for _ in range(rng.integers(1, 8))]
+            # blocks of 1, 3 and 7 rows split a pair's four rows
+            monkeypatch.setattr(cli, "ROW_BLOCK", int(rng.choice((1, 3, 7, 512))))
+            blocks = list(cli._table_blocks(a_list, b_list))
+            assert all(len(block[0]) == cli.ROW_BLOCK for block in blocks[:-1])
+            written = [row for block in blocks for row in zip(*(c.tolist() for c in block))]
+            expected = list(scalar_table_rows(a_list, b_list))
+            assert list(map(_bits, written)) == list(map(_bits, expected)), (a_list, b_list)
+            rows += len(expected)
+        assert rows > 10_000
+
+    def test_every_edge_pair(self):
+        a_list = b_list = list(TABLE_EDGES)
+        written = [row for block in cli._table_blocks(a_list, b_list)
+                   for row in zip(*(c.tolist() for c in block))]
+        expected = list(scalar_table_rows(a_list, b_list))
+        assert sum(math.isnan(row[7]) for row in expected) == 4 * len(b_list)
+        assert list(map(_bits, written)) == list(map(_bits, expected))
 
 
 class TestMc:

@@ -7,6 +7,7 @@ kind is checked in both formats on random and adversarial values.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -22,9 +23,16 @@ def scalar_document(fmt_name, columns, rows) -> str:
     return '{\n  "rows": [\n    ' + ",\n    ".join(map(render, rows)) + "\n  ]\n}\n"
 
 
+def row_blocks(rows):
+    """Blocks of up to ``cli.ROW_BLOCK`` consecutive row tuples, as columns."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, cli.ROW_BLOCK)):
+        yield list(zip(*block))
+
+
 def mismatches(fmt_name, columns, rows) -> list:
     """(expected, written) pairs of the lines where the two routes differ."""
-    written = "".join(cli.emit_records(fmt_name, columns, cli._row_blocks(rows)))
+    written = "".join(cli.emit_records(fmt_name, columns, row_blocks(rows)))
     expected = scalar_document(fmt_name, columns, rows)
     if written == expected:
         return []
@@ -105,5 +113,34 @@ def test_rows_of_mixed_kinds_match_oracle(monkeypatch, fmt_name, block):
         for i, j in zip(rng.integers(0, len(floats), 3_000), rng.integers(0, len(ints), 3_000))
     ]
     columns = [("b", FLOAT), ("n", INT), ("A", SIGNED), ("ok", BOOL), ("a", FLOAT)]
+    bad = mismatches(fmt_name, columns, rows)
+    assert not bad, (len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("block", [7, 1024])
+def test_rows_of_several_float_columns_match_oracle(monkeypatch, fmt_name, block):
+    # the FLOAT columns of a block are rendered stacked: a cell taking the
+    # scalar path must mark its own row, whichever column it is in
+    monkeypatch.setattr(cli, "ROW_BLOCK", block)
+    rng = np.random.default_rng(29)
+    n = 3_000
+    floats = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-3, 6, (4, n))
+    cells = floats.astype(object)
+    odd = (None, 4e6, 1e-5, -4.5e6, -1e-5)
+    for column, row in zip(rng.integers(0, 4, 150), rng.integers(0, n, 150)):
+        cells[column, row] = odd[rng.integers(len(odd))]
+    planted = {  # row: {float column: value}, around the boundaries of blocks of 7 and 1024
+        0: {0: None, 1: 4e6, 2: 1e-5}, 6: {1: None, 3: 1e-5}, 7: {2: 4e6},
+        13: {1: 1e-5, 3: None}, 1023: {0: 4e6, 2: None, 3: 1e-5}, 1024: {3: 1e-5},
+    }
+    for row, values in planted.items():
+        for column, value in values.items():
+            cells[column, row] = value
+    ints = rng.integers(-10**9 + 1, 10**9, n).tolist()  # all within the columns' range
+    oks = (rng.random(n) < 0.5).tolist()
+    x, y, z, w = (cells[c].tolist() for c in range(4))
+    rows = list(zip(x, ints, y, oks, z, w))
+    columns = [("x", FLOAT), ("n", INT), ("y", FLOAT), ("ok", BOOL), ("z", FLOAT), ("w", FLOAT)]
     bad = mismatches(fmt_name, columns, rows)
     assert not bad, (len(bad), bad[:5])

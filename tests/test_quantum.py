@@ -7,6 +7,7 @@ the joint/marginal ratio checks the conditional.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -254,3 +255,18 @@ class TestClamp:
             q.clamp_probability(-1e-9)
         with pytest.raises(ValueError):
             q.clamp_probability(1.0 + 1e-9)
+
+    def test_array_clamp_matches_scalar(self):
+        # the tolerance's ends, the signed zeros, both edges and NaN
+        inside = [-1e-12, -0.5e-12, -5e-324, -0.0, 0.0, 0.3, 1.0, 1.0 + 2.0**-52,
+                  1.0 + 1e-12, math.nan]
+        clamped = q.clamp_probabilities(np.array(inside))
+        assert [x.hex() for x in clamped.tolist()] == [
+            q.clamp_probability(x).hex() for x in inside
+        ]
+        for bad in (-1e-9, math.nextafter(-1e-12, -1.0), 1.0 + 1e-9, math.inf):
+            with pytest.raises(ValueError) as scalar_error:
+                q.clamp_probability(bad)
+            with pytest.raises(ValueError) as array_error:
+                q.clamp_probabilities(np.array([0.5, bad, -1.0]))
+            assert str(array_error.value) == str(scalar_error.value)
