@@ -348,15 +348,15 @@ class _BlockRenderer:
         self.kinds = [kind for _, kind in columns]
         self.scalar_row = _renderer(columns, json_side, indent)
         pieces = [piece.encode("ascii") for piece in (lead + template).split("%s")]
-        self.fixed, self.slots, at = [], [], 0
+        self.fixed, self.floats, self.others, at = [], [], [], 0
         for piece, i in itertools.zip_longest(pieces, order):
             self.fixed.append((at, piece))
             at += len(piece)
             if i is not None:
-                self.slots.append((i, at, at + _WIDTH[self.kinds[i]]))
+                slots = self.floats if self.kinds[i] == FLOAT else self.others
+                slots.append((i, at, at + _WIDTH[self.kinds[i]]))
                 at += _WIDTH[self.kinds[i]]
         self.width = at
-        self.floats = [(i, start, stop) for i, start, stop in self.slots if self.kinds[i] == FLOAT]
         self._allocate(0)
 
     def _allocate(self, rows: int) -> None:
@@ -365,9 +365,8 @@ class _BlockRenderer:
         self.valid = np.ones((rows, self.width), dtype=bool)
         for at, piece in self.fixed:
             self.chars[:, at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
-        for i, start, _ in self.slots:
-            if self.kinds[i] != FLOAT:  # FLOAT slots are copied whole from float_chars
-                self.chars[:, start] = ord("-")  # a sign, where one is written
+        for _, start, _ in self.others:  # FLOAT slots are copied whole from float_chars
+            self.chars[:, start] = ord("-")  # a sign, where one is written
         cells = len(self.floats) * rows
         self.float_x = np.empty(cells)
         self.float_chars = np.empty((cells, _WIDTH[FLOAT]), dtype=np.uint8)
@@ -392,11 +391,11 @@ class _BlockRenderer:
                 column = slice(c * n, (c + 1) * n)
                 chars[:, start:stop] = float_chars[column]
                 valid[:, start:stop] = float_valid[column]
-        for i, start, stop in self.slots:
+        for i, start, stop in self.others:
             kind, out = self.kinds[i], (chars[:, start:stop], valid[:, start:stop])
             if kind == BOOL:
                 _bool_cells(cells[i], *out)
-            elif kind != FLOAT:
+            else:
                 scalar |= _int_cells(cells[i], *out, kind == SIGNED and not self.json_side)
         if not scalar.any():
             return str(chars[valid], "ascii")

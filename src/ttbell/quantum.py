@@ -201,13 +201,13 @@ def conditional_t2(a: float, b: float, a_outcome: int, b_outcome: int) -> float:
     return clamp_probability(0.5 * (1.0 + a_outcome * b_outcome * math.cos(a - b)))
 
 
-def clamp_probabilities(p, tol: float = PROB_TOL):
+def _clamp_probabilities(p):
     """``clamp_probability`` over a numpy array, in place: the same
     tolerance, the same error (for the first value beyond it); NaN passes."""
-    outside = (p < -tol) | (p > 1.0 + tol)
+    outside = (p < -PROB_TOL) | (p > 1.0 + PROB_TOL)
     if outside.any():
         raise ValueError(
-            f"probability {float(p[outside][0])!r} outside [0, 1] beyond tolerance {tol}"
+            f"probability {float(p[outside][0])!r} outside [0, 1] beyond tolerance {PROB_TOL}"
         )
     p[p < 0.0] = 0.0
     p[p > 1.0] = 1.0
@@ -225,10 +225,10 @@ def probability_columns(sin_a, cos_ab, a_outcome, b_outcome):
     Returns the arrays (joint, marginal_t1, marginal_t2, conditional_t2).
     """
     ab = a_outcome * b_outcome
-    p_t1 = clamp_probabilities(0.5 * (1.0 + a_outcome * sin_a))
-    joint = clamp_probabilities(0.25 * (1.0 + a_outcome * sin_a) * (1.0 + ab * cos_ab))
-    p_t2 = clamp_probabilities(0.5 * (1.0 + b_outcome * sin_a * cos_ab))
-    conditional = clamp_probabilities(0.5 * (1.0 + ab * cos_ab))
+    p_t1 = _clamp_probabilities(0.5 * (1.0 + a_outcome * sin_a))
+    joint = _clamp_probabilities(0.25 * (1.0 + a_outcome * sin_a) * (1.0 + ab * cos_ab))
+    p_t2 = _clamp_probabilities(0.5 * (1.0 + b_outcome * sin_a * cos_ab))
+    conditional = _clamp_probabilities(0.5 * (1.0 + ab * cos_ab))
     conditional[p_t1 == 0.0] = math.nan
     return joint, p_t1, p_t2, conditional
 

@@ -260,7 +260,7 @@ class TestClamp:
         # the tolerance's ends, the signed zeros, both edges and NaN
         inside = [-1e-12, -0.5e-12, -5e-324, -0.0, 0.0, 0.3, 1.0, 1.0 + 2.0**-52,
                   1.0 + 1e-12, math.nan]
-        clamped = q.clamp_probabilities(np.array(inside))
+        clamped = q._clamp_probabilities(np.array(inside))
         assert [x.hex() for x in clamped.tolist()] == [
             q.clamp_probability(x).hex() for x in inside
         ]
@@ -268,5 +268,5 @@ class TestClamp:
             with pytest.raises(ValueError) as scalar_error:
                 q.clamp_probability(bad)
             with pytest.raises(ValueError) as array_error:
-                q.clamp_probabilities(np.array([0.5, bad, -1.0]))
+                q._clamp_probabilities(np.array([0.5, bad, -1.0]))
             assert str(array_error.value) == str(scalar_error.value)
