@@ -27,7 +27,7 @@ A block is rendered with numpy, all its float columns in one pass and
 each other column on its own, in the very bytes that formatting each
 cell with ``fmt`` / ``_json_number`` gives; those two still write
 one-record documents and the few cells outside the columns' exact range
-(None, non-finite, |x| >= 4e6, JSON values below 1e-4).
+(None, non-finite, |x| >= 4e6, integers of ten or more digits).
 
 Exit codes: 0 success (and polytope-feasible), 1 usage error, 2 I/O
 error, 3 polytope-infeasible, 4 lhv-verify check failure.  A stdout
@@ -184,7 +184,11 @@ _CELL_TEXT = {  # kind -> (CSV text, JSON text)
 }
 
 
-ROW_BLOCK = 512  # rows rendered per output chunk; bounds the memory held at once
+# Rows rendered per output chunk; bounds the memory held at once.  A block
+# holds two bytes per byte of row width and 48 per FLOAT cell: 1.75 MB for
+# the 8-column JSON table (283-byte rows), then its text twice over while it
+# is made and while it is written.
+ROW_BLOCK = 2048
 
 
 def _template(columns, json_side: bool, indent: str = ""):
@@ -236,85 +240,145 @@ def record_text(fmt_name: str, columns, row) -> str:
 # repr(round(x, 9)) is d / 1e9 with its trailing zeros stripped: below 4e6
 # the doubles are closer than 1e-9, so no other decimal of at most nine
 # places reads back as round(x, 9), and repr writes no exponent from 1e-4 up.
+# Below that, for 1 <= |d| < 1e5, it writes [-]D[.DDDD]e-0E: the digits of
+# |d| without its trailing zeros, and E = 10 - len(str(|d|)).
 _FAST_LIMIT = 4e6
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
 _UNITS = 10**9  # d counts billionths
+_TINY = 100_000  # repr writes an exponent for 0 < |d| below this
 # the ASCII digits of each 3-digit group, one table per digit place
 _DIGITS = np.array([list(b"%03d" % g) for g in range(1000)], dtype=np.uint8).T.copy()
-# how many digits of each group to keep, up to its last nonzero one
-_KEPT = np.array([len(f"{g:03d}".rstrip("0")) for g in range(1000)])
+# the four ASCII digits of each 4-digit group as one uint32 word, and the
+# word of its mask that keeps each digit up to the last nonzero one
+_GROUPS = np.arange(10_000, dtype=np.int16)[:, None]
+_WORD_DIGITS = (
+    (_GROUPS // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + ord("0"))
+    .astype(np.uint8).view(np.uint32)[:, 0]
+)
+_WORD_KEPT = (_GROUPS % np.array([10_000, 1000, 100, 10], dtype=np.int16) > 0).view(np.uint32)[:, 0]
+_EVERY_DIGIT = _WORD_KEPT[9999]
 _BOOL_TEXT = np.array([list(b"false"), list(b"true ")], dtype=np.uint8).T.copy()
 # cell slot widths: sign and 9 digits, then for a FLOAT the point and 9 decimals
 _WIDTH = {FLOAT: 20, INT: 10, SIGNED: 10, BOOL: 5}
 _DTYPE = {FLOAT: np.float64, INT: np.int64, SIGNED: np.int64, BOOL: np.bool_}
 _SCALAR = {FLOAT: float, INT: int, SIGNED: int, BOOL: bool}
+_EXPONENT_PLACES = np.arange(9, 20)  # the places of a FLOAT slot an exponent form rewrites
 
 # The cell writers below fill a slot one byte column at a time: a column is
 # one strided loop over the block's rows, while an operation on an (n, 3)
-# or (n, 9) part of the matrix loops once per row.
+# or (n, 9) part of the matrix loops once per row.  Four decimals go in as
+# one uint32 word.  Digits are split off by unsigned integer division by a
+# constant, which numpy vectorizes: per cell it is cheaper than float64
+# floor division and several times cheaper than int64 np.divmod.
 
 
 def _billionths(x: np.ndarray) -> np.ndarray:
     """round-half-even(x * 1e9) as exact float64 integers, for |x| < 4e6."""
     p = x * 1e9
-    hi = x * _SPLITTER
-    hi -= hi - x
-    e = (hi * 1e9 - p) + (x - hi) * 1e9
     d = np.rint(p)
     tie = p - d
-    d += (tie == 0.5) & (e > 0.0)
-    d -= (tie == -0.5) & (e < 0.0)
+    if np.abs(tie).max(initial=0.0) == 0.5:  # some p is a half-integer
+        hi = x * _SPLITTER
+        hi -= hi - x
+        e = (hi * 1e9 - p) + (x - hi) * 1e9
+        d += (tie == 0.5) & (e > 0.0)
+        d -= (tie == -0.5) & (e < 0.0)
     return d
 
 
-def _put_digits(chars: np.ndarray, value: np.ndarray):
-    """Write value (< 1e9) as 9 zero-padded digits; returns its three 3-digit groups."""
-    high, low = np.divmod(value, 1000)
-    high, middle = np.divmod(high, 1000)
-    for k, group in enumerate((high, middle, low)):
-        for place, digits in enumerate(_DIGITS):
-            chars[:, 3 * k + place] = digits[group]
-    return high, middle, low
+def _put_digits(chars: np.ndarray, valid: np.ndarray, value: np.ndarray, masked: int) -> int:
+    """Write value, integers below 1e9, right-aligned in the 9 places of
+    ``chars``, each kept from its first nonzero digit (the last always).
 
-
-def _drop_leading_zeros(valid: np.ndarray, value: np.ndarray) -> None:
-    """Keep the 9-digit slot of value from its first nonzero digit (the last always)."""
-    for place in range(8):
+    Only the places of the largest value are written and compared.  The
+    places before them must be masked: the first ``masked`` are, in every
+    row, and the rest are masked here.  Returns how many are masked now.
+    """
+    value = value.astype(np.uint32)
+    start = 9 - len(str(value.max(initial=0)))
+    if start > masked:
+        valid[:, masked:start] = False
+    for place in range(start, 8):
         np.greater_equal(value, 10 ** (8 - place), out=valid[:, place])
+    for stop in range(9, start, -3):  # a 3-digit group at a time, from the last
+        low = max(stop - 3, start)
+        group = value
+        if low > start:
+            value = value // 1000
+            group = group - value * 1000
+        if stop - low == 1:
+            np.add(group, ord("0"), out=chars[:, low], casting="unsafe")
+            continue
+        group = group.astype(np.intp)
+        for place in range(low, stop):
+            chars[:, place] = _DIGITS[place - stop + 3][group]
+    return start
 
 
-def _float_cells(x, chars, valid, json_side):
-    """Write the cells of x with |x| < 4e6 (finite), one a row of ``chars``;
-    returns the mask of the cells that must take the scalar path."""
-    scalar = ~(np.abs(x) < _FAST_LIMIT)
+def _float_cells(x, chars, valid, json_side, masked):
+    """Write the cells of x with |x| < 4e6 (finite), one a row of ``chars``.
+
+    Returns the mask of the cells that must take the scalar path, |d| of
+    every cell (0 for those) and the whole places masked (``_put_digits``).
+    """
+    magnitude = np.abs(x)
+    scalar = ~(magnitude < _FAST_LIMIT)
     if scalar.any():
-        x = np.where(scalar, 0.0, x)
-    units = np.abs(_billionths(x)).astype(np.int64)
-    whole, frac = np.divmod(units, _UNITS)
+        magnitude[scalar] = 0.0
+    units = _billionths(magnitude).astype(np.uint64)
+    whole = units // _UNITS
+    frac = (units - whole * _UNITS).astype(np.uint32)
     valid[:, 0] = np.signbit(x)  # np.signbit(x, out=<strided>) is wrong in numpy 2.4
-    _put_digits(chars[:, 1:10], whole)
-    _drop_leading_zeros(valid[:, 1:10], whole)
-    groups = _put_digits(chars[:, 11:20], frac)
+    masked = _put_digits(chars[:, 1:10], valid[:, 1:10], whole, masked)
+    # the decimals: one digit, then two 4-digit words
+    high = frac // 10_000
+    low = (frac - high * 10_000).astype(np.intp)
+    first = high // 10_000
+    high = (high - first * 10_000).astype(np.intp)
+    np.add(first, ord("0"), out=chars[:, 11], casting="unsafe")
+    words = chars[:, 12:20].view(np.uint32)
+    words[:, 0] = _WORD_DIGITS[high]
+    words[:, 1] = _WORD_DIGITS[low]
     if json_side:  # keep the decimals up to the last nonzero one, at least one
-        high, middle, low = (_KEPT[g] for g in groups)
-        kept = np.where(low > 0, 6 + low, np.where(middle > 0, 3 + middle, high))
-        for place in range(1, 9):
-            np.greater(kept, place, out=valid[:, 11 + place])
-        scalar |= (units > 0) & (units < 100_000)  # repr: exponent below 1e-4
-    return scalar
+        kept = valid[:, 12:20].view(np.uint32)
+        kept[:, 0] = np.where(low > 0, _EVERY_DIGIT, _WORD_KEPT[high])
+        kept[:, 1] = _WORD_KEPT[low]
+    return scalar, units, masked
 
 
-def _int_cells(v, chars, valid, plus):
-    """Write the cells of v with |v| < 1e9; returns the mask of the others."""
-    scalar = ~((v > -_UNITS) & (v < _UNITS))
-    magnitude = np.abs(np.where(scalar, 0, v))
+def _exponent_cells(d: np.ndarray):
+    """Bytes and keep mask of places 9-19 of the FLOAT slots of the JSON
+    cells of d billionths, 1 <= d < 1e5: D[.DDDD]e-0E (the sign stays)."""
+    d = d.astype(np.intp)
+    shift = (d >= 10).astype(np.intp) + (d >= 100) + (d >= 1000) + (d >= 10_000)
+    mantissa = d * 10 ** (4 - shift)  # the digits of d, then zeros, to five places
+    lead = mantissa // 10_000
+    rest = mantissa - lead * 10_000
+    chars = np.empty((len(d), 11), dtype=np.uint8)
+    valid = np.ones((len(d), 11), dtype=bool)
+    chars[:, 0] = lead + ord("0")
+    chars[:, 1] = ord(".")
+    valid[:, 1] = rest > 0
+    chars[:, 2:6] = _WORD_DIGITS[rest].view(np.uint8).reshape(-1, 4)
+    valid[:, 2:6] = _WORD_KEPT[rest].view(np.bool_).reshape(-1, 4)
+    chars[:, 6:9] = np.frombuffer(b"e-0", dtype=np.uint8)
+    chars[:, 9] = ord("9") - shift  # E = 10 - len(str(d))
+    valid[:, 10] = False
+    return chars, valid
+
+
+def _int_cells(v, chars, valid, plus, masked):
+    """Write the cells of v with |v| < 1e9; returns the mask of the others
+    and the places masked (``_put_digits``)."""
+    scalar = (v <= -_UNITS) | (v >= _UNITS)
+    magnitude = np.abs(v)
+    if scalar.any():
+        magnitude[scalar] = 0
     if plus:
         chars[:, 0] = np.where(v < 0, ord("-"), ord("+"))
     else:
         np.less(v, 0, out=valid[:, 0])
-    _put_digits(chars[:, 1:10], magnitude)
-    _drop_leading_zeros(valid[:, 1:10], magnitude)
-    return scalar
+    return scalar, _put_digits(chars[:, 1:10], valid[:, 1:10], magnitude, masked)
 
 
 def _bool_cells(v, chars, valid):
@@ -334,11 +398,18 @@ class _BlockRenderer:
     a block are written together: stacked into one array of k * n values,
     rendered in one pass into a preallocated (k * n, 20) byte matrix and
     mask, then copied a column's slots at a time into the rows.  Per-call
-    numpy overhead is then paid once a block, not once a FLOAT column.  A
-    row with a cell the columns do not write (None or non-finite,
-    |x| >= 4e6, in JSON also 0 < |round(x, 9)| < 1e-4; an integer of ten
-    or more digits) is written by ``fmt`` / ``_json_number`` instead and
-    spliced in at its place.  Each row starts with ``lead``.
+    numpy overhead is then paid once a block, not once a FLOAT column.
+
+    A digit field (the whole part of the FLOAT cells, the magnitude of an
+    INT or SIGNED column) is written only in as many places as the block's
+    largest value has; ``masked`` records, per field, how many leading
+    places are masked in every row, so a block masks only those a wider
+    block before it kept.  JSON cells that ``repr`` writes with an exponent
+    (0 < |round(x, 9)| < 1e-4) are rewritten in their rows.  A row with a
+    cell the columns do not write (None or non-finite, |x| >= 4e6, an
+    integer of ten or more digits) is written by ``fmt`` /
+    ``_json_number`` instead and spliced in at its place.  Each row starts
+    with ``lead``.
     """
 
     def __init__(self, columns, json_side: bool, indent: str = "", lead: str = ""):
@@ -357,6 +428,7 @@ class _BlockRenderer:
                 slots.append((i, at, at + _WIDTH[self.kinds[i]]))
                 at += _WIDTH[self.kinds[i]]
         self.width = at
+        self.float_starts = np.array([start for _, start, _ in self.floats], dtype=np.intp)
         self._allocate(0)
 
     def _allocate(self, rows: int) -> None:
@@ -373,6 +445,10 @@ class _BlockRenderer:
         self.float_valid = np.ones((cells, _WIDTH[FLOAT]), dtype=bool)
         self.float_chars[:, 0] = ord("-")
         self.float_chars[:, 10] = ord(".")
+        # leading places of each digit field masked in every row: the FLOAT
+        # whole places, and the magnitude of each INT or SIGNED slot by its start
+        fields = [start for i, start, _ in self.others if self.kinds[i] != BOOL]
+        self.masked = dict.fromkeys([FLOAT, *fields], 0)
 
     def text(self, block) -> str:
         """Text of the rows of ``block``: one column of cells per column."""
@@ -386,24 +462,35 @@ class _BlockRenderer:
             k = len(self.floats)
             x = np.concatenate([cells[i] for i, _, _ in self.floats], out=self.float_x[:k * n])
             float_chars, float_valid = self.float_chars[:k * n], self.float_valid[:k * n]
-            scalar |= _float_cells(x, float_chars, float_valid, self.json_side).reshape(k, n).any(axis=0)
+            float_scalar, units, self.masked[FLOAT] = _float_cells(
+                x, float_chars, float_valid, self.json_side, self.masked[FLOAT])
+            scalar |= float_scalar.reshape(k, n).any(axis=0)
             for c, (_, start, stop) in enumerate(self.floats):
                 column = slice(c * n, (c + 1) * n)
                 chars[:, start:stop] = float_chars[column]
                 valid[:, start:stop] = float_valid[column]
+            if self.json_side:  # cells repr writes with an exponent, rewritten in their rows
+                tiny = np.flatnonzero((units > 0) & (units < _TINY))
+                if len(tiny):
+                    slot, row = np.divmod(tiny, n)
+                    places = self.float_starts[slot, None] + _EXPONENT_PLACES
+                    chars[row[:, None], places], valid[row[:, None], places] = _exponent_cells(units[tiny])
         for i, start, stop in self.others:
             kind, out = self.kinds[i], (chars[:, start:stop], valid[:, start:stop])
             if kind == BOOL:
                 _bool_cells(cells[i], *out)
             else:
-                scalar |= _int_cells(cells[i], *out, kind == SIGNED and not self.json_side)
+                int_scalar, self.masked[start] = _int_cells(
+                    cells[i], *out, kind == SIGNED and not self.json_side, self.masked[start])
+                scalar |= int_scalar
         if not scalar.any():
             return str(chars[valid], "ascii")
         rows = np.flatnonzero(scalar)
+        kept = valid[rows]
         valid[rows] = False
         ends = np.cumsum(np.count_nonzero(valid, axis=1))
         body = str(chars[valid], "ascii")
-        valid[rows] = True  # every kept byte of a slot is written again next block
+        valid[rows] = kept  # the masked leading places stay masked
         pieces, done = [], 0
         for r in rows.tolist():
             row = [_SCALAR[kind](column[r]) for column, kind in zip(cells, self.kinds)]

@@ -131,7 +131,7 @@ class TestTableColumns:
             a_list = [random_angle(rng) for _ in range(rng.integers(1, 8))]
             b_list = [random_angle(rng) for _ in range(rng.integers(1, 8))]
             # blocks of 1, 3 and 7 rows split a pair's four rows
-            monkeypatch.setattr(cli, "ROW_BLOCK", int(rng.choice((1, 3, 7, 512))))
+            monkeypatch.setattr(cli, "ROW_BLOCK", int(rng.choice((1, 3, 7, 512, 2048))))
             blocks = list(cli._table_blocks(a_list, b_list))
             assert all(len(block[0]) == cli.ROW_BLOCK for block in blocks[:-1])
             written = [row for block in blocks for row in zip(*(c.tolist() for c in block))]

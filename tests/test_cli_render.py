@@ -102,7 +102,7 @@ def test_block_renderer_matches_cell_by_cell_oracle(fmt_name, kind):
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
-@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("block", [7, 1024, 2048])
 def test_rows_of_mixed_kinds_match_oracle(monkeypatch, fmt_name, block):
     # rows written cell by cell fall inside blocks and on their boundaries
     monkeypatch.setattr(cli, "ROW_BLOCK", block)
@@ -118,7 +118,7 @@ def test_rows_of_mixed_kinds_match_oracle(monkeypatch, fmt_name, block):
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
-@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("block", [7, 1024, 2048])
 def test_rows_of_several_float_columns_match_oracle(monkeypatch, fmt_name, block):
     # the FLOAT columns of a block are rendered stacked: a cell taking the
     # scalar path must mark its own row, whichever column it is in
@@ -130,9 +130,10 @@ def test_rows_of_several_float_columns_match_oracle(monkeypatch, fmt_name, block
     odd = (None, 4e6, 1e-5, -4.5e6, -1e-5)
     for column, row in zip(rng.integers(0, 4, 150), rng.integers(0, n, 150)):
         cells[column, row] = odd[rng.integers(len(odd))]
-    planted = {  # row: {float column: value}, around the boundaries of blocks of 7 and 1024
+    planted = {  # row: {float column: value}, around the boundaries of blocks of 7, 1024 and 2048
         0: {0: None, 1: 4e6, 2: 1e-5}, 6: {1: None, 3: 1e-5}, 7: {2: 4e6},
         13: {1: 1e-5, 3: None}, 1023: {0: 4e6, 2: None, 3: 1e-5}, 1024: {3: 1e-5},
+        2047: {1: -4.5e6, 2: 1e-5}, 2048: {0: None},
     }
     for row, values in planted.items():
         for column, value in values.items():
@@ -143,4 +144,39 @@ def test_rows_of_several_float_columns_match_oracle(monkeypatch, fmt_name, block
     rows = list(zip(x, ints, y, oks, z, w))
     columns = [("x", FLOAT), ("n", INT), ("y", FLOAT), ("ok", BOOL), ("z", FLOAT), ("w", FLOAT)]
     bad = mismatches(fmt_name, columns, rows)
+    assert not bad, (len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("block", [7, 2048])
+def test_digit_width_changing_between_blocks_matches_oracle(monkeypatch, fmt_name, block):
+    # a digit field is written only in the places of its block's widest
+    # value: a narrow block after a wide one must mask the places the wide
+    # one kept, and a wide block after a narrow one must write them
+    monkeypatch.setattr(cli, "ROW_BLOCK", block)
+    rng = np.random.default_rng(41)
+    widths = [1, 7, 1, 1, 7, 7, 1]  # narrow -> wide, wide -> narrow, and runs of each
+    rows = []
+    for digits in widths:
+        sign = rng.choice((-1, 1), block)
+        whole = rng.integers(10 ** (digits - 1) if digits > 1 else 0, min(10**digits, 4 * 10**6), block)
+        floats = sign * (whole + rng.random(block))
+        int_digits = 9 if digits > 1 else 1
+        ints = sign * rng.integers(10 ** (int_digits - 1) if int_digits > 1 else 0, 10**int_digits, block)
+        small = rng.random(block) < 0.25  # narrower values among the wide ones
+        floats[small] = np.round(floats[small] % 10, 3)
+        ints[small] %= 10
+        rows += zip(floats.tolist(), ints.tolist(), (-ints).tolist(), rng.random(block).tolist())
+    columns = [("x", FLOAT), ("n", INT), ("A", SIGNED), ("y", FLOAT)]
+    bad = mismatches(fmt_name, columns, rows)
+    assert not bad, (len(bad), bad[:5])
+
+
+def test_every_exponent_form_json_cell_matches_oracle():
+    # repr(round(x, 9)) is [-]D[.DDDD]e-0E for 1 <= |d| < 1e5 billionths:
+    # every such d, both signs, as d * 1e-9 and its two float neighbours
+    d = np.arange(1, 100_000) * 1e-9
+    values = np.concatenate([_neighbours(d), _neighbours(EDGES)])
+    cells = np.concatenate([values, -values]).tolist()
+    bad = mismatches("json", [("x", FLOAT)], [(cell,) for cell in cells])
     assert not bad, (len(bad), bad[:5])
