@@ -248,15 +248,7 @@ _UNITS = 10**9  # d counts billionths
 _TINY = 100_000  # repr writes an exponent for 0 < |d| below this
 # the ASCII digits of each 3-digit group, one table per digit place
 _DIGITS = np.array([list(b"%03d" % g) for g in range(1000)], dtype=np.uint8).T.copy()
-# the four ASCII digits of each 4-digit group as one uint32 word, and the
-# word of its mask that keeps each digit up to the last nonzero one
-_GROUPS = np.arange(10_000, dtype=np.int16)[:, None]
-_WORD_DIGITS = (
-    (_GROUPS // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + ord("0"))
-    .astype(np.uint8).view(np.uint32)[:, 0]
-)
-_WORD_KEPT = (_GROUPS % np.array([10_000, 1000, 100, 10], dtype=np.int16) > 0).view(np.uint32)[:, 0]
-_EVERY_DIGIT = _WORD_KEPT[9999]
+_EVERY_DIGIT = np.uint32(0x01010101)  # a keep mask word of four kept digits
 _BOOL_TEXT = np.array([list(b"false"), list(b"true ")], dtype=np.uint8).T.copy()
 # cell slot widths: sign and 9 digits, then for a FLOAT the point and 9 decimals
 _WIDTH = {FLOAT: 20, INT: 10, SIGNED: 10, BOOL: 5}
@@ -270,6 +262,22 @@ _EXPONENT_PLACES = np.arange(9, 20)  # the places of a FLOAT slot an exponent fo
 # one uint32 word.  Digits are split off by unsigned integer division by a
 # constant, which numpy vectorizes: per cell it is cheaper than float64
 # floor division and several times cheaper than int64 np.divmod.
+
+
+@functools.cache
+def _words():
+    """The four ASCII digits of each 4-digit group as one uint32 word, and
+    the word of its mask that keeps each digit up to the last nonzero one.
+
+    Built on first use, so a process that imports the CLI and renders
+    nothing does not pay for them."""
+    groups = np.arange(10_000, dtype=np.int16)[:, None]
+    digits = (groups // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + ord("0")).astype(np.uint8)
+    kept = groups % np.array([10_000, 1000, 100, 10], dtype=np.int16) > 0
+    tables = digits.view(np.uint32)[:, 0], kept.view(np.uint32)[:, 0]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _billionths(x: np.ndarray) -> np.ndarray:
@@ -336,19 +344,21 @@ def _float_cells(x, chars, valid, json_side, masked):
     first = high // 10_000
     high = (high - first * 10_000).astype(np.intp)
     np.add(first, ord("0"), out=chars[:, 11], casting="unsafe")
+    word_digits, word_kept = _words()
     words = chars[:, 12:20].view(np.uint32)
-    words[:, 0] = _WORD_DIGITS[high]
-    words[:, 1] = _WORD_DIGITS[low]
+    words[:, 0] = word_digits[high]
+    words[:, 1] = word_digits[low]
     if json_side:  # keep the decimals up to the last nonzero one, at least one
         kept = valid[:, 12:20].view(np.uint32)
-        kept[:, 0] = np.where(low > 0, _EVERY_DIGIT, _WORD_KEPT[high])
-        kept[:, 1] = _WORD_KEPT[low]
+        kept[:, 0] = np.where(low > 0, _EVERY_DIGIT, word_kept[high])
+        kept[:, 1] = word_kept[low]
     return scalar, units, masked
 
 
 def _exponent_cells(d: np.ndarray):
     """Bytes and keep mask of places 9-19 of the FLOAT slots of the JSON
     cells of d billionths, 1 <= d < 1e5: D[.DDDD]e-0E (the sign stays)."""
+    word_digits, word_kept = _words()
     d = d.astype(np.intp)
     shift = (d >= 10).astype(np.intp) + (d >= 100) + (d >= 1000) + (d >= 10_000)
     mantissa = d * 10 ** (4 - shift)  # the digits of d, then zeros, to five places
@@ -359,8 +369,8 @@ def _exponent_cells(d: np.ndarray):
     chars[:, 0] = lead + ord("0")
     chars[:, 1] = ord(".")
     valid[:, 1] = rest > 0
-    chars[:, 2:6] = _WORD_DIGITS[rest].view(np.uint8).reshape(-1, 4)
-    valid[:, 2:6] = _WORD_KEPT[rest].view(np.bool_).reshape(-1, 4)
+    chars[:, 2:6] = word_digits[rest].view(np.uint8).reshape(-1, 4)
+    valid[:, 2:6] = word_kept[rest].view(np.bool_).reshape(-1, 4)
     chars[:, 6:9] = np.frombuffer(b"e-0", dtype=np.uint8)
     chars[:, 9] = ord("9") - shift  # E = 10 - len(str(d))
     valid[:, 10] = False
