@@ -273,7 +273,8 @@ def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
     return LhvModel([w for _, w in kept], FACTORIZED, lambda angle: t1, lambda angle: t2)
 
 
-# bounds the time of verify_consistency, which is O(K^2): about 3.8 s at
+# the most hidden states verify_consistency accepts, from any source, and
+# position_style_model builds: the check is O(K^2) in time, about 3.8 s at
 # 2**16 states (2 vCPU Xeon, numpy 2.4); its pair sum holds 512 KiB of
 # products whatever K is
 MAX_GRID_SIZE = 1 << 16
@@ -379,14 +380,17 @@ def _flat_column(slot, n_states, keys, rows, cols, values, tol) -> "_TableColumn
     cells, last = np.unique(cells[::-1], return_index=True)
     plus.flat[cells] = np.asarray(values, dtype=float)[::-1][last]
     absent.flat[cells] = False
-    return _TableColumn(slot, keys, plus.tolist(), n_states, tol, absent if absent.any() else None)
+    inside = (plus >= 0.0) & (plus <= 1.0) | absent  # absent cells hold NaN
+    table = plus if inside.all() else plus.tolist()  # else clamped or rejected entry by entry
+    return _TableColumn(slot, keys, table, n_states, tol, absent if absent.any() else None)
 
 
 class _TableColumn:
     """Column function over response tables, checked here once.
 
     ``table[j][k]`` is state k's raw P(+1) at ``keys[j]`` (distinct tuples),
-    a list of ``n_states`` values per key; NaN where ``absent[j, k]``.  The
+    a list of ``n_states`` values per key, or a ``(len(keys), n_states)``
+    array whose given entries all lie in [0, 1]; NaN where ``absent[j, k]``.  The
     checked columns are held in one read-only array of shape
     (len(keys), 2, K), ``columns[j]`` being the ``Column`` at ``keys[j]``.  A
     key that every state tabulates is answered by a view of its column;
@@ -397,16 +401,19 @@ class _TableColumn:
     __slots__ = ("keys", "tol", "columns", "index")
 
     def __init__(self, slot, keys, table, n_states, tol, absent=None):
-        given = table if absent is None else [np.array(table)[~absent].tolist()]
-        if not all(0.0 <= v <= 1.0 for row in given for v in row):  # clamp dust, reject the rest
-            table = [list(row) for row in table]
-            for k in range(n_states):
-                for j, row in enumerate(table):
-                    if absent is None or not absent[j, k]:
-                        v = row[k]
-                        what = f"{slot} table at {keys[j]} for id {k}"
-                        row[k] = _response_pair(lambda o: v if o == 1 else 1.0 - v, what)[0]
-        columns = np.array([(row, [1.0 - v for v in row]) for row in table]).reshape(len(keys), 2, n_states)
+        if isinstance(table, np.ndarray):
+            columns = np.stack((table, 1.0 - table), axis=1)
+        else:
+            given = table if absent is None else [np.array(table)[~absent].tolist()]
+            if not all(0.0 <= v <= 1.0 for row in given for v in row):  # clamp dust, reject the rest
+                table = [list(row) for row in table]
+                for k in range(n_states):
+                    for j, row in enumerate(table):
+                        if absent is None or not absent[j, k]:
+                            v = row[k]
+                            what = f"{slot} table at {keys[j]} for id {k}"
+                            row[k] = _response_pair(lambda o: v if o == 1 else 1.0 - v, what)[0]
+            columns = np.array([(row, [1.0 - v for v in row]) for row in table]).reshape(len(keys), 2, n_states)
         columns.setflags(write=False)
         complete = range(len(keys)) if absent is None else np.flatnonzero(~absent.any(axis=1)).tolist()
         self.keys = keys
@@ -580,7 +587,12 @@ def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TO
     The double average over independent state pairs is a naive O(K^2) sum
     of pair products (``_pair_sum``), 256 rows at a time in numpy's pairwise
     order; it holds at most 512 KiB of products, so memory stays O(K).
+    Raises ValueError for a model of more than ``MAX_GRID_SIZE`` states.
     """
+    if len(m.weights) > MAX_GRID_SIZE:
+        raise ValueError(
+            f"model has {len(m.weights)} hidden states, above the limit of {MAX_GRID_SIZE} for verify_consistency"
+        )
     pa, terms, joint, moments = _averaged(m, a, b)
 
     # marginal from mean: P(B) = (1/2)(1 + B * mean_t2)

@@ -14,9 +14,9 @@ and response tables follow in any order:
 
 Angles are radians; ``p_plus`` is the probability of outcome +1 (the -1
 response is its complement).  Weights must be nonnegative and sum to 1.
-Hidden-state ids may be any distinct integers; they are renumbered densely
-in sorted order when parsed, so dumping is canonical and dump/parse/dump
-is byte-stable.
+Hidden-state ids may be any distinct signed 64-bit integers; they are
+renumbered densely in sorted order when parsed, so dumping is canonical and
+dump/parse/dump is byte-stable.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -148,8 +149,9 @@ class _Parsed:
 
     def __init__(self, blocks):
         kind: Optional[str] = None
-        positions: dict[int, int] = {}  # hidden-state id -> declaration position
-        ids: list[int] = []
+        # hidden-state id -> declaration position: range(n) while the ids
+        # are 0, 1, ..., n - 1 in order, as in every written file, else a dict
+        positions: range | dict[int, int] = range(0)
         weights = array("d")
         p1 = _Slot("p1")
         p2 = None  # made once the kind is known
@@ -171,9 +173,9 @@ class _Parsed:
                             state_id = int(tokens[1])
                         except ValueError:
                             _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
-                        pos = positions.get(state_id)
-                        if pos is None:
+                        if state_id not in positions:
                             _fail(line_no, f"response references undeclared hidden state {state_id}")
+                        pos = positions[state_id]
                         if slot.arity == 4:
                             try:
                                 angle, p = float(tokens[2]), float(tokens[3])
@@ -219,6 +221,8 @@ class _Parsed:
                             state_id = int(tokens[1])
                         except ValueError:
                             _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
+                        if not -(1 << 63) <= state_id < 1 << 63:
+                            _fail(line_no, f"hidden-state id {state_id} does not fit in 64 bits")
                         if state_id in positions:
                             _fail(line_no, f"duplicate hidden-state id {state_id}")
                         try:
@@ -229,8 +233,12 @@ class _Parsed:
                             _parse_float(tokens[2], line_no, "weight")  # raises the error
                         if weight < 0.0:
                             _fail(line_no, f"weight must be nonnegative, got {weight!r}")
-                        positions[state_id] = len(ids)
-                        ids.append(state_id)
+                        if isinstance(positions, range) and state_id == len(positions):
+                            positions = range(state_id + 1)
+                        else:
+                            if isinstance(positions, range):
+                                positions = dict(zip(positions, positions))
+                            positions[state_id] = len(weights)
                         weights.append(weight)
                         continue
 
@@ -242,26 +250,31 @@ class _Parsed:
 
         if kind is None:
             raise ModelFileError("model file declares no kind")
-        if not ids:
+        if not weights:
             raise ModelFileError("model file declares no hidden states")
         total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ModelFileError(f"hidden-state weights sum to {total!r}, expected 1")
 
-        # states are renumbered densely in sorted id order
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.rank = np.empty(len(ids), dtype=np.intp)
-        self.rank[order] = np.arange(len(ids))
+        # states are renumbered densely in sorted id order; positions holds
+        # the ids in declaration order
+        order = np.argsort(np.fromiter(positions, np.int64, len(weights)), kind="stable")
+        self.rank = np.empty(len(weights), dtype=np.intp)
+        self.rank[order] = np.arange(len(weights))
         self.kind = kind
-        self.weights = [weights[pos] for pos in order]
+        self.weights = np.asarray(weights)[order]
         self.slots = (p1, p2)
 
     def spec(self) -> ModelSpec:
         p1, p2 = (slot.tables(self.rank) for slot in self.slots)
-        return ModelSpec(kind=self.kind, weights=tuple(self.weights), p1_tables=p1, p2_tables=p2)
+        return ModelSpec(kind=self.kind, weights=tuple(self.weights.tolist()), p1_tables=p1, p2_tables=p2)
 
     def model(self) -> lhv.LhvModel:
-        return lhv.flat_tabulated_model(self.kind, self.weights, *(slot.flat(self.rank) for slot in self.slots))
+        """The model, built once: the slots' tables are let go as soon as
+        they are flat, before the model's own tables are built."""
+        flats = [slot.flat(self.rank) for slot in self.slots]
+        self.slots = None
+        return lhv.flat_tabulated_model(self.kind, self.weights, *flats)
 
 
 def _first_repeat(*slots) -> None:
@@ -271,7 +284,7 @@ def _first_repeat(*slots) -> None:
         _fail(*min(repeats))
 
 
-def _blocks(f, size: int = 1 << 16):
+def _blocks(f, size: int = 1 << 13):
     """The lines of a text file, as ``str.splitlines`` splits the whole
     text, in lists read about ``size`` characters at a time."""
     tail = ""
@@ -300,16 +313,17 @@ def _key_texts(parts):
     return map(repr, map(float, parts[0] if parts else ()))
 
 
-def _lines(kind: str, weights, slots) -> list[str]:
-    """The canonical text, as lines: the kind, the weights, then each slot's
-    entries ``(state, key text, p)`` in the order given.  Values are coerced
-    with ``float`` first, so numpy scalars are written as plain numbers
-    rather than as ``np.float64(...)``."""
-    lines = [f"kind {kind}\n"]
-    lines += [f"lambda {i} {float(w)!r}\n" for i, w in enumerate(weights)]
+def _lines(kind: str, weights, slots) -> Iterator[str]:
+    """The canonical text, line by line: the kind, the weights, then each
+    slot's entries ``(state, key text, p)`` in the order given.  Values are
+    coerced with ``float`` first, so numpy scalars are written as plain
+    numbers rather than as ``np.float64(...)``."""
+    yield f"kind {kind}\n"
+    for i, w in enumerate(weights):
+        yield f"lambda {i} {float(w)!r}\n"
     for directive, entries in zip(("p1", "p2"), slots):
-        lines += [f"{directive} {i} {key} {float(p)!r}\n" for i, key, p in entries]
-    return lines
+        for i, key, p in entries:
+            yield f"{directive} {i} {key} {float(p)!r}\n"
 
 
 def dump_model_spec(spec: ModelSpec) -> str:
@@ -345,24 +359,34 @@ class _Tabulated:
             key, k = (x[0] for x in np.nonzero(np.isnan(table)))
             raise lhv.InvalidModelError(f"no {slot} response tabulated at {keys[key]} for id {k}")
         order = sorted(range(len(keys)), key=keys.__getitem__)  # every state lists its keys ascending
-        return [keys[j] for j in order], table[order].tolist()
+        return [keys[j] for j in order], table[order]
 
     def spec(self) -> ModelSpec:
         tables = (
-            tuple(tuple((*key, p) for key, p in zip(keys, ps)) for ps in zip(*table))
-            if keys else ((),) * len(self.model.weights)
+            tuple(tuple((*key, p) for key, p in zip(keys, ps)) for ps in table.T.tolist())
             for keys, table in self.slots
         )
         return ModelSpec(self.model.kind, tuple(self.model.weights.tolist()), *tables)
 
-    def lines(self) -> list[str]:
+    def lines(self) -> Iterator[str]:
         slots = (_by_state(list(_key_texts(list(zip(*keys)))), table) for keys, table in self.slots)
-        return _lines(self.model.kind, self.model.weights.tolist(), slots)
+        return _lines(self.model.kind, _by_block(self.model.weights), slots)
 
 
-def _by_state(texts: list[str], table: list[list[float]]):
+# states whose numbers are turned into Python floats at a time when writing
+WRITE_BLOCK = 4096
+
+
+def _by_block(values: np.ndarray) -> Iterator:
+    """The entries of a 1-D array as Python floats, or the columns of a 2-D
+    one as lists of them, converted ``WRITE_BLOCK`` at a time."""
+    for start in range(0, values.shape[-1], WRITE_BLOCK):
+        yield from values[..., start:start + WRITE_BLOCK].T.tolist()
+
+
+def _by_state(texts: list[str], table: np.ndarray):
     """``(state, key text, p)`` of whole columns, by state, then by key."""
-    for i, ps in enumerate(zip(*table)):
+    for i, ps in enumerate(_by_block(table)):
         for text, p in zip(texts, ps):
             yield i, text, p
 
@@ -400,6 +424,11 @@ def write_model_file(
     t2_angles: Sequence[float] = (),
     t2_pairs: Sequence[tuple[float, float]] = (),
 ) -> None:
+    """Tabulate a model at the given settings (see ``spec_from_model``) and
+    write it in canonical form.  The table is checked before the file is
+    opened, so a model that fails creates no file.  The text is made a block
+    of states at a time and written 512 lines at a time."""
     lines = _Tabulated(model, t1_angles, t2_angles, t2_pairs).lines()
     with open(path, "w") as out:
-        out.writelines(lines)
+        for text in iter(lambda: "".join(islice(lines, 512)), ""):
+            out.write(text)

@@ -371,6 +371,21 @@ class TestLhvVerify:
         assert code == EXIT_OK
         assert "result: PASS" in out
 
+    def test_model_file_above_state_limit_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.model"
+        path.write_text(
+            "kind general\nlambda 0 0.25\nlambda 1 0.25\nlambda 2 0.5\n"
+            + "".join(f"p1 {k} 0.4 0.5\np2 {k} 0.4 1.1 +1 0.5\np2 {k} 0.4 1.1 -1 0.5\n" for k in range(3))
+        )
+        verify = ("lhv-verify", "--model-file", str(path), "--a", "0.4", "--b", "1.1")
+        monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 3)
+        assert run_cli(capsys, *verify)[0] == EXIT_OK
+        monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 2)
+        code, out, err = run_cli(capsys, *verify)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "3 hidden states, above the limit of 2" in err
+        assert "Traceback" not in err
+
     def test_general_model_file_skips_chsh_bound(self, capsys, tmp_path):
         path = tmp_path / "g.model"
         path.write_text(

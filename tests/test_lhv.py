@@ -332,6 +332,15 @@ class TestConsistencyChecks:
         with pytest.raises(UndefinedConditionalError):
             lhv.model_conditional_t2(m, 0.0, 0.0, -1, 1)
 
+    def test_state_limit_holds_for_any_model(self):
+        # the O(K^2) check refuses a model above MAX_GRID_SIZE states before
+        # any pair is summed, whether or not position_style_model built it
+        k = lhv.MAX_GRID_SIZE + 1
+        table = ([(0.0,)], np.arange(k), np.zeros(k, dtype=int), np.full(k, 0.5))
+        m = lhv.flat_tabulated_model(lhv.FACTORIZED, np.full(k, 1.0 / k), table, table)
+        with pytest.raises(ValueError, match=f"{k} hidden states, above the limit of {lhv.MAX_GRID_SIZE}"):
+            lhv.verify_consistency(m, 0.0, 0.0)
+
 
 # 256*K just below, on and just above 1, 2 and 4 leaves of 2**16 products;
 # at 419 and 8193 some halving of a chunk is rounded down to a multiple of 8

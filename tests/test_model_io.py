@@ -60,6 +60,13 @@ class TestParsing:
         assert spec.p1_tables[0] == ((0.0, 0.0),)
         assert spec.p1_tables[1] == ((0.0, 1.0),)
 
+    def test_ids_in_order_then_out_of_order(self):
+        # ids 0, 1 are positions as written; 5 and 2 then switch to a lookup
+        text = "kind factorized\n" + "".join(f"lambda {i} 0.25\n" for i in (0, 1, 5, 2))
+        text += "".join(f"p1 {i} 0.0 {p!r}\n" for i, p in ((5, 0.5), (2, 0.75), (0, 0.0), (1, 0.25)))
+        spec = model_io.parse_model_text(text)
+        assert spec.p1_tables == (((0.0, 0.0),), ((0.0, 0.25),), ((0.0, 0.75),), ((0.0, 0.5),))
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -71,6 +78,10 @@ class TestErrors:
             ("kind factorized\nlambda 0 0.5\nlambda 0 0.5", "duplicate hidden-state id"),
             ("kind factorized\nlambda 0 abc", "not a number"),
             ("kind factorized\nlambda 0 1.0\np1 1 0.0 0.5", "undeclared hidden state"),
+            ("kind factorized\nlambda 0 1.0\np1 -1 0.0 0.5", "undeclared hidden state -1"),
+            ("kind factorized\nlambda 0 0.5\nlambda 3 0.5\np1 1 0.0 0.5", "undeclared hidden state 1"),
+            ("kind factorized\nlambda 0 0.5\nlambda 3 0.25\nlambda 3 0.25", "line 4: duplicate hidden-state id"),
+            ("kind factorized\nlambda 0 0.5\nlambda 9223372036854775808 0.5", "line 3: hidden-state id 9223372036854775808"),
             ("kind factorized\nlambda 0 1.0\np1 0 0.0 1.5", "must lie in [0, 1]"),
             ("kind factorized\nlambda 0 1.0\np1 0 0.0 0.5\np1 0 0.0 0.6", "duplicate p1"),
             ("kind factorized\nlambda 0 1.0\nbanana 1 2", "unknown directive"),
@@ -158,6 +169,14 @@ class TestRoundTrip:
                 j2, m2 = lhv.average_over_lambda(loaded, a, b)
                 assert j1 == j2 and m1 == m2
 
+    def test_untabulated_setting_leaves_no_file(self, tmp_path):
+        # every check runs before the file is opened
+        model = lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.1: 0.5}, 1: {0.1: 0.5}}, {0: {0.2: 0.5}})
+        path = tmp_path / "missing.model"
+        with pytest.raises(lhv.InvalidModelError, match="no t2 response tabulated at"):
+            model_io.write_model_file(path, model, t1_angles=[0.1], t2_angles=[0.2])
+        assert not path.exists()
+
     def test_general_model_tabulation(self):
         model = model_io.parse_model_text(GENERAL_TEXT).build()
         spec = model_io.spec_from_model(model, t1_angles=[0.3], t2_pairs=[(0.3, 0.9)])
@@ -171,7 +190,7 @@ def test_load_memory_is_bounded_by_lines_not_file(tmp_path):
     # the 10 000-state position file (about 500 KB): reading it whole, with
     # a splitlines() list and per-state dicts, peaked at about 10.1 MB of
     # traced allocations; read a block of lines at a time into flat arrays,
-    # about 2.8 MB
+    # about 1.4 MB
     path = tmp_path / "position.model"
     model_io.write_model_file(path, lhv.position_style_model(10_000), t1_angles=[0.4], t2_angles=[1.1])
     tracemalloc.start()
@@ -182,3 +201,19 @@ def test_load_memory_is_bounded_by_lines_not_file(tmp_path):
         tracemalloc.stop()
     assert len(model.weights) == 10_000
     assert peak <= 5_000_000, peak
+
+
+def test_write_memory_is_bounded_by_blocks_not_states(tmp_path):
+    # the 2**16-state position file (about 4.2 MB): built as one list of
+    # lines from whole-table lists of floats, writing peaked at about 22 MB
+    # of traced allocations; a block of states at a time, about 2.6 MB
+    model = lhv.position_style_model(1 << 16)
+    path = tmp_path / "position.model"
+    tracemalloc.start()
+    try:
+        model_io.write_model_file(path, model, t1_angles=[0.4], t2_angles=[1.1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().count("\n") == 1 + 3 * (1 << 16)
+    assert peak <= 4_000_000, peak
