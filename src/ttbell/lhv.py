@@ -320,7 +320,7 @@ def tabulated_factorized_model(
     error: finite models are defined only at their tabulated settings.
     """
     p1, p2 = ([t.get(k, {}).items() for k in range(len(weights))] for t in (p1_tables, p2_tables))
-    return tabulated_model(FACTORIZED, weights, p1, p2, angle_tol)
+    return flat_tabulated_model(FACTORIZED, weights, _flat(p1), _flat(p2), angle_tol)
 
 
 def tabulated_general_model(
@@ -333,14 +333,7 @@ def tabulated_general_model(
     tables (a, b, A) -> P(+1)."""
     p1 = [p1_tables.get(k, {}).items() for k in range(len(weights))]
     p2 = [[(*key, p) for key, p in p2_tables.get(k, {}).items()] for k in range(len(weights))]
-    return tabulated_model(GENERAL, weights, p1, p2, angle_tol)
-
-
-def tabulated_model(kind, weights, p1_entries, p2_entries, angle_tol: float = 1e-9) -> LhvModel:
-    """Model from per-state table entries, each checked here once:
-    ``(angle, p_plus)`` for slot 1 and factorized slot 2, ``(a, b, A,
-    p_plus)`` for general slot 2.  A later equal key replaces an earlier one."""
-    return flat_tabulated_model(kind, weights, _flat(p1_entries), _flat(p2_entries), angle_tol)
+    return flat_tabulated_model(GENERAL, weights, _flat(p1), _flat(p2), angle_tol)
 
 
 def _flat(per_state):

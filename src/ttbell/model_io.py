@@ -15,19 +15,18 @@ and response tables follow in any order:
 Angles are radians; ``p_plus`` is the probability of outcome +1 (the -1
 response is its complement).  Weights must be nonnegative and sum to 1.
 Hidden-state ids may be any distinct signed 64-bit integers; they are
-renumbered densely in sorted order when parsed, so dumping is canonical and
-dump/parse/dump is byte-stable.
+renumbered densely in sorted order when loaded, so writing is canonical and
+write/load/write is byte-stable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from array import array
-from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -38,20 +37,6 @@ WEIGHT_TOL = 1e-12
 
 class ModelFileError(ValueError):
     """Malformed model file; the message carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Parsed, canonicalized content of a model file."""
-
-    kind: str
-    weights: tuple[float, ...]
-    p1_tables: tuple[tuple[tuple[float, float], ...], ...]
-    # factorized: ((angle, p), ...) per state; general: ((a, b, A, p), ...)
-    p2_tables: tuple[tuple[tuple, ...], ...]
-
-    def build(self) -> lhv.LhvModel:
-        return lhv.tabulated_model(self.kind, self.weights, self.p1_tables, self.p2_tables)
 
 
 def _fail(line_no: int, message: str):
@@ -98,9 +83,12 @@ class _Slot:
         keys are equal as Python numbers are, so 0.0 and -0.0 are one key.
         Read once the slot is complete."""
         parts = [np.asarray(x) for x in self.key]
-        if len(parts) == 3:
-            parts[2] = parts[2].astype(int)
-        # + 0.0 turns -0.0 into 0.0, so that equal keys are equal rows
+        # + 0.0 turns -0.0 into 0.0, so that equal keys are equal rows; a
+        # single angle is indexed as a 1-D array, many times faster than rows
+        if len(parts) == 1:
+            _, first, index = np.unique(parts[0] + 0.0, return_index=True, return_inverse=True)
+            return parts, index, first
+        parts[2] = parts[2].astype(int)
         rows = np.stack([x + 0.0 for x in parts[:2]] + parts[2:], axis=1)
         _, first, index = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         return parts, index.reshape(-1), first
@@ -133,15 +121,6 @@ class _Slot:
         renumber = np.empty(len(keys), dtype=np.intp)
         renumber[order] = np.arange(len(keys))
         return [keys[j] for j in order], rows, renumber[index], np.asarray(self.value)
-
-    def tables(self, rank: np.ndarray) -> tuple[tuple[tuple, ...], ...]:
-        """Per state in rank order, its entries ``(*key, p)`` as written, ascending."""
-        parts, _, _ = self.keys
-        rows = rank[np.asarray(self.pos, dtype=np.intp)]
-        order = np.lexsort((*parts[::-1], rows))
-        entries = list(zip(*(x[order].tolist() for x in parts), np.asarray(self.value)[order].tolist()))
-        ends = np.cumsum(np.bincount(rows, minlength=len(rank))).tolist()
-        return tuple(tuple(entries[start:end]) for start, end in zip([0] + ends, ends))
 
 
 class _Parsed:
@@ -265,10 +244,6 @@ class _Parsed:
         self.weights = np.asarray(weights)[order]
         self.slots = (p1, p2)
 
-    def spec(self) -> ModelSpec:
-        p1, p2 = (slot.tables(self.rank) for slot in self.slots)
-        return ModelSpec(kind=self.kind, weights=tuple(self.weights.tolist()), p1_tables=p1, p2_tables=p2)
-
     def model(self) -> lhv.LhvModel:
         """The model, built once: the slots' tables are let go as soon as
         they are flat, before the model's own tables are built."""
@@ -299,43 +274,6 @@ def _blocks(f, size: int = 1 << 13):
 _LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
 
 
-def parse_model_text(text: str) -> ModelSpec:
-    """Parse model-file content; raises ModelFileError with a line number."""
-    return _Parsed([text.splitlines()]).spec()
-
-
-def _key_texts(parts):
-    """Keys as a model file writes them, ``angle`` or ``a b A``, from their
-    components: a column of angles, or columns of a, b and A."""
-    if len(parts) == 3:
-        a, b, A = parts
-        return map("{!r} {!r} {:+d}".format, map(float, a), map(float, b), A)
-    return map(repr, map(float, parts[0] if parts else ()))
-
-
-def _lines(kind: str, weights, slots) -> Iterator[str]:
-    """The canonical text, line by line: the kind, the weights, then each
-    slot's entries ``(state, key text, p)`` in the order given.  Values are
-    coerced with ``float`` first, so numpy scalars are written as plain
-    numbers rather than as ``np.float64(...)``."""
-    yield f"kind {kind}\n"
-    for i, w in enumerate(weights):
-        yield f"lambda {i} {float(w)!r}\n"
-    for directive, entries in zip(("p1", "p2"), slots):
-        for i, key, p in entries:
-            yield f"{directive} {i} {key} {float(p)!r}\n"
-
-
-def dump_model_spec(spec: ModelSpec) -> str:
-    """Canonical text form; full-precision floats so parsing is lossless."""
-    slots = []
-    for tables in (spec.p1_tables, spec.p2_tables):
-        states = [i for i, table in enumerate(tables) for _ in table]
-        *key, p = list(zip(*(entry for table in tables for entry in table))) or [(), ()]
-        slots.append(zip(states, _key_texts(key), p))
-    return "".join(_lines(spec.kind, spec.weights, slots))
-
-
 class _Tabulated:
     """A model's responses at given settings, a whole column per key:
     ``table[j]`` is P(+1) of every state at ``keys[j]``, keys ascending
@@ -361,53 +299,35 @@ class _Tabulated:
         order = sorted(range(len(keys)), key=keys.__getitem__)  # every state lists its keys ascending
         return [keys[j] for j in order], table[order]
 
-    def spec(self) -> ModelSpec:
-        tables = (
-            tuple(tuple((*key, p) for key, p in zip(keys, ps)) for ps in table.T.tolist())
-            for keys, table in self.slots
-        )
-        return ModelSpec(self.model.kind, tuple(self.model.weights.tolist()), *tables)
-
     def lines(self) -> Iterator[str]:
-        slots = (_by_state(list(_key_texts(list(zip(*keys)))), table) for keys, table in self.slots)
-        return _lines(self.model.kind, _by_block(self.model.weights), slots)
+        """The canonical text, one string per block of whole states of
+        about ``WRITE_BLOCK`` lines: the kind, the weights, then each slot's
+        entries by state, then by key.  A block's numbers are turned into
+        Python floats together, so numpy scalars are written as plain numbers
+        rather than as ``np.float64(...)``."""
+        yield f"kind {self.model.kind}\n"
+        columns = [("lambda", [""], self.model.weights[np.newaxis])]
+        for directive, (keys, table) in zip(("p1", "p2"), self.slots):
+            texts = ["{!r} {!r} {:+d} ".format(*key) if len(key) == 3 else f"{key[0]!r} " for key in keys]
+            columns.append((directive, texts, table))
+        for directive, texts, table in columns:
+            step = max(1, WRITE_BLOCK // max(1, len(texts)))  # states a block
+            for start in range(0, table.shape[1], step):
+                block = table[:, start:start + step].T.tolist()
+                yield "".join([f"{directive} {i} {text}{p!r}\n"
+                               for i, ps in enumerate(block, start) for text, p in zip(texts, ps)])
 
 
-# states whose numbers are turned into Python floats at a time when writing
-WRITE_BLOCK = 4096
+# lines made at a time when writing, so a write's memory is bounded
+# whatever the number of states or settings
+WRITE_BLOCK = 1024
 
 
-def _by_block(values: np.ndarray) -> Iterator:
-    """The entries of a 1-D array as Python floats, or the columns of a 2-D
-    one as lists of them, converted ``WRITE_BLOCK`` at a time."""
-    for start in range(0, values.shape[-1], WRITE_BLOCK):
-        yield from values[..., start:start + WRITE_BLOCK].T.tolist()
-
-
-def _by_state(texts: list[str], table: np.ndarray):
-    """``(state, key text, p)`` of whole columns, by state, then by key."""
-    for i, ps in enumerate(_by_block(table)):
-        for text, p in zip(texts, ps):
-            yield i, text, p
-
-
-def spec_from_model(
-    model: lhv.LhvModel,
-    t1_angles: Sequence[float],
-    t2_angles: Sequence[float] = (),
-    t2_pairs: Sequence[tuple[float, float]] = (),
-) -> ModelSpec:
-    """Tabulate a model's responses at the given settings.
-
-    Factorized models need ``t2_angles``; general models need ``t2_pairs``
-    of (first, second) angles, tabulated for both first-slot outcomes.
-    """
-    return _Tabulated(model, t1_angles, t2_angles, t2_pairs).spec()
-
-
-def load_model(path: str | Path) -> lhv.LhvModel:
-    """Read a model file line by line straight into the model's tables."""
-    with open(path) as f:
+def load_model(source: str | Path | TextIO) -> lhv.LhvModel:
+    """Read a model file, given by its path or as an open text stream such
+    as ``io.StringIO(text)`` (left open), line by line straight into the
+    model's tables."""
+    with contextlib.nullcontext(source) if hasattr(source, "read") else open(source) as f:
         try:
             parsed = _Parsed(_blocks(f))
         except ModelFileError:
@@ -424,11 +344,12 @@ def write_model_file(
     t2_angles: Sequence[float] = (),
     t2_pairs: Sequence[tuple[float, float]] = (),
 ) -> None:
-    """Tabulate a model at the given settings (see ``spec_from_model``) and
-    write it in canonical form.  The table is checked before the file is
-    opened, so a model that fails creates no file.  The text is made a block
-    of states at a time and written 512 lines at a time."""
+    """Tabulate a model's responses at the given settings and write them in
+    canonical form.  Factorized models need ``t2_angles``; general models
+    need ``t2_pairs`` of (first, second) angles, tabulated for both
+    first-slot outcomes.  The table is checked before the file is opened, so
+    a model that fails creates no file.  The text is made and written a
+    block of states at a time."""
     lines = _Tabulated(model, t1_angles, t2_angles, t2_pairs).lines()
     with open(path, "w") as out:
-        for text in iter(lambda: "".join(islice(lines, 512)), ""):
-            out.write(text)
+        out.writelines(lines)

@@ -177,6 +177,8 @@ def run(
             n_a_minus += int(np.count_nonzero(a_minus))
             n_pp += int(np.count_nonzero(a_plus & (w[:, 1] < t_b_after_plus)))
             n_mp += int(np.count_nonzero(a_minus & (w[:, 1] < t_b_after_minus)))
+            # let the chunk go before the next is drawn, so one is held at a time
+            del w, detected, a_plus, a_minus
 
     # detected trials only, in DETECTORS order
     totals = (n_pp, n_a_plus - n_pp, n_mp, n_a_minus - n_mp)

@@ -9,6 +9,7 @@ position model must keep each byte.
 """
 
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -110,8 +111,8 @@ def cases():
         ("reproducer", lhv.fixed_setting_reproducer(math.pi / 3, math.pi / 6), LADDER,
          (math.pi / 3, math.pi / 6)),
         ("general-hand-written", hand_written_general_model(), ODD, (0.4, 1.1)),
-        ("parsed-factorized", model_io.parse_model_text(FACTORIZED_FILE).build(), ODD, (-0.9, 1.1)),
-        ("parsed-general", model_io.parse_model_text(GENERAL_FILE).build(), ODD, (0.4, 0.3)),
+        ("parsed-factorized", model_io.load_model(io.StringIO(FACTORIZED_FILE)), ODD, (-0.9, 1.1)),
+        ("parsed-general", model_io.load_model(io.StringIO(GENERAL_FILE)), ODD, (0.4, 0.3)),
     ]
 
 

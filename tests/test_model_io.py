@@ -1,5 +1,6 @@
-"""Tests for the model file format: parsing, canonical dumps, round-trips."""
+"""Tests for the model file format: loading, canonical writes, round-trips."""
 
+import io
 import math
 import tracemalloc
 
@@ -28,12 +29,21 @@ p2 0 0.3 0.9 -1 0.1
 """
 
 
+def load_text(text):
+    return model_io.load_model(io.StringIO(text))
+
+
+def written(model, path, **settings):
+    """The text ``write_model_file`` writes for a model at the given settings."""
+    model_io.write_model_file(path, model, **settings)
+    return path.read_text()
+
+
 class TestParsing:
     def test_parse_factorized(self):
-        spec = model_io.parse_model_text(FACTORIZED_TEXT)
-        assert spec.kind == lhv.FACTORIZED
-        assert spec.weights == (0.25, 0.75)
-        model = spec.build()
+        model = load_text(FACTORIZED_TEXT)
+        assert model.kind == lhv.FACTORIZED
+        assert model.weights.tolist() == [0.25, 0.75]
         joint, moments = lhv.average_over_lambda(model, 0.0, 0.5)
         # hand enumeration: P1(+) = 0.25*1.0 + 0.75*0.25
         assert joint.prob(1, 1) + joint.prob(1, -1) == pytest.approx(0.4375, abs=1e-12)
@@ -42,81 +52,118 @@ class TestParsing:
         )
 
     def test_parse_general(self):
-        spec = model_io.parse_model_text(GENERAL_TEXT)
-        model = spec.build()
+        model = load_text(GENERAL_TEXT)
         joint = lhv.per_lambda_joint(model, 0.3, 0.9, model.support[0])
         assert joint.pp == pytest.approx(0.6 * 0.8, abs=1e-12)
         assert joint.mp == pytest.approx(0.4 * 0.1, abs=1e-12)
 
-    def test_comments_and_blank_lines_ignored(self):
+    def test_comments_and_blank_lines_ignored(self, tmp_path):
         text = "\n# header\n\n" + FACTORIZED_TEXT + "\n# trailing\n"
-        assert model_io.parse_model_text(text) == model_io.parse_model_text(FACTORIZED_TEXT)
+        settings = dict(t1_angles=[0.0], t2_angles=[0.5])
+        assert written(load_text(text), tmp_path / "a", **settings) == written(
+            load_text(FACTORIZED_TEXT), tmp_path / "b", **settings
+        )
 
-    def test_sparse_ids_renumbered_densely(self):
+    def test_sparse_ids_renumbered_densely(self, tmp_path):
         text = "kind factorized\nlambda 7 0.5\nlambda 3 0.5\np1 7 0.0 1.0\np1 3 0.0 0.0\n"
-        spec = model_io.parse_model_text(text)
-        assert spec.weights == (0.5, 0.5)
+        model = load_text(text)
+        assert model.weights.tolist() == [0.5, 0.5]
         # id 3 sorts first
-        assert spec.p1_tables[0] == ((0.0, 0.0),)
-        assert spec.p1_tables[1] == ((0.0, 1.0),)
+        assert model.t1_column(0.0)[0].tolist() == [0.0, 1.0]
+        assert written(model, tmp_path / "m", t1_angles=[0.0]) == (
+            "kind factorized\nlambda 0 0.5\nlambda 1 0.5\np1 0 0.0 0.0\np1 1 0.0 1.0\n"
+        )
 
-    def test_ids_in_order_then_out_of_order(self):
+    def test_ids_in_order_then_out_of_order(self, tmp_path):
         # ids 0, 1 are positions as written; 5 and 2 then switch to a lookup
         text = "kind factorized\n" + "".join(f"lambda {i} 0.25\n" for i in (0, 1, 5, 2))
         text += "".join(f"p1 {i} 0.0 {p!r}\n" for i, p in ((5, 0.5), (2, 0.75), (0, 0.0), (1, 0.25)))
-        spec = model_io.parse_model_text(text)
-        assert spec.p1_tables == (((0.0, 0.0),), ((0.0, 0.25),), ((0.0, 0.75),), ((0.0, 0.5),))
+        model = load_text(text)
+        assert model.t1_column(0.0)[0].tolist() == [0.0, 0.25, 0.75, 0.5]
+        expected = "kind factorized\n" + "".join(f"lambda {i} 0.25\n" for i in range(4))
+        expected += "".join(f"p1 {i} 0.0 {p!r}\n" for i, p in enumerate((0.0, 0.25, 0.75, 0.5)))
+        assert written(model, tmp_path / "m", t1_angles=[0.0]) == expected
+
+
+MALFORMED = [
+    ("lambda 0 1.0", "kind must be declared"),
+    ("kind factorized\nkind general\nlambda 0 1.0", "line 2"),
+    ("kind sideways\nlambda 0 1.0", "line 1"),
+    ("kind factorized\nlambda 0 0.5\nlambda 0 0.5", "duplicate hidden-state id"),
+    ("kind factorized\nlambda 0 abc", "not a number"),
+    ("kind factorized\nlambda 0 1.0\np1 1 0.0 0.5", "undeclared hidden state"),
+    ("kind factorized\nlambda 0 1.0\np1 -1 0.0 0.5", "undeclared hidden state -1"),
+    ("kind factorized\nlambda 0 0.5\nlambda 3 0.5\np1 1 0.0 0.5", "undeclared hidden state 1"),
+    ("kind factorized\nlambda 0 0.5\nlambda 3 0.25\nlambda 3 0.25", "line 4: duplicate hidden-state id"),
+    ("kind factorized\nlambda 0 0.5\nlambda 9223372036854775808 0.5", "line 3: hidden-state id 9223372036854775808"),
+    ("kind factorized\nlambda 0 1.0\np1 0 0.0 1.5", "must lie in [0, 1]"),
+    ("kind factorized\nlambda 0 1.0\np1 0 0.0 0.5\np1 0 0.0 0.6", "duplicate p1"),
+    ("kind factorized\nlambda 0 1.0\nbanana 1 2", "unknown directive"),
+    ("kind factorized\nlambda 0 1.0\np2 0 0.0 0.1 +1 0.5", "expected 4 fields"),
+    ("kind general\nlambda 0 1.0\np2 0 0.0 0.1 0.5", "expected 6 fields"),
+    ("kind general\nlambda 0 1.0\np2 0 0.0 0.1 2 0.5", "must be +1 or -1"),
+    ("kind factorized\nlambda 0 0.5\nlambda 1 0.4", "weights sum to"),
+    ("kind factorized", "no hidden states"),
+    ("", "no kind"),
+]
 
 
 class TestErrors:
-    @pytest.mark.parametrize(
-        "text, fragment",
-        [
-            ("lambda 0 1.0", "kind must be declared"),
-            ("kind factorized\nkind general\nlambda 0 1.0", "line 2"),
-            ("kind sideways\nlambda 0 1.0", "line 1"),
-            ("kind factorized\nlambda 0 0.5\nlambda 0 0.5", "duplicate hidden-state id"),
-            ("kind factorized\nlambda 0 abc", "not a number"),
-            ("kind factorized\nlambda 0 1.0\np1 1 0.0 0.5", "undeclared hidden state"),
-            ("kind factorized\nlambda 0 1.0\np1 -1 0.0 0.5", "undeclared hidden state -1"),
-            ("kind factorized\nlambda 0 0.5\nlambda 3 0.5\np1 1 0.0 0.5", "undeclared hidden state 1"),
-            ("kind factorized\nlambda 0 0.5\nlambda 3 0.25\nlambda 3 0.25", "line 4: duplicate hidden-state id"),
-            ("kind factorized\nlambda 0 0.5\nlambda 9223372036854775808 0.5", "line 3: hidden-state id 9223372036854775808"),
-            ("kind factorized\nlambda 0 1.0\np1 0 0.0 1.5", "must lie in [0, 1]"),
-            ("kind factorized\nlambda 0 1.0\np1 0 0.0 0.5\np1 0 0.0 0.6", "duplicate p1"),
-            ("kind factorized\nlambda 0 1.0\nbanana 1 2", "unknown directive"),
-            ("kind factorized\nlambda 0 1.0\np2 0 0.0 0.1 +1 0.5", "expected 4 fields"),
-            ("kind general\nlambda 0 1.0\np2 0 0.0 0.1 0.5", "expected 6 fields"),
-            ("kind general\nlambda 0 1.0\np2 0 0.0 0.1 2 0.5", "must be +1 or -1"),
-            ("kind factorized\nlambda 0 0.5\nlambda 1 0.4", "weights sum to"),
-            ("kind factorized", "no hidden states"),
-            ("", "no kind"),
-        ],
-    )
+    @pytest.mark.parametrize("text, fragment", MALFORMED)
     def test_malformed_inputs(self, text, fragment):
         with pytest.raises(model_io.ModelFileError) as err:
-            model_io.parse_model_text(text)
+            load_text(text)
         assert fragment in str(err.value)
 
     def test_line_numbers_reported(self):
         text = "kind factorized\nlambda 0 1.0\n\n# fine\np1 0 0.0 7.0\n"
         with pytest.raises(model_io.ModelFileError) as err:
-            model_io.parse_model_text(text)
+            load_text(text)
         assert str(err.value).startswith("line 5:")
+
+    def test_path_and_stream_give_the_same_error(self, tmp_path):
+        path = tmp_path / "bad.model"
+        for text, _ in MALFORMED:
+            path.write_text(text)
+            with pytest.raises(model_io.ModelFileError) as from_path:
+                model_io.load_model(path)
+            with pytest.raises(model_io.ModelFileError) as from_stream:
+                load_text(text)
+            assert str(from_path.value) == str(from_stream.value)
 
 
 class TestRoundTrip:
-    def test_dump_parse_dump_is_stable(self):
-        spec = model_io.parse_model_text(FACTORIZED_TEXT)
-        text = model_io.dump_model_spec(spec)
-        spec2 = model_io.parse_model_text(text)
-        assert spec2 == spec
-        assert model_io.dump_model_spec(spec2) == text
+    def test_write_load_write_is_stable(self, tmp_path):
+        settings = dict(t1_angles=[0.0], t2_angles=[0.5])
+        text = written(load_text(FACTORIZED_TEXT), tmp_path / "a", **settings)
+        assert text == FACTORIZED_TEXT.split("\n", 1)[1]  # the canonical form, without the comment
+        assert written(model_io.load_model(tmp_path / "a"), tmp_path / "b", **settings) == text
 
-    def test_general_round_trip(self):
-        spec = model_io.parse_model_text(GENERAL_TEXT)
-        text = model_io.dump_model_spec(spec)
-        assert model_io.parse_model_text(text) == spec
+    def test_general_round_trip(self, tmp_path):
+        settings = dict(t1_angles=[0.3], t2_pairs=[(0.3, 0.9)])
+        text = written(load_text(GENERAL_TEXT), tmp_path / "a", **settings)
+        assert sorted(text.splitlines()) == sorted(GENERAL_TEXT.splitlines())
+        assert written(load_text(text), tmp_path / "b", **settings) == text
+
+    def test_multi_block_general_model_round_trip_is_byte_stable(self, tmp_path):
+        n = 3 * model_io.WRITE_BLOCK + 17  # several blocks in every slot, the last one partial
+        rng = np.random.default_rng(11)
+        weights = rng.random(n)
+        weights /= weights.sum()
+        pairs = [(0.1, 0.3), (-0.7, 0.3)]
+        p1 = {k: {a: float(rng.random()) for a, _ in pairs} for k in range(n)}
+        p2 = {k: {(a, b, A): float(rng.random()) for a, b in pairs for A in (1, -1)} for k in range(n)}
+        model = lhv.tabulated_general_model(weights, p1, p2)
+        settings = dict(t1_angles=[a for a, _ in pairs], t2_pairs=pairs)
+        text = written(model, tmp_path / "a", **settings)
+        assert text.count("\n") == 1 + 7 * n
+        loaded = model_io.load_model(tmp_path / "a")
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        for a, b in pairs:
+            assert loaded.t1_column(a)[0].tobytes() == model.t1_column(a)[0].tobytes()
+            for A in (1, -1):
+                assert loaded.t2_column(a, b, A)[0].tobytes() == model.t2_column(a, b, A)[0].tobytes()
+        assert written(loaded, tmp_path / "b", **settings) == text
 
     def test_builtin_model_written_and_reloaded(self, tmp_path):
         a, b = math.pi / 3, math.pi / 6
@@ -135,10 +182,10 @@ class TestRoundTrip:
         model = lhv.tabulated_factorized_model(weights, p1, p2)
         path = tmp_path / "frac.model"
         model_io.write_model_file(path, model, t1_angles=[0.1], t2_angles=[0.2])
-        spec = model_io.parse_model_text(path.read_text())
-        assert spec.weights == weights
-        assert dict(spec.p1_tables[0])[0.1] == 1.0 / 7.0
-        assert dict(spec.p2_tables[0])[0.2] == 0.123456789012345
+        loaded = model_io.load_model(path)
+        assert tuple(loaded.weights.tolist()) == weights
+        assert loaded.t1_column(0.1)[0][0] == 1.0 / 7.0
+        assert loaded.t2_column(0.2)[0][0] == 0.123456789012345
 
     def test_random_factorized_model_round_trip(self, tmp_path):
         # numpy-valued weights must be written as plain floats
@@ -177,10 +224,11 @@ class TestRoundTrip:
             model_io.write_model_file(path, model, t1_angles=[0.1], t2_angles=[0.2])
         assert not path.exists()
 
-    def test_general_model_tabulation(self):
-        model = model_io.parse_model_text(GENERAL_TEXT).build()
-        spec = model_io.spec_from_model(model, t1_angles=[0.3], t2_pairs=[(0.3, 0.9)])
-        rebuilt = spec.build()
+    def test_general_model_tabulation(self, tmp_path):
+        model = load_text(GENERAL_TEXT)
+        path = tmp_path / "general.model"
+        model_io.write_model_file(path, model, t1_angles=[0.3], t2_pairs=[(0.3, 0.9)])
+        rebuilt = model_io.load_model(path)
         j1 = lhv.per_lambda_joint(model, 0.3, 0.9, model.support[0])
         j2 = lhv.per_lambda_joint(rebuilt, 0.3, 0.9, rebuilt.support[0])
         assert j1 == j2

@@ -194,6 +194,18 @@ def test_memory_does_not_grow_with_trials():
     assert peak < 2 * 2**20
 
 
+def test_one_chunk_of_words_held_at_a_time():
+    # four chunks of 2**14 trials, 512 KiB of words each: the traced peak was
+    # 1.05 MiB while the previous chunk stayed bound during the next draw
+    tracemalloc.start()
+    try:
+        mc.run(0.3, 1.1, mc.DetectionConfig(eta_d=0.9), 4 * mc._CHUNK_TRIALS, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2**20, peak
+
+
 class TestStatisticalConsistency:
     def test_detector_frequencies_within_four_sigma(self):
         n = 200000
