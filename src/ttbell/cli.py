@@ -3,7 +3,8 @@
 Subcommands: ``table`` (joint/marginal/conditional probabilities),
 ``mc`` (seeded detection-chain run), ``chsh-scan`` (ladder sweep with
 refined maximum), ``lhv-verify`` (model bookkeeping checks and CHSH
-bounds), ``polytope`` (local-model membership certificate).
+bounds), ``polytope`` (local-model membership certificate), ``sweep``
+(Monte Carlo CHSH value over a fixed grid of eta_d*F).
 
 Output is CSV (a header line, then one line per record; fields are
 numbers or true/false and never need quoting; floats with nine decimal
@@ -50,7 +51,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import lhv, model_io, montecarlo, polytope, quantum
-from .chsh import ChshSettings, ladder_settings, scan_alpha
+from .chsh import ChshSettings, chsh_value, ladder_settings, scan_alpha, threshold_analysis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +93,8 @@ class Option(NamedTuple):
 
 
 FORMATS = ("csv", "json")
-EVERY_COMMAND = ("table", "mc", "chsh-scan", "lhv-verify", "polytope")
+ANGLE_COMMANDS = ("table", "mc", "chsh-scan", "lhv-verify", "polytope")  # those that read an angle
+EVERY_COMMAND = (*ANGLE_COMMANDS, "sweep")
 DETECTION_COMMANDS = ("mc", "chsh-scan", "polytope")  # those that read the efficiencies
 
 # In the order each subcommand lists its flags.
@@ -119,11 +121,11 @@ OPTIONS = (
     Option("f1", float, 1.0, "acceptance into the first analyzer", DETECTION_COMMANDS, unit=True),
     Option("f21", float, 1.0, "acceptance into the second analyzer", DETECTION_COMMANDS, unit=True),
     Option("fd2", float, 1.0, "acceptance from second analyzer into a detector", DETECTION_COMMANDS, unit=True),
-    Option("trials", int, 100000, "number of Monte Carlo trials", ("mc",)),
-    Option("seed", int, 2024, "RNG seed (64-bit)", ("mc",)),
+    Option("trials", int, 100000, "number of Monte Carlo trials", ("mc", "sweep")),
+    Option("seed", int, 2024, "RNG seed (64-bit)", ("mc", "sweep")),
     Option("out", str, None, "output path (default: stdout)", EVERY_COMMAND),
     Option("format", str, "csv", "output format: csv or json", EVERY_COMMAND),
-    Option("degrees", _to_bool, False, "interpret all angle inputs as degrees", EVERY_COMMAND),
+    Option("degrees", _to_bool, False, "interpret all angle inputs as degrees", ANGLE_COMMANDS),
 )
 OPTION_KEYS = frozenset(opt.key for opt in OPTIONS)
 
@@ -634,7 +636,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
     scale = math.pi / 180.0
     for opt in options:
         key = opt.key
-        if merged["degrees"] and opt.angle and merged[key] is not None:
+        if merged.get("degrees") and opt.angle and merged[key] is not None:
             if opt.convert is str:  # may still be a comma list at this point
                 merged[key] = ",".join(repr(v * scale) for v in _parse_angle_list(merged[key], key))
             else:
@@ -696,17 +698,28 @@ MC_COLUMNS = (
 )
 
 
+def _trials_and_seed(opts: dict, runs: int = 1, seed_offset: int = 0) -> tuple[int, int]:
+    """``--trials`` and ``--seed`` of ``runs`` runs seeded up to ``seed_offset`` above
+    ``--seed``, checked before the first: no run fails part-way, and all draw at
+    most ``montecarlo.MAX_TRIALS`` trials together."""
+    trials, seed = opts["trials"], opts["seed"]
+    if trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {trials}")
+    if trials > montecarlo.MAX_TRIALS // runs:
+        raise UsageError(f"--trials {trials} exceed the limit of {montecarlo.MAX_TRIALS // runs}")
+    if not 0 <= seed < 2**64 - seed_offset:
+        raise UsageError(f"--seed must lie in [0, 2**64 - {seed_offset + 1}], got {seed}")
+    return trials, seed
+
+
 def cmd_mc(opts: dict) -> tuple[int, Iterable[str]]:
     a = _single_angle(opts, "a")
     b = _single_angle(opts, "b")
-    if opts["trials"] < 1:
-        raise UsageError(f"--trials must be at least 1, got {opts['trials']}")
-    if not 0 <= opts["seed"] < 2**64:
-        raise UsageError(f"--seed must be an unsigned 64-bit value, got {opts['seed']}")
+    trials, seed = _trials_and_seed(opts)
     config = montecarlo.DetectionConfig(
         eta_d=opts["eta_d"], f1=opts["f1"], f21=opts["f21"], f_d2=opts["fd2"]
     )
-    counts = montecarlo.run(a, b, config, opts["trials"], opts["seed"])
+    counts = montecarlo.run(a, b, config, trials, seed)
     est = montecarlo.estimate(counts)
     record = (
         a, b, config.eta_d, config.f1, config.f21, config.f_d2, config.overall_f,
@@ -741,6 +754,28 @@ def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
     return EXIT_OK, emit_records(
         opts["format"], SCAN_COLUMNS, blocks, (SCAN_SUMMARY_COLUMNS, summary_row)
     )
+
+
+SWEEP_ETA_F = tuple(round(0.6 + 0.02 * i, 12) for i in range(21))
+SWEEP_COLUMNS = (("eta_f", FLOAT), ("s_exp_mc", FLOAT), ("s_exp_closed", FLOAT),
+                 ("violated_mc", BOOL), ("violated_closed", BOOL))
+
+
+def cmd_sweep(opts: dict) -> tuple[int, Iterable[str]]:
+    """Monte Carlo CHSH value at alpha = pi/4 beside its closed form, at each
+    eta_d*F of ``SWEEP_ETA_F``; point i runs ladder pair k with seed ``--seed + 10*i + k``."""
+    s = ladder_settings(math.pi / 4)
+    pairs = ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b_prime), (s.a_prime, s.b))
+    trials, seed = _trials_and_seed(opts, 4 * len(SWEEP_ETA_F), 10 * (len(SWEEP_ETA_F) - 1) + 3)
+    rows = []
+    for i, eta_f in enumerate(SWEEP_ETA_F):
+        config = montecarlo.DetectionConfig(eta_d=eta_f)  # only the product eta_d*F matters
+        est = {pair: montecarlo.estimate(montecarlo.run(*pair, config, trials, seed + 10 * i + k))
+               for k, pair in enumerate(pairs)}
+        measured = chsh_value(lambda x, y: est[x, y].correlator_exp, s)
+        closed = threshold_analysis(eta_f, 1.0)
+        rows.append((eta_f, measured.s_value, closed.s_exp_max, measured.violated, closed.violated))
+    return EXIT_OK, emit_records(opts["format"], SWEEP_COLUMNS, [list(zip(*rows))])
 
 
 def _single_angle(opts: dict, key: str) -> float:
@@ -913,6 +948,7 @@ COMMANDS = {
     "chsh-scan": cmd_chsh_scan,
     "lhv-verify": cmd_lhv_verify,
     "polytope": cmd_polytope,
+    "sweep": cmd_sweep,
 }
 
 

@@ -206,6 +206,54 @@ class TestMc:
         assert flag in err and "Traceback" not in err
 
 
+class TestSweep:
+    SMALL = ("sweep", "--trials", "2000", "--seed", "11")
+
+    def test_writes_one_row_per_grid_point(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(capsys, *self.SMALL, "--out", str(out))[:2] == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["eta_f", "s_exp_mc", "s_exp_closed", "violated_mc", "violated_closed"]
+        assert [row[0] for row in rows[1:]] == [f"{0.6 + 0.02 * i:.9f}" for i in range(21)]
+        # 2*sqrt(2)*eta_f crosses the classical bound 2 at eta_f = 1/sqrt(2) ~ 0.7071
+        assert [row[4] for row in rows[1:]] == ["false"] * 6 + ["true"] * 15
+
+    def test_monte_carlo_tracks_the_closed_form(self, capsys):
+        out = run_cli(capsys, "sweep", "--trials", "20000", "--seed", "5")[1]
+        for line in out.splitlines()[1:]:
+            eta_f, s_mc, s_closed = map(float, line.split(",")[:3])
+            assert s_closed == pytest.approx(eta_f * 2 * math.sqrt(2), abs=1e-9)
+            assert s_mc == pytest.approx(s_closed, abs=0.08)
+
+    def test_trials_cap_covers_every_run(self, capsys, monkeypatch, tmp_path):
+        # 84 runs (21 points x 4 pairs) together draw at most MAX_TRIALS
+        monkeypatch.setattr(montecarlo, "MAX_TRIALS", 84 * 10)
+        assert run_cli(capsys, "sweep", "--trials", "10")[0] == EXIT_OK
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--trials", "11", "--out", str(out))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert "exceed the limit of 10" in err
+        assert not out.exists()
+
+    def test_seed_leaves_room_for_every_run(self, capsys, tmp_path):
+        # point i runs pair k with seed + 10*i + k, up to seed + 203
+        last = 2**64 - 1 - 203
+        assert run_cli(capsys, "sweep", "--trials", "1", "--seed", str(last))[0] == EXIT_OK
+        out = tmp_path / "sweep.csv"
+        for seed in (last + 1, -1):
+            code, stdout, err = run_cli(capsys, "sweep", "--trials", "1", "--seed", str(seed),
+                                        "--out", str(out))
+            assert (code, stdout) == (EXIT_USAGE, "")
+            assert "--seed" in err and "Traceback" not in err
+            assert not out.exists()
+
+    def test_takes_no_degrees_flag_and_ignores_the_key(self, capsys, tmp_path):
+        assert run_cli(capsys, "sweep", "--degrees")[:2] == (EXIT_USAGE, "")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("degrees = true\n")
+        assert run_cli(capsys, *self.SMALL, "--config", str(cfg)) == run_cli(capsys, *self.SMALL)
+
+
 class TestChshScan:
     def test_summary_frozen_values(self, capsys):
         code, out, _ = run_cli(

@@ -2,11 +2,11 @@
 
 Whatever the flags and config-file lines, ``main`` returns one of the
 documented exit codes, lets no exception escape and prints no traceback.
-Every run is kept small: ``--trials`` is always given and at most 1000
-when valid, a ``--grid-size`` is at most 1000 or over the cap, and a scan either
-has at most ``SMALL_SCAN`` rows or asks for more than
-``chsh.MAX_SCAN_ROWS`` and is rejected before anything is allocated;
-draws of a scan between the two are filtered out.
+Every run is kept small: ``mc`` and ``sweep`` are always given a
+``--trials``, at most 1000 when valid, a ``--grid-size`` is at most 1000
+or over the cap, and a scan either has at most ``SMALL_SCAN`` rows or
+asks for more than ``chsh.MAX_SCAN_ROWS`` and is rejected before
+anything is allocated; draws of a scan between the two are filtered out.
 """
 
 import contextlib
@@ -41,6 +41,7 @@ KEYS = {
     "polytope": ("alpha", "targets", *EFFICIENCIES),
     "mc": ("a", "b", "seed", *EFFICIENCIES),
     "lhv-verify": ("model", "grid_size", "a", "b", "a_prime", "b_prime"),
+    "sweep": ("seed",),
 }
 CONFIG_KEYS = tuple(opt.key for opt in cli.OPTIONS if opt.key != "out")  # writes no files
 SMALL_SCAN = 20_000
@@ -74,7 +75,7 @@ def invocations(draw):
     if command == "chsh-scan":
         assume(_admitted_scan_rows({**(config or {}), **flags}) <= SMALL_SCAN)
     argv = [command] + [f"{cli._flag(key)}={text}" for key, text in flags.items()]
-    if command == "mc":
+    if command in ("mc", "sweep"):
         argv.append(f"--trials={value('trials')}")
     if draw(st.booleans()):
         argv.append("--degrees")

@@ -18,6 +18,7 @@ SCAN_PI = ("--alpha-min", "0", "--alpha-max", "3.141592653589793", "--alpha-step
 SCAN_ONE_ROW = ("--alpha-min", "0.3", "--alpha-max", "0.3", "--alpha-step", "0.1")
 MC = ("--a", "0.5", "--b", "0.1", "--trials", "5000", "--seed", "7", "--eta-d", "0.8")
 MC_NONE_DETECTED = ("--a", "0.5", "--b", "0.1", "--trials", "300", "--seed", "1", "--f1", "0")
+SWEEP = ("sweep", "--trials", "2000", "--seed", "11")
 JSON = ("--format", "json")
 
 CASES = [
@@ -59,6 +60,11 @@ CASES = [
     ("lhv-verify-json", ("lhv-verify", "--model", "fixed-setting-reproducer",
                          "--a", "0.9", "--b", "0.2", *JSON),
      EXIT_OK, "b3b7764efda0d1d43c602388b25eee3b5e648ad0b8773ffd01ee695598281ac4"),
+    # the bytes the former scripts/run_efficiency_sweep.py wrote for these flags
+    ("sweep-csv", SWEEP, EXIT_OK,
+     "ea476dd0e55b31fcdabd653b11eece8b1a188a7fa062cc3e4f65d10b7629dd51"),
+    ("sweep-json", (*SWEEP, *JSON), EXIT_OK,
+     "756bc6486a32172519dd33aa14b9591a71ce7795764b4fa628fadad880c9ed05"),
 ]
 
 
@@ -79,6 +85,7 @@ HELP_CASES = [
     (("chsh-scan",), "62512d9a1fd4f1e0df1076f1b0b96d0347736fb3eac71609b8a101975e30989c"),
     (("lhv-verify",), "19e185a29b94dff22ca190843552f661a4a498221cd7e2e4d25ba79b462af7bd"),
     (("polytope",), "36f04abfa0ab985825b860c07d2623be9f425e19bf2ca64e58150b9ad49ffc61"),
+    (("sweep",), "2c2957f70089f0a708bba535ad27e45f4d488b64be9dd3f43ed44ff76923c41e"),
 ]
 
 
