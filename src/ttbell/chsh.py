@@ -17,6 +17,7 @@ S_exp = eta_d*F*S_ideal, so a violation needs eta_d*F > 1/sqrt(2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,7 +28,8 @@ CLASSICAL_BOUND = 2.0
 VIOLATION_TOL = 1e-12
 CRITICAL_ETA_F = 1.0 / math.sqrt(2.0)
 S_IDEAL_MAX = 2.0 * math.sqrt(2.0)
-MAX_SCAN_ROWS = 1 << 22  # bounds a scan's columns; step 1e-6 on [0, pi] is 3.1 M rows
+MAX_SCAN_ROWS = 1 << 22  # bounds a scan's column; step 1e-6 on [0, pi] is 3.1 M rows
+SCAN_CHUNK = 1 << 14  # rows of s_ideal computed at a time, a multiple of 64
 
 
 class InvalidCorrelatorError(ValueError):
@@ -54,16 +56,33 @@ class ChshReport:
 
 @dataclass(frozen=True, eq=False)
 class AlphaScan:
-    """Scan columns, one entry per grid point: ``alpha``, ``s_ideal`` and
-    ``s_exp`` (float64) and ``violated`` (bool)."""
+    """The ladder scan over the grid ``alpha_min + k*step``, held as its
+    ``s_ideal`` column (float64) alone.  ``alpha``, ``s_exp`` (float64) and
+    ``violated`` (bool) are derived: whole columns built on first access,
+    or a block of rows at a time from ``blocks``."""
 
-    alpha: np.ndarray
+    alpha_min: float
+    step: float
+    eta_f: float
     s_ideal: np.ndarray
-    s_exp: np.ndarray
-    violated: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.alpha)
+        return len(self.s_ideal)
+
+    def _alpha(self, lo: int, hi: int) -> np.ndarray:
+        alpha = np.arange(lo, hi, dtype=np.float64)
+        return np.add(np.multiply(alpha, self.step, out=alpha), self.alpha_min, out=alpha)
+
+    def blocks(self, rows: int):
+        """``[alpha, s_ideal, s_exp, violated]`` of ``rows`` rows at a time."""
+        for lo in range(0, len(self), rows):
+            s_ideal = self.s_ideal[lo:lo + rows]
+            s_exp = self.eta_f * s_ideal
+            yield [self._alpha(lo, lo + len(s_ideal)), s_ideal, s_exp, s_exp > CLASSICAL_BOUND + VIOLATION_TOL]
+
+    alpha = functools.cached_property(lambda self: self._alpha(0, len(self)))
+    s_exp = functools.cached_property(lambda self: self.eta_f * self.s_ideal)
+    violated = functools.cached_property(lambda self: self.s_exp > CLASSICAL_BOUND + VIOLATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -194,6 +213,7 @@ def scan_alpha(
     positive, more than ``MAX_SCAN_ROWS`` rows or a grid alpha whose 3*alpha
     overflows.
     """
+    alpha_min, alpha_max, step = float(alpha_min), float(alpha_max), float(step)
     for name, value in (("alpha_min", alpha_min), ("alpha_max", alpha_max), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -217,31 +237,24 @@ def scan_alpha(
             raise ValueError(
                 f"{name} {value!r} is out of range: the ladder angle 3*alpha overflows"
             )
-    # built in place, so at most three float64 columns are alive at once
-    alphas = np.arange(n, dtype=np.float64)
-    alphas *= step
-    alphas += alpha_min
-    s_ideal = np.multiply(alphas, 3.0)
-    np.cos(s_ideal, out=s_ideal)
-    cos_alpha = np.cos(alphas)
-    cos_alpha *= 3.0
-    np.subtract(cos_alpha, s_ideal, out=s_ideal)
-    del cos_alpha
-    np.abs(s_ideal, out=s_ideal)
+    # a chunk at a time, so the one column is all that grows with n
+    scan = AlphaScan(alpha_min, step, eta_f, np.empty(n))
+    for lo in range(0, n, SCAN_CHUNK):
+        alphas, s_ideal = scan._alpha(lo, min(lo + SCAN_CHUNK, n)), scan.s_ideal[lo:lo + SCAN_CHUNK]
+        np.cos(np.multiply(alphas, 3.0, out=s_ideal), out=s_ideal)
+        np.cos(alphas, out=alphas)
+        alphas *= 3.0
+        np.abs(np.subtract(alphas, s_ideal, out=s_ideal), out=s_ideal)
+        del alphas  # before the next chunk's is made
 
+    s_ideal = scan.s_ideal
     grid_max = s_ideal.max()
     tie_tol = max(4.0 * step * step, 1e-12)
     first = int(np.argmax(s_ideal >= grid_max - tie_tol))
-    s_exp = eta_f * s_ideal
-    scan = AlphaScan(
-        alpha=alphas,
-        s_ideal=s_ideal,
-        s_exp=s_exp,
-        violated=s_exp > CLASSICAL_BOUND + VIOLATION_TOL,
-    )
 
-    def refined(k: int) -> float:
-        return _refine_max(s_ideal_closed, float(alphas[max(k - 1, 0)]), float(alphas[min(k + 1, n - 1)]))
+    def refined(k: int) -> float:  # between the grid alphas beside row k, as ``scan.alpha`` has them
+        lo, hi = max(k - 1, 0), min(k + 1, n - 1)
+        return _refine_max(s_ideal_closed, lo * step + alpha_min, hi * step + alpha_min)
 
     alpha_star = refined(first)
     # where the polish is skipped at a bracket edge, the refinement ends up to
@@ -254,7 +267,7 @@ def scan_alpha(
         top = first
         while top + 1 < n and s_ideal[top + 1] > s_ideal[top]:
             top += 1
-        tops = (refined(top), float(alphas[top]), float(alphas[np.argmax(s_ideal)]))
+        tops = (refined(top), top * step + alpha_min, int(np.argmax(s_ideal)) * step + alpha_min)
         alpha_star = next((x for x in tops if s_ideal_closed(x) >= grid_max - 1e-9), tops[-1])
     s_max = s_ideal_closed(alpha_star)
     s_exp_max = eta_f * s_max

@@ -512,12 +512,6 @@ class _BlockRenderer:
         return "".join(pieces)
 
 
-def _column_blocks(*columns):
-    """Blocks of ``ROW_BLOCK`` rows of equal-length columns, as slices."""
-    for lo in range(0, len(columns[0]), ROW_BLOCK):
-        yield [column[lo:lo + ROW_BLOCK] for column in columns]
-
-
 def emit_records(fmt_name: str, columns, blocks, summary=None):
     """CSV or JSON text of a table of records, yielded in chunks.
 
@@ -581,12 +575,13 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="ttbell",
         description="Two-time single-particle CHSH experiment toolkit.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for command in COMMANDS:
         sp = sub.add_parser(command)
         for opt in OPTIONS:
@@ -598,16 +593,14 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(_flag(opt.key), dest=opt.key, default=None, help=opt.help,
                                 choices=FORMATS if opt.key == "format" else None)
         sp.add_argument("--config", default=None, help="flat key = value config file")
-    return parser
+    return parser, sub.choices
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
     """The options of ``args.command``: each from its flag, else from the
     config file, else its default; converted, then scaled by ``--degrees``
     and checked against [0, 1] where the table says so."""
-    config_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        config_values = _load_config_file(args.config)
+    config_values = _load_config_file(args.config) if args.config else {}
 
     options = [opt for opt in OPTIONS if args.command in opt.commands]
     merged = {}
@@ -745,14 +738,10 @@ SCAN_SUMMARY_COLUMNS = (
 
 def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
     eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
-    scan, summary = scan_alpha(
-        opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f
-    )
-    summary_row = (summary.alpha_star, summary.s_max, summary.s_exp_max,
-                   summary.eta_f, summary.eta_f_critical, summary.violated)
-    blocks = _column_blocks(scan.alpha, scan.s_ideal, scan.s_exp, scan.violated)
+    scan, summary = scan_alpha(opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f)
+    summary_row = [getattr(summary, name) for name, _ in SCAN_SUMMARY_COLUMNS]
     return EXIT_OK, emit_records(
-        opts["format"], SCAN_COLUMNS, blocks, (SCAN_SUMMARY_COLUMNS, summary_row)
+        opts["format"], SCAN_COLUMNS, scan.blocks(ROW_BLOCK), (SCAN_SUMMARY_COLUMNS, summary_row)
     )
 
 
@@ -973,15 +962,13 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the subcommand's own usage, which lists its flags
+            subparsers[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
 
     try:
         opts = _merge_options(args)

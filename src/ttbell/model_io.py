@@ -16,7 +16,9 @@ Angles are radians; ``p_plus`` is the probability of outcome +1 (the -1
 response is its complement).  Weights must be nonnegative and sum to 1.
 Hidden-state ids may be any distinct signed 64-bit integers; they are
 renumbered densely in sorted order when loaded, so writing is canonical and
-write/load/write is byte-stable.
+write/load/write is byte-stable.  A file may declare at most
+``lhv.MAX_GRID_SIZE`` hidden states: loading fails at the line that
+declares one more.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ class _Parsed:
         p1 = _Slot("p1")
         p2 = None  # made once the kind is known
         slots: dict[str, _Slot] = {}  # by directive, once the kind is known
+        limit = lhv.MAX_GRID_SIZE  # no subcommand takes a model with more states
         line_no = 0
         try:
             for lines in blocks:
@@ -204,6 +207,8 @@ class _Parsed:
                             _fail(line_no, f"hidden-state id {state_id} does not fit in 64 bits")
                         if state_id in positions:
                             _fail(line_no, f"duplicate hidden-state id {state_id}")
+                        if len(weights) == limit:
+                            _fail(line_no, f"{limit + 1} hidden states, above the limit of {limit}")
                         try:
                             weight = float(tokens[2])
                         except ValueError:

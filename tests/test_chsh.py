@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -187,8 +188,10 @@ class TestScan:
         assert peak < 2**20
 
     def test_peak_memory_per_row(self):
-        # the returned columns hold 25 B a row (three float64, one bool);
-        # building them may not hold more than one byte a row beyond that
+        # a scan holds its s_ideal column alone, 8 B a row; building it holds
+        # one chunk beside it, and the summary one bool a row (the three
+        # whole columns of alpha, s_ideal and s_exp and the bool violated
+        # took 25 B a row)
         n = math.floor(math.pi / 1e-5 + 1e-9) + 1
         tracemalloc.start()
         try:
@@ -197,7 +200,25 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert len(scan) == n
-        assert peak / n <= 26, peak / n
+        assert peak / n <= 10, peak / n
+
+    @pytest.mark.parametrize("rows", [1, 7, chsh.SCAN_CHUNK, 5000])
+    def test_blocks_equal_the_whole_columns(self, rows):
+        scan, _ = chsh.scan_alpha(-0.3, 2.9, 8e-5, eta_f=0.75)  # 40 001 rows, three chunks
+        columns = [scan.alpha, scan.s_ideal, scan.s_exp, scan.violated]
+        blocks = list(scan.blocks(rows))
+        assert [len(block[0]) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        for whole, parts in zip(columns, zip(*blocks)):
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert scan.alpha is scan.alpha  # built once, on first access
+
+    def test_rows_beside_chunk_edges_equal_scalar_route_bitwise(self):
+        scan, _ = chsh.scan_alpha(-0.3, 2.9, 8e-5, eta_f=0.75)
+        edge = chsh.SCAN_CHUNK
+        for k in (0, edge - 1, edge, edge + 1, 2 * edge - 1, len(scan) - 1):
+            alpha = -0.3 + k * 8e-5
+            assert scan.alpha[k].hex() == alpha.hex()
+            assert scan.s_ideal[k].hex() == chsh.s_ideal_closed(alpha).hex()
 
     def test_single_point_range(self):
         rows, summary = chsh.scan_alpha(0.3, 0.3, 0.1)

@@ -661,6 +661,24 @@ class TestConfigAndIo:
         code, _, _ = run_cli(capsys, "mc", "--warp", "9")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, flags", [
+        (("table", "--trials", "5"), "[--a A] [--b B]"),
+        (("sweep", "--degrees"), "[--trials TRIALS] [--seed SEED]"),
+    ])
+    def test_unknown_flag_shows_the_subcommand_usage(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"usage: ttbell {argv[0]} [-h] ")
+        assert flags in err
+        assert f"ttbell {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
+
+    @pytest.mark.parametrize("argv", [(), ("--warp",)])
+    def test_missing_subcommand_shows_the_top_level_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: ttbell [-h] COMMAND ...")
+        assert "ttbell: error: the following arguments are required: COMMAND" in err
+
 
 def _grid(n: int) -> str:
     return ",".join(repr(0.01 * k) for k in range(n))
@@ -720,13 +738,29 @@ class TestStreamedOutput:
          (("table", f"--a={_grid(50)}", f"--b={_grid(50)}"), 10_000)),
     ], ids=["chsh-scan", "table"])
     def test_memory_does_not_grow_with_rows(self, small, big):
-        # beyond the scan's own numpy arrays (32 B a row at their peak),
+        # beyond the scan's own s_ideal column (8 B a row, plus one chunk),
         # memory held for the output must not grow with the rows written;
         # a whole document built in memory costs 380-620 B a row
         _traced_peak(small[0])  # first use builds the cached parser and other one-offs
         peaks = [_traced_peak(argv) for argv, _ in (small, big)]
         per_row = (peaks[1] - peaks[0]) / (big[1] - small[1])
         assert per_row < 64, peaks
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_memory_per_row(self, tmp_path, fmt):
+        # the scan holds its s_ideal column (8 B a row) and a chunk, and the
+        # output a block; with whole alpha, s_ideal, s_exp and violated
+        # columns the peak read about 29 B a row
+        n = math.floor(math.pi / 1e-5 + 1e-9) + 1
+        tracemalloc.start()
+        try:
+            code = main(["chsh-scan", "--alpha-step=1e-05", "--eta-d=0.85", "--format", fmt,
+                         "--out", str(tmp_path / "scan")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak / n <= 16, peak / n
 
     def test_closed_stdout_pipe_ends_quietly(self):
         proc = subprocess.Popen(

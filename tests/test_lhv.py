@@ -106,6 +106,14 @@ class TestPerLambda:
         stats = lhv.per_lambda_stats(m, 0.3, 0.7, m.support[0])
         assert stats.e12 == pytest.approx(stats.e1 * stats.e2, abs=TOL)
 
+    def test_general_model_stats_come_from_the_joint(self):
+        # p1(+)=0.7, p2(+|+)=0.9, p2(+|-)=0.2: joint (.63, .07, .06, .24)
+        stats = lhv.per_lambda_stats(asymmetric_general_model(), 0.0, 0.0, lhv.LambdaPoint(0, 0.5))
+        assert stats.e1 == pytest.approx(0.4, abs=TOL)
+        assert stats.e2 == pytest.approx((0.63 + 0.06) - (0.07 + 0.24), abs=TOL)
+        assert stats.e12 == pytest.approx(0.63 - 0.07 - 0.06 + 0.24, abs=TOL)
+        assert abs(stats.e12 - stats.e1 * stats.e2) > 0.5  # no factorization here
+
     def test_general_model_joint_uses_conditional_response(self):
         m = asymmetric_general_model()
         lam = m.support[0]

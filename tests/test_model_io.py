@@ -105,6 +105,13 @@ MALFORMED = [
     ("kind factorized\nlambda 0 0.5\nlambda 1 0.4", "weights sum to"),
     ("kind factorized", "no hidden states"),
     ("", "no kind"),
+    ("kind factorized\nlambda 0 -0.5", "line 2: weight must be nonnegative, got -0.5"),
+    ("kind factorized\nlambda 0", "line 2: expected 'lambda <id> <weight>'"),
+    ("kind factorized\nlambda 0 0.5 0.5", "line 2: expected 'lambda <id> <weight>'"),
+    ("kind factorized\nlambda 0 1.0\np1 x 0.0 0.5", "line 3: hidden-state id is not an integer: 'x'"),
+    ("kind factorized\nlambda 0 1.0\np2 0.5 0.0 0.5", "line 3: hidden-state id is not an integer: '0.5'"),
+    ("kind general\nlambda 0 1.0\np2 0 0.3 0.9 +1 0.8\np2 0 0.3 0.9 1 0.7",
+     "line 4: duplicate p2 entry for these settings and outcome"),
 ]
 
 
@@ -120,6 +127,23 @@ class TestErrors:
         with pytest.raises(model_io.ModelFileError) as err:
             load_text(text)
         assert str(err.value).startswith("line 5:")
+
+    def test_state_above_the_limit_fails_at_its_lambda_line(self, monkeypatch):
+        text = "kind factorized\nlambda 0 0.25\n# three of four\nlambda 1 0.25\nlambda 2 0.25\n"
+        text += "lambda 3 0.25\n" + "".join(f"p1 {k} 0.0 0.5\np2 {k} 0.1 0.5\n" for k in range(4))
+        monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 4)  # read when the file is loaded
+        assert len(load_text(text).weights) == 4
+        monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 3)
+        with pytest.raises(model_io.ModelFileError) as err:
+            load_text(text)
+        assert str(err.value) == "line 6: 4 hidden states, above the limit of 3"
+
+    def test_undecodable_byte_is_reported_before_the_state_limit(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.model"
+        path.write_bytes(b"kind factorized\nlambda 0 0.5\nlambda 1 0.5\n# \xff\n")
+        monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 1)
+        with pytest.raises(UnicodeDecodeError):
+            model_io.load_model(path)
 
     def test_path_and_stream_give_the_same_error(self, tmp_path):
         path = tmp_path / "bad.model"
