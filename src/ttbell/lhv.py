@@ -308,32 +308,35 @@ def position_style_model(grid_size: int) -> LhvModel:
     return LhvModel(np.full(n, 1.0 / n), FACTORIZED, *columns)
 
 
+ANGLE_TOL = 1e-9  # how far a tabulated angle may lie from the one asked for
+# the most cells (keys x states) one tabulated slot holds: 8 MiB of P(+1)
+MAX_TABLE_CELLS = 1 << 20  # 16 keys at MAX_GRID_SIZE states
+
+
 def tabulated_factorized_model(
     weights,
     p1_tables: dict[int, dict[float, float]],
     p2_tables: dict[int, dict[float, float]],
-    angle_tol: float = 1e-9,
 ) -> LhvModel:
     """Factorized model whose responses are lookup tables angle -> P(+1).
 
-    Evaluating at an angle not present in a table (within angle_tol) is an
-    error: finite models are defined only at their tabulated settings.
+    Evaluating at an angle not present in a table (within ``ANGLE_TOL``) is
+    an error: finite models are defined only at their tabulated settings.
     """
     p1, p2 = ([t.get(k, {}).items() for k in range(len(weights))] for t in (p1_tables, p2_tables))
-    return flat_tabulated_model(FACTORIZED, weights, _flat(p1), _flat(p2), angle_tol)
+    return flat_tabulated_model(FACTORIZED, weights, _flat(p1), _flat(p2))
 
 
 def tabulated_general_model(
     weights,
     p1_tables: dict[int, dict[float, float]],
     p2_tables: dict[int, dict[tuple[float, float, int], float]],
-    angle_tol: float = 1e-9,
 ) -> LhvModel:
     """General model with first-slot tables angle -> P(+1) and second-slot
     tables (a, b, A) -> P(+1)."""
     p1 = [p1_tables.get(k, {}).items() for k in range(len(weights))]
     p2 = [[(*key, p) for key, p in p2_tables.get(k, {}).items()] for k in range(len(weights))]
-    return flat_tabulated_model(GENERAL, weights, _flat(p1), _flat(p2), angle_tol)
+    return flat_tabulated_model(GENERAL, weights, _flat(p1), _flat(p2))
 
 
 def _flat(per_state):
@@ -349,70 +352,62 @@ def _flat(per_state):
     return list(index), rows, cols, values
 
 
-def flat_tabulated_model(kind, weights, p1, p2, angle_tol: float = 1e-9) -> LhvModel:
+def flat_tabulated_model(kind, weights, p1, p2) -> LhvModel:
     """Model from one flat table per slot, ``(keys, rows, cols, values)``:
     state ``rows[i]`` has P(+1) = ``values[i]`` at ``keys[cols[i]]``, keys
-    ``(angle,)`` or, for general slot 2, ``(a, b, A)``.  A later entry for the
-    same state and key replaces an earlier one."""
-    t2_tol = (angle_tol,) if kind == FACTORIZED else (angle_tol, angle_tol, 0.0)
+    ``(angle,)`` or, for general slot 2, ``(a, b, A)``.  Each (state, key)
+    has at most one entry: a model file refuses a repeat at its line, and a
+    dict cannot hold one.  A slot of more than ``MAX_TABLE_CELLS`` keys x
+    states raises ``InvalidModelError``."""
     n_states = len(weights)
     return LhvModel(
         weights=weights,
         kind=kind,
-        t1_column=_flat_column("t1", n_states, *p1, (angle_tol,)),
-        t2_column=_flat_column("t2", n_states, *p2, t2_tol),
+        t1_column=_flat_column("t1", n_states, *p1),
+        t2_column=_flat_column("t2", n_states, *p2),
     )
 
 
-def _flat_column(slot, n_states, keys, rows, cols, values, tol) -> "_TableColumn":
-    """One slot's flat table (see ``flat_tabulated_model``) as a table column."""
+def _flat_column(slot, n_states, keys, rows, cols, values) -> "_TableColumn":
+    """One slot's flat table (see ``flat_tabulated_model``) as a table
+    column.  Entries outside [0, 1] (or NaN) are clamped if rounding dust,
+    else the first in state order, then key order, is rejected."""
+    if len(keys) * n_states > MAX_TABLE_CELLS:
+        raise InvalidModelError(f"{slot} table of {len(keys)} keys x {n_states} states, "
+                                f"above the limit of {MAX_TABLE_CELLS} cells")
+    rows, cols, values = np.asarray(rows, np.intp), np.asarray(cols, np.intp), np.asarray(values, float)
     plus = np.full((len(keys), n_states), np.nan)
-    absent = np.ones(plus.shape, dtype=bool)
-    cells = np.asarray(cols, dtype=np.intp) * n_states + np.asarray(rows, dtype=np.intp)
-    # the last entry of each cell: the first of the reversed list
-    cells, last = np.unique(cells[::-1], return_index=True)
-    plus.flat[cells] = np.asarray(values, dtype=float)[::-1][last]
-    absent.flat[cells] = False
-    inside = (plus >= 0.0) & (plus <= 1.0) | absent  # absent cells hold NaN
-    table = plus if inside.all() else plus.tolist()  # else clamped or rejected entry by entry
-    return _TableColumn(slot, keys, table, n_states, tol, absent if absent.any() else None)
+    plus[cols, rows] = values
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN too
+    for e in bad[np.lexsort((cols[bad], rows[bad]))].tolist():
+        j, k, v = cols[e], rows[e], values.item(e)
+        plus[j, k] = _response_pair(lambda o: v if o == 1 else 1.0 - v, f"{slot} table at {keys[j]} for id {k}")[0]
+    return _TableColumn(keys, plus)
 
 
 class _TableColumn:
-    """Column function over response tables, checked here once.
+    """Column function over a response table that is already checked.
 
-    ``table[j][k]`` is state k's raw P(+1) at ``keys[j]`` (distinct tuples),
-    a list of ``n_states`` values per key, or a ``(len(keys), n_states)``
-    array whose given entries all lie in [0, 1]; NaN where ``absent[j, k]``.  The
-    checked columns are held in one read-only array of shape
-    (len(keys), 2, K), ``columns[j]`` being the ``Column`` at ``keys[j]``.  A
-    key that every state tabulates is answered by a view of its column;
-    otherwise a state answers at the exact key, else at its first key within
-    ``tol`` (per key component), else with NaN.
+    ``plus[j, k]`` is state k's P(+1) at ``keys[j]`` (distinct tuples), a
+    float64 array of shape (len(keys), K) with every entry in [0, 1], NaN
+    where state k has no entry.  The columns are held in one read-only
+    array of shape (len(keys), 2, K), ``columns[j]`` being the ``Column`` at
+    ``keys[j]``.  A key that every state tabulates is answered by a view of
+    its column; otherwise a state answers at the exact key, else at its
+    first key within ``ANGLE_TOL`` per component (so the outcome A = +-1 of
+    a general key matches exactly), else with NaN.
     """
 
-    __slots__ = ("keys", "tol", "columns", "index")
+    __slots__ = ("keys", "columns", "index")
 
-    def __init__(self, slot, keys, table, n_states, tol, absent=None):
-        if isinstance(table, np.ndarray):
-            columns = np.stack((table, 1.0 - table), axis=1)
-        else:
-            given = table if absent is None else [np.array(table)[~absent].tolist()]
-            if not all(0.0 <= v <= 1.0 for row in given for v in row):  # clamp dust, reject the rest
-                table = [list(row) for row in table]
-                for k in range(n_states):
-                    for j, row in enumerate(table):
-                        if absent is None or not absent[j, k]:
-                            v = row[k]
-                            what = f"{slot} table at {keys[j]} for id {k}"
-                            row[k] = _response_pair(lambda o: v if o == 1 else 1.0 - v, what)[0]
-            columns = np.array([(row, [1.0 - v for v in row]) for row in table]).reshape(len(keys), 2, n_states)
+    def __init__(self, keys, plus):
+        # columns[j] is (plus[j], 1 - plus[j]); as np.stack on axis 1, but faster on tiny tables
+        columns = np.concatenate((plus, 1.0 - plus), axis=1).reshape(len(keys), 2, plus.shape[1])
         columns.setflags(write=False)
-        complete = range(len(keys)) if absent is None else np.flatnonzero(~absent.any(axis=1)).tolist()
+        missing = np.isnan(plus.sum(axis=1)).tolist()  # a key some state does not tabulate
         self.keys = keys
-        self.tol = tol
         self.columns = columns
-        self.index = {keys[j]: j for j in complete}
+        self.index = {key: j for j, key in enumerate(keys) if not missing[j]}
 
     def __call__(self, *key) -> Column:
         j = self.index.get(key)
@@ -424,7 +419,7 @@ class _TableColumn:
         grid = np.array(self.keys, dtype=float)
         x = np.array(key, dtype=float)
         exact = (grid == x).all(axis=-1) & ~np.isnan(plus)
-        near = (np.abs(grid - x) <= np.array(self.tol)).all(axis=-1) & ~np.isnan(plus)
+        near = (np.abs(grid - x) <= ANGLE_TOL).all(axis=-1) & ~np.isnan(plus)
         pick = np.where(exact.any(axis=1), exact.argmax(axis=1), near.argmax(axis=1))
         found = (exact | near).any(axis=1)
         return np.where(found, self.columns[pick, :, np.arange(len(plus))].T, np.nan)
@@ -440,11 +435,10 @@ def random_factorized_model(
     raw = rng.random(n_lambda) + 1e-9
     weights = raw / raw.sum()
     columns = []
-    for slot, angles in (("t1", t1_angles), ("t2", t2_angles)):
-        by_angle = rng.random((n_lambda, len(angles))).T.tolist()
+    for angles in (t1_angles, t2_angles):
+        draw = rng.random((n_lambda, len(angles))).T
         at = {(float(x),): j for j, x in enumerate(angles)}  # as in a dict: last value wins
-        table = [by_angle[j] for j in at.values()]
-        columns.append(_TableColumn(slot, list(at), table, n_lambda, (1e-9,)))
+        columns.append(_TableColumn(list(at), draw.take(list(at.values()), axis=0)))
     return LhvModel(weights=weights, kind=FACTORIZED, t1_column=columns[0], t2_column=columns[1])
 
 
@@ -516,17 +510,22 @@ class ConsistencyReport:
     marginal_double_average_error: float
     tol: float = RESPONSE_TOL
 
-    @property
-    def passed(self) -> bool:
-        mandatory = [
-            self.marginal_from_mean_error,
-            self.conditional_moment_route_error,
-            self.double_average_error,
-            self.marginal_double_average_error,
+    def mandatory(self) -> list[tuple[str, float]]:
+        """The checks that must pass, as (name, error) pairs: mean_product
+        only when the outcome-swap symmetry holds."""
+        checks = [
+            ("marginal_from_mean", self.marginal_from_mean_error),
+            ("conditional_moment_route", self.conditional_moment_route_error),
+            ("double_average_factorization", self.double_average_error),
+            ("marginal_double_average", self.marginal_double_average_error),
         ]
         if self.outcome_swap_symmetric:
-            mandatory.append(self.mean_product_error)
-        return all(e <= self.tol for e in mandatory)
+            checks.append(("mean_product", self.mean_product_error))
+        return checks
+
+    @property
+    def passed(self) -> bool:
+        return all(error <= self.tol for _, error in self.mandatory())
 
 
 _LEAF = 1 << 16  # pair products held at once: 512 KiB, inside a 2 MiB L2

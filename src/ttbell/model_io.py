@@ -17,7 +17,8 @@ response is its complement).  Weights must be nonnegative and sum to 1.
 Hidden-state ids may be any distinct signed 64-bit integers; they are
 renumbered densely in sorted order when loaded, so writing is canonical and
 write/load/write is byte-stable.  A file may declare at most
-``lhv.MAX_GRID_SIZE`` hidden states: loading fails at the line that
+``lhv.MAX_GRID_SIZE`` hidden states and, per slot, ``lhv.MAX_TABLE_CELLS``
+response lines (each a distinct cell): loading fails at the line that
 declares one more.
 """
 
@@ -138,6 +139,7 @@ class _Parsed:
         p2 = None  # made once the kind is known
         slots: dict[str, _Slot] = {}  # by directive, once the kind is known
         limit = lhv.MAX_GRID_SIZE  # no subcommand takes a model with more states
+        cells = lhv.MAX_TABLE_CELLS  # nor a slot with more response lines
         line_no = 0
         try:
             for lines in blocks:
@@ -158,6 +160,8 @@ class _Parsed:
                         if state_id not in positions:
                             _fail(line_no, f"response references undeclared hidden state {state_id}")
                         pos = positions[state_id]
+                        if len(slot.value) == cells:
+                            _fail(line_no, f"{cells + 1} {directive} responses, above the limit of {cells} cells")
                         if slot.arity == 4:
                             try:
                                 angle, p = float(tokens[2]), float(tokens[3])
@@ -264,11 +268,11 @@ def _first_repeat(*slots) -> None:
         _fail(*min(repeats))
 
 
-def _blocks(f, size: int = 1 << 13):
+def _blocks(f):
     """The lines of a text file, as ``str.splitlines`` splits the whole
-    text, in lists read about ``size`` characters at a time."""
+    text, in lists read about ``READ_BLOCK`` characters at a time."""
     tail = ""
-    for chunk in iter(lambda: f.read(size), ""):
+    for chunk in iter(lambda: f.read(READ_BLOCK), ""):
         lines = (tail + chunk).splitlines()
         tail = "" if chunk[-1] in _LINE_ENDS else lines.pop()
         yield lines
@@ -276,6 +280,7 @@ def _blocks(f, size: int = 1 << 13):
         yield [tail]
 
 
+READ_BLOCK = 1 << 13  # characters read at a time
 _LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
 
 

@@ -104,13 +104,13 @@ _TABLEAU_ROWS = _tableau_rows()
 _PIVOT_TOL = 1e-11
 
 
-def _simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Strategy, float]]:
+def _simplex_weights(targets: Sequence[float]) -> Optional[dict[Strategy, float]]:
     """Phase-1 simplex: nonnegative strategy weights matching the targets.
 
     Minimizes the total artificial infeasibility of the 5-equation system
     (four correlators plus normalization) over the 16 strategy weights,
     with Bland's rule for termination.  Returns None when the residual
-    optimum exceeds tol.
+    optimum exceeds ``FEASIBILITY_TOL``.
 
     The tableau is five rows of Python floats: the kept strategy columns,
     the 5 artificial columns and the right-hand side.  Every entry is
@@ -159,7 +159,7 @@ def _simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Stra
         raise RuntimeError("simplex did not terminate")
 
     infeasibility = -obj[-1]
-    if infeasibility > tol:
+    if infeasibility > FEASIBILITY_TOL:
         return None
 
     weights = dict.fromkeys(STRATEGIES, 0.0)
@@ -178,12 +178,12 @@ def reconstruct_targets(weights: dict[Strategy, float]) -> tuple[float, float, f
     return tuple(acc)
 
 
-def polytope_check(targets: Sequence[float], tol: float = FEASIBILITY_TOL) -> PolytopeCertificate:
+def polytope_check(targets: Sequence[float]) -> PolytopeCertificate:
     """Decide local-polytope membership of four correlators, with certificate.
 
     The facet scan is the decision oracle; the simplex provides the
     explicit weights on feasible instances.  Disagreement between the two
-    routes (beyond tol) is a logic error and raises.
+    routes (beyond ``FEASIBILITY_TOL``) is a logic error and raises.
     """
     targets = tuple(float(t) for t in targets)
     if len(targets) != 4:
@@ -194,10 +194,10 @@ def polytope_check(targets: Sequence[float], tol: float = FEASIBILITY_TOL) -> Po
 
     facets = facet_values(targets)
     worst_signs, worst_value = max(facets, key=lambda sv: sv[1])
-    feasible = worst_value <= CLASSICAL_BOUND + tol
+    feasible = worst_value <= CLASSICAL_BOUND + FEASIBILITY_TOL
     gap = max(worst_value - CLASSICAL_BOUND, 0.0)
 
-    weights = _simplex_weights(targets, tol)
+    weights = _simplex_weights(targets)
     if feasible and weights is None:
         raise RuntimeError(
             f"facet oracle says feasible (max facet {worst_value!r}) but no weights found"

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 OUTCOMES = (1, -1)
 PROB_TOL = 1e-12
+NORM_TOL = 1e-9  # how far a state's norm^2 may lie from 1
 
 
 class InvalidStateError(ValueError):
@@ -129,12 +130,12 @@ def initial_state() -> SpinState:
     return SpinState(complex(r), complex(r))
 
 
-def overlap_prob(psi: SpinState, phi: SpinState, norm_tol: float = 1e-9) -> float:
+def overlap_prob(psi: SpinState, phi: SpinState) -> float:
     """|<psi|phi>|^2 for unit-normalized states."""
     for state in (psi, phi):
-        if abs(state.norm_sq - 1.0) > norm_tol:
+        if abs(state.norm_sq - 1.0) > NORM_TOL:
             raise InvalidStateError(
-                f"state norm^2 = {state.norm_sq!r} deviates from 1 beyond {norm_tol}"
+                f"state norm^2 = {state.norm_sq!r} deviates from 1 beyond {NORM_TOL}"
             )
     inner = (
         psi.amp_plus.conjugate() * phi.amp_plus

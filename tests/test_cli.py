@@ -434,6 +434,46 @@ class TestLhvVerify:
         assert "3 hidden states, above the limit of 2" in err
         assert "Traceback" not in err
 
+    def test_wide_model_file_is_usage_error(self, capsys, tmp_path):
+        # one p1 angle a state: 1025 keys x 1025 states is past 2**20 cells,
+        # refused before the table is built
+        n = 1025
+        path = tmp_path / "wide.model"
+        path.write_text("kind factorized\n" + "".join(
+            f"lambda {k} {1.0 / n!r}\np1 {k} {k / n!r} 0.5\np2 {k} 1.1 0.5\n" for k in range(n)
+        ))
+        verify = ("lhv-verify", "--model-file", str(path), "--a", "0.4", "--b", "1.1")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *verify)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"ttbell lhv-verify: error: {path}: t1 table of {n} keys x {n} states, "
+            f"above the limit of {lhv.MAX_TABLE_CELLS} cells\n"
+        )
+        assert peak < 4 << 20  # the dense table would be 8 MB, its columns 16 MB
+
+    def test_response_lines_above_cell_limit_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.model"
+        path.write_text("kind factorized\nlambda 0 1.0\np1 0 0.4 0.5\np1 0 0.5 0.5\np2 0 1.1 0.5\n")
+        monkeypatch.setattr(lhv, "MAX_TABLE_CELLS", 1)
+        code, out, err = run_cli(capsys, "lhv-verify", "--model-file", str(path), "--a", "0.4", "--b", "1.1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"ttbell lhv-verify: error: {path}: line 4: 2 p1 responses, above the limit of 1 cells\n"
+
+    @pytest.mark.parametrize("degrees", [(), ("--degrees",)])
+    def test_angles_are_parsed_before_the_model_file(self, capsys, tmp_path, degrees):
+        missing = str(tmp_path / "missing.model")
+        for angle in ("--a", "--b"):
+            code, out, err = run_cli(capsys, "lhv-verify", "--model-file", missing, angle, "x", *degrees)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert f"{angle} " in err and "i/o error" not in err
+        code, _, err = run_cli(capsys, "lhv-verify", "--model-file", missing, *degrees)
+        assert code == EXIT_IO and "i/o error" in err
+
     def test_general_model_file_skips_chsh_bound(self, capsys, tmp_path):
         path = tmp_path / "g.model"
         path.write_text(

@@ -323,6 +323,14 @@ class TestConsistencyChecks:
         assert report.double_average_error <= TOL
         assert report.passed  # mean-product is not mandatory without symmetry
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_mandatory_checks_are_named_once(self, symmetric):
+        report = lhv.ConsistencyReport(0.0, 0.0, 0.5, symmetric, 1.0, 0.0, 0.0)
+        names = ["marginal_from_mean", "conditional_moment_route",
+                 "double_average_factorization", "marginal_double_average"]
+        assert [name for name, _ in report.mandatory()] == names + ["mean_product"] * symmetric
+        assert report.passed is not symmetric  # only a mandatory error of 1.0 fails
+
     def test_stochastic_factorized_models_pass(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -417,6 +425,30 @@ class TestColumnContract:
             lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.1: 0.3}, 1: {0.1: bad}}, {})
         with pytest.raises(lhv.InvalidModelError):
             lhv.tabulated_general_model([1.0], {0: {0.1: 0.3}}, {0: {(0.1, 0.2, -1): bad}})
+
+    def test_first_bad_entry_in_state_order_is_reported(self):
+        # entries given out of state order; state 0's dust is clamped, and
+        # of state 1's two bad entries the one at the first key is named
+        keys = [(0.1,), (0.2,)]
+        table = (keys, [1, 1, 0, 0], [1, 0, 0, 1], [2.0, float("nan"), 1.0 + 1e-13, 0.5])
+        with pytest.raises(lhv.InvalidModelError) as err:
+            lhv.flat_tabulated_model(lhv.FACTORIZED, [0.5, 0.5], table, ([], [], [], []))
+        assert str(err.value) == "t1 table at (0.1,) for id 1 returned nan, outside [0, 1]"
+
+    def test_table_above_the_cell_limit_is_refused_before_it_is_built(self):
+        # 2**11 keys x 2**10 states is twice the limit: the table would be 16 MB
+        keys = [(float(j),) for j in range(1 << 11)]
+        table = (keys, [0], [0], [0.5])
+        n = 1 << 10
+        tracemalloc.start()
+        try:
+            with pytest.raises(lhv.InvalidModelError) as err:
+                lhv.flat_tabulated_model(lhv.FACTORIZED, np.full(n, 1.0 / n), table, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"t1 table of {1 << 11} keys x {n} states, above the limit of {1 << 20} cells"
+        assert peak < 1 << 20
 
     def test_rounding_dust_clamped_when_built(self):
         m = lhv.tabulated_factorized_model([1.0], {0: {0.1: 1.0 + 1e-13}}, {0: {0.2: -1e-13}})

@@ -138,6 +138,30 @@ class TestErrors:
             load_text(text)
         assert str(err.value) == "line 6: 4 hidden states, above the limit of 3"
 
+    def test_response_above_the_cell_limit_fails_at_its_line(self, monkeypatch):
+        text = "kind factorized\nlambda 0 0.5\nlambda 1 0.5\np2 0 0.1 0.5\n"
+        text += "p1 0 0.0 0.5\np1 1 0.0 0.5\n# a third p1 line\np1 0 0.3 0.5\np2 1 0.1 0.5\n"
+        monkeypatch.setattr(lhv, "MAX_TABLE_CELLS", 4)  # read when the file is loaded
+        assert load_text(text).t1_column(0.0)[0].tolist() == [0.5, 0.5]
+        monkeypatch.setattr(lhv, "MAX_TABLE_CELLS", 2)
+        with pytest.raises(model_io.ModelFileError) as err:
+            load_text(text)
+        assert str(err.value) == "line 8: 3 p1 responses, above the limit of 2 cells"
+
+    def test_repeat_is_reported_before_the_cell_limit(self, monkeypatch):
+        text = "kind factorized\nlambda 0 1.0\np1 0 0.0 0.5\np1 0 0.0 0.25\np1 0 0.3 0.5\n"
+        monkeypatch.setattr(lhv, "MAX_TABLE_CELLS", 2)
+        with pytest.raises(model_io.ModelFileError) as err:
+            load_text(text)
+        assert str(err.value) == "line 4: duplicate p1 entry at angle 0.0"
+
+    def test_slot_of_more_keys_x_states_than_the_limit_is_refused(self, monkeypatch):
+        # three lines, but three keys x two states is six cells
+        text = "kind factorized\nlambda 0 0.5\nlambda 1 0.5\np1 0 0.0 0.5\np1 1 0.1 0.5\np1 1 0.2 0.5\n"
+        monkeypatch.setattr(lhv, "MAX_TABLE_CELLS", 5)
+        with pytest.raises(lhv.InvalidModelError, match="t1 table of 3 keys x 2 states, above the limit of 5 cells"):
+            load_text(text)
+
     def test_undecodable_byte_is_reported_before_the_state_limit(self, tmp_path, monkeypatch):
         path = tmp_path / "m.model"
         path.write_bytes(b"kind factorized\nlambda 0 0.5\nlambda 1 0.5\n# \xff\n")

@@ -176,7 +176,7 @@ class TestSimplexOracle:
     def check(self, targets_list):
         nones = 0
         for targets in targets_list:
-            got = pt._simplex_weights(targets, pt.FEASIBILITY_TOL)
+            got = pt._simplex_weights(targets)
             want = polytope_oracle.simplex_weights(targets, pt.FEASIBILITY_TOL)
             assert _hexed(got) == _hexed(want), targets
             nones += want is None
