@@ -8,16 +8,16 @@ which any factorized hidden-variable model obeys.  The quantum correlator
 cos(a - b) on the one-parameter angle ladder with separations
 |a-b| = |a-b'| = |a'-b'| = alpha and |a'-b| = 3*alpha gives
 
-    S_ideal(alpha) = | 3 cos(alpha) - cos(3*alpha) |,
+    S_ideal(alpha) = | 3 cos(alpha) - cos(3*alpha) | = | c (6 - 4 c^2) |,
 
-maximal at alpha = pi/4 with S = 2*sqrt(2).  With detector efficiency
+with c = cos(alpha), computed from c alone (no angle 3*alpha is formed)
+and maximal at alpha = pi/4 with S = 2*sqrt(2).  With detector efficiency
 eta_d and overall transmission F the measured value scales linearly,
 S_exp = eta_d*F*S_ideal, so a violation needs eta_d*F > 1/sqrt(2).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -57,9 +57,9 @@ class ChshReport:
 @dataclass(frozen=True, eq=False)
 class AlphaScan:
     """The ladder scan over the grid ``alpha_min + k*step``, held as its
-    ``s_ideal`` column (float64) alone.  ``alpha``, ``s_exp`` (float64) and
-    ``violated`` (bool) are derived: whole columns built on first access,
-    or a block of rows at a time from ``blocks``."""
+    ``s_ideal`` column (float64) alone.  ``blocks`` derives ``alpha``,
+    ``s_exp`` (float64) and ``violated`` (bool) a block of rows at a time;
+    ``next(scan.blocks(len(scan)))`` gives the whole columns."""
 
     alpha_min: float
     step: float
@@ -79,10 +79,6 @@ class AlphaScan:
             s_ideal = self.s_ideal[lo:lo + rows]
             s_exp = self.eta_f * s_ideal
             yield [self._alpha(lo, lo + len(s_ideal)), s_ideal, s_exp, s_exp > CLASSICAL_BOUND + VIOLATION_TOL]
-
-    alpha = functools.cached_property(lambda self: self._alpha(0, len(self)))
-    s_exp = functools.cached_property(lambda self: self.eta_f * self.s_ideal)
-    violated = functools.cached_property(lambda self: self.s_exp > CLASSICAL_BOUND + VIOLATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -143,8 +139,10 @@ def chsh_value(correlator: Callable[[float, float], float], s: ChshSettings) -> 
 
 
 def s_ideal_closed(alpha: float) -> float:
-    """|3 cos(alpha) - cos(3*alpha)|, the ladder CHSH value at unit detection."""
-    return abs(3.0 * math.cos(alpha) - math.cos(3.0 * alpha))
+    """|3 cos(alpha) - cos(3*alpha)| = |c (6 - 4c^2)|, c = cos(alpha): the
+    ladder CHSH value at unit detection, at most 2*sqrt(2) up to rounding."""
+    c = math.cos(alpha)
+    return abs(c * (6.0 - 4.0 * c * c))
 
 
 def _parabolic_polish(f: Callable[[float], float], x0: float, h: float,
@@ -202,15 +200,15 @@ def scan_alpha(
 
     Rows cover alpha_min, alpha_min + step, ... up to alpha_max.  Each
     column applies the operations of the scalar route (``alpha_min +
-    k*step``, ``s_ideal_closed``, ``eta_f*s``) in the same order, so it
-    matches that route bit for bit wherever numpy's cos agrees with
-    ``math.cos`` (the tests check this).  The returned summary
+    k*step``, ``s_ideal_closed``, ``eta_f*s``) in the same order, one
+    cosine a row, so it matches that route bit for bit wherever numpy's
+    cos agrees with ``math.cos`` (the tests check this).  The returned summary
     refines the grid argmax by golden section plus a parabolic polish;
     grid ties (the ladder has equal-height peaks) are broken toward the
     smallest alpha, and ``s_max`` is never more than 1e-9 below the
     grid's largest ``s_ideal``.  Raises ValueError, before allocating
     anything, for non-finite arguments, an empty range, a step that is not
-    positive, more than ``MAX_SCAN_ROWS`` rows or a grid alpha whose 3*alpha
+    positive, more than ``MAX_SCAN_ROWS`` rows or a last grid alpha that
     overflows.
     """
     alpha_min, alpha_max, step = float(alpha_min), float(alpha_max), float(step)
@@ -230,29 +228,27 @@ def scan_alpha(
             f"scan of {n} rows exceeds the limit of {MAX_SCAN_ROWS}; "
             "use a larger step or a shorter range"
         )
-    # the grid's first and last alpha, the last as numpy computes it below
-    for name, value, edge in (("alpha_min", alpha_min, alpha_min),
-                              ("alpha_max", alpha_max, (n - 1) * step + alpha_min)):
-        if not math.isfinite(3.0 * edge):
-            raise ValueError(
-                f"{name} {value!r} is out of range: the ladder angle 3*alpha overflows"
-            )
-    # a chunk at a time, so the one column is all that grows with n
+    # the grid's last alpha as numpy computes it below; every k*step before it is finite too
+    if not math.isfinite((n - 1) * step + alpha_min):
+        raise ValueError(f"alpha_max {alpha_max!r} is out of range: the grid's last alpha overflows")
+    # a chunk at a time, so the one column is all that grows with n; 4*(c*c)
+    # has the bits of the scalar route's (4*c)*c, since scaling by 4 is exact
     scan = AlphaScan(alpha_min, step, eta_f, np.empty(n))
     for lo in range(0, n, SCAN_CHUNK):
-        alphas, s_ideal = scan._alpha(lo, min(lo + SCAN_CHUNK, n)), scan.s_ideal[lo:lo + SCAN_CHUNK]
-        np.cos(np.multiply(alphas, 3.0, out=s_ideal), out=s_ideal)
-        np.cos(alphas, out=alphas)
-        alphas *= 3.0
-        np.abs(np.subtract(alphas, s_ideal, out=s_ideal), out=s_ideal)
-        del alphas  # before the next chunk's is made
+        c, s_ideal = scan._alpha(lo, min(lo + SCAN_CHUNK, n)), scan.s_ideal[lo:lo + SCAN_CHUNK]
+        np.cos(c, out=c)
+        np.multiply(c, c, out=s_ideal)
+        s_ideal *= -4.0
+        s_ideal += 6.0
+        np.abs(np.multiply(c, s_ideal, out=s_ideal), out=s_ideal)
+        del c  # before the next chunk's is made
 
     s_ideal = scan.s_ideal
     grid_max = s_ideal.max()
     tie_tol = max(4.0 * step * step, 1e-12)
     first = int(np.argmax(s_ideal >= grid_max - tie_tol))
 
-    def refined(k: int) -> float:  # between the grid alphas beside row k, as ``scan.alpha`` has them
+    def refined(k: int) -> float:  # between the grid alphas beside row k, as ``blocks`` has them
         lo, hi = max(k - 1, 0), min(k + 1, n - 1)
         return _refine_max(s_ideal_closed, lo * step + alpha_min, hi * step + alpha_min)
 

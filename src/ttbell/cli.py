@@ -4,7 +4,8 @@ Subcommands: ``table`` (joint/marginal/conditional probabilities),
 ``mc`` (seeded detection-chain run), ``chsh-scan`` (ladder sweep with
 refined maximum), ``lhv-verify`` (model bookkeeping checks and CHSH
 bounds), ``polytope`` (local-model membership certificate), ``sweep``
-(Monte Carlo CHSH value over a fixed grid of eta_d*F).
+(Monte Carlo CHSH value over a fixed grid of eta_d*F).  ``chsh-scan``'s
+rows and ``polytope --alpha``'s targets are taken from cos(alpha) alone.
 
 Output is CSV (a header line, then one line per record; fields are
 numbers or true/false and never need quoting; floats with nine decimal
@@ -888,15 +889,9 @@ def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:
         source = {"targets": "explicit"}
     elif opts["alpha"] is not None:
         eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
-        settings = ladder_settings(opts["alpha"])
-        if not math.isfinite(settings.b):
-            raise UsageError(
-                f"--alpha {opts['alpha']!r} is out of range: the ladder angle 3*alpha overflows"
-            )
-        targets = tuple(
-            eta_f * value
-            for value in polytope.targets_from_correlator(quantum.ideal_correlator, settings)
-        )
+        # cos of the ladder's separations alpha, alpha, alpha and 3*alpha, with cos 3a = c (4c^2 - 3)
+        c = math.cos(opts["alpha"])
+        targets = tuple(eta_f * value for value in (c, c, c, c * (4.0 * c * c - 3.0)))
         source = {"targets": "ladder", "alpha": jnum(opts["alpha"]), "eta_f": jnum(eta_f)}
     else:
         raise UsageError("polytope needs --alpha (with efficiencies) or --targets")

@@ -392,37 +392,40 @@ class _TableColumn:
     float64 array of shape (len(keys), K) with every entry in [0, 1], NaN
     where state k has no entry.  The columns are held in one read-only
     array of shape (len(keys), 2, K), ``columns[j]`` being the ``Column`` at
-    ``keys[j]``.  A key that every state tabulates is answered by a view of
-    its column; otherwise a state answers at the exact key, else at its
-    first key within ``ANGLE_TOL`` per component (so the outcome A = +-1 of
-    a general key matches exactly), else with NaN.
+    ``keys[j]``, and the keys in one float array ``grid``.  A key that
+    every state tabulates is answered by a view of its column; otherwise a
+    state answers at the exact key, else at its first key within
+    ``ANGLE_TOL`` per component (so the outcome A = +-1 of a general key
+    matches exactly), else with NaN.
     """
 
-    __slots__ = ("keys", "columns", "index")
+    __slots__ = ("columns", "index", "grid")
 
     def __init__(self, keys, plus):
         # columns[j] is (plus[j], 1 - plus[j]); as np.stack on axis 1, but faster on tiny tables
         columns = np.concatenate((plus, 1.0 - plus), axis=1).reshape(len(keys), 2, plus.shape[1])
         columns.setflags(write=False)
         missing = np.isnan(plus.sum(axis=1)).tolist()  # a key some state does not tabulate
-        self.keys = keys
         self.columns = columns
         self.index = {key: j for j, key in enumerate(keys) if not missing[j]}
+        self.grid = np.array(keys, dtype=float)
 
     def __call__(self, *key) -> Column:
         j = self.index.get(key)
         if j is not None:
             return self.columns[j]
-        plus = self.columns[:, 0].T  # (K, len(keys))
-        if not self.keys:
-            return np.full((2, len(plus)), np.nan)
-        grid = np.array(self.keys, dtype=float)
+        n_states = self.columns.shape[2]
         x = np.array(key, dtype=float)
-        exact = (grid == x).all(axis=-1) & ~np.isnan(plus)
-        near = (np.abs(grid - x) <= ANGLE_TOL).all(axis=-1) & ~np.isnan(plus)
-        pick = np.where(exact.any(axis=1), exact.argmax(axis=1), near.argmax(axis=1))
-        found = (exact | near).any(axis=1)
-        return np.where(found, self.columns[pick, :, np.arange(len(plus))].T, np.nan)
+        near = np.flatnonzero((np.abs(self.grid - x) <= ANGLE_TOL).all(axis=-1)) if len(self.grid) else []
+        if not len(near):
+            return np.full((2, n_states), np.nan)
+        # the candidates in the order a state tries them: the exact key (the
+        # keys are distinct, so at most one), then the near keys in key order
+        exact = (self.grid[near] == x).all(axis=-1)
+        candidates = np.concatenate((near[exact], near[~exact]))
+        has = ~np.isnan(self.columns[candidates, 0])  # (candidates, K)
+        pick = candidates[has.argmax(axis=0)]
+        return np.where(has.any(axis=0), self.columns[pick, :, np.arange(n_states)].T, np.nan)
 
 
 def random_factorized_model(

@@ -117,7 +117,8 @@ class TestScan:
 
     def test_rows_scale_with_eta_f(self):
         rows, summary = chsh.scan_alpha(0.0, 1.0, 0.1, eta_f=0.8)
-        for s_exp, s_ideal in zip(rows.s_exp, rows.s_ideal):
+        _, s_ideals, s_exps, _ = next(rows.blocks(len(rows)))
+        for s_exp, s_ideal in zip(s_exps, s_ideals):
             assert s_exp == pytest.approx(0.8 * s_ideal, abs=TOL)
         assert summary.s_exp_max == pytest.approx(0.8 * summary.s_max, abs=TOL)
         assert summary.violated  # 0.8 is above the 1/sqrt(2) threshold
@@ -130,7 +131,7 @@ class TestScan:
 
     def test_first_row_at_zero(self):
         rows, _ = chsh.scan_alpha(0.0, 0.5, 0.1)
-        assert rows.alpha[0] == 0.0
+        assert next(rows.blocks(len(rows)))[0][0] == 0.0
         assert rows.s_ideal[0] == pytest.approx(2.0, abs=TOL)
 
     def test_invalid_ranges(self):
@@ -153,13 +154,24 @@ class TestScan:
         with pytest.raises(ValueError, match="overflows"):
             chsh.scan_alpha(-1e308, 1e308, 0.1)
 
-    @pytest.mark.parametrize("args, name", [
-        ((5e307, 7e307, 1e307), "alpha_max"),
-        ((-7e307, -5e307, 1e307), "alpha_min"),
+    def test_overflowing_last_alpha_rejected(self):
+        # (alpha_max - alpha_min) / step is finite, but k*step overflows at k = 2
+        with pytest.raises(ValueError, match="alpha_max .* the grid's last alpha overflows"):
+            chsh.scan_alpha(-1e308, 7.976931346825466e307, 8.988465675210426e307)
+
+    @pytest.mark.parametrize("grid", [
+        # rounding in 3*alpha put rows of these two above 2*sqrt(2) (3.946, 3.495)
+        (1e20, 1.0000000000000003e20, 16384.0),
+        (1e20, 1e20 + 1e6, 1e5),
+        # 3*alpha overflows on these two
+        (-7e307, -5e307, 1e307),
+        (5e307, 7e307, 1e307),
     ])
-    def test_overflowing_ladder_angle_rejected(self, args, name):
-        with pytest.raises(ValueError, match=f"{name} .* the ladder angle 3\\*alpha overflows"):
-            chsh.scan_alpha(*args)
+    def test_huge_alpha_rows_stay_within_the_quantum_bound(self, grid):
+        scan, summary = chsh.scan_alpha(*grid)
+        assert np.isfinite(scan.s_ideal).all()
+        assert scan.s_ideal.max() <= chsh.S_IDEAL_MAX + 1e-12
+        assert summary.s_max <= chsh.S_IDEAL_MAX + 1e-12
 
     def test_refinement_ends_where_ulps_exceed_its_tolerance(self):
         # an ulp of 5e307 is about 1e291: the bracket stops shrinking at once
@@ -205,19 +217,19 @@ class TestScan:
     @pytest.mark.parametrize("rows", [1, 7, chsh.SCAN_CHUNK, 5000])
     def test_blocks_equal_the_whole_columns(self, rows):
         scan, _ = chsh.scan_alpha(-0.3, 2.9, 8e-5, eta_f=0.75)  # 40 001 rows, three chunks
-        columns = [scan.alpha, scan.s_ideal, scan.s_exp, scan.violated]
+        columns = next(scan.blocks(len(scan)))
         blocks = list(scan.blocks(rows))
         assert [len(block[0]) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
         for whole, parts in zip(columns, zip(*blocks)):
             assert np.concatenate(parts).tobytes() == whole.tobytes()
-        assert scan.alpha is scan.alpha  # built once, on first access
 
     def test_rows_beside_chunk_edges_equal_scalar_route_bitwise(self):
         scan, _ = chsh.scan_alpha(-0.3, 2.9, 8e-5, eta_f=0.75)
+        alphas = next(scan.blocks(len(scan)))[0]
         edge = chsh.SCAN_CHUNK
         for k in (0, edge - 1, edge, edge + 1, 2 * edge - 1, len(scan) - 1):
             alpha = -0.3 + k * 8e-5
-            assert scan.alpha[k].hex() == alpha.hex()
+            assert alphas[k].hex() == alpha.hex()
             assert scan.s_ideal[k].hex() == chsh.s_ideal_closed(alpha).hex()
 
     def test_single_point_range(self):
@@ -228,7 +240,7 @@ class TestScan:
 
 # alpha_star of each grid, recorded from the scalar (per-row loop) scan
 SCAN_ORACLE_GRIDS = [
-    ((0.0, math.pi, 1e-3), 3142, "0x1.921fb543ff9acp-1"),
+    ((0.0, math.pi, 1e-3), 3142, "0x1.921fb543fa121p-1"),
     ((-1.3, 2.1, 7e-3), 486, "-0x1.921fb543fe286p-1"),
 ]
 
@@ -239,14 +251,15 @@ def test_scan_columns_equal_scalar_route_bitwise(grid, n, alpha_star_hex, eta_f)
     alpha_min, _, step = grid
     scan, summary = chsh.scan_alpha(*grid, eta_f=eta_f)
     assert len(scan) == n
+    alphas, s_ideals, s_exps, violated = next(scan.blocks(n))
     for k in range(n):
         alpha = alpha_min + k * step
         s_ideal = chsh.s_ideal_closed(alpha)
         s_exp = eta_f * s_ideal
-        assert scan.alpha[k].hex() == alpha.hex()
-        assert scan.s_ideal[k].hex() == s_ideal.hex()
-        assert scan.s_exp[k].hex() == s_exp.hex()
-        assert scan.violated[k] == (s_exp > 2.0 + 1e-12)
+        assert alphas[k].hex() == alpha.hex()
+        assert s_ideals[k].hex() == s_ideal.hex()
+        assert s_exps[k].hex() == s_exp.hex()
+        assert violated[k] == (s_exp > 2.0 + 1e-12)
     assert summary.alpha_star.hex() == alpha_star_hex
 
 

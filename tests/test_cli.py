@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttbell import cli, lhv, montecarlo, polytope, quantum
+from ttbell import chsh, cli, lhv, montecarlo, polytope, quantum
 from ttbell.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -316,17 +316,19 @@ class TestChshScan:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith(b"alpha,s_ideal,s_exp,violated\n")
         assert proc.stderr == b""
+        # rounding in 3*alpha would put a row at 3.946
+        rows = proc.stdout.decode().split("\n\n")[0].splitlines()[1:]
+        assert len(rows) == 3
+        assert max(float(row.split(",")[1]) for row in rows) <= 2.0 * math.sqrt(2.0)
 
-    @pytest.mark.parametrize("argv", [
-        ("--alpha-max=1e308", "--alpha-step=1e308"),
-        ("--alpha-min=-1e308", "--alpha-max=0", "--alpha-step=1e308"),
-    ])
-    def test_overflowing_ladder_is_usage_error(self, argv):
-        # 3*alpha overflows: numpy used to warn and math.cos to fail
-        proc = run_cli_process("chsh-scan", *argv)
+    def test_overflowing_last_alpha_is_usage_error(self):
+        # the range over the step is finite, but k*step overflows at k = 2,
+        # which must be refused before numpy computes it
+        proc = run_cli_process("chsh-scan", "--alpha-min=-1e308", "--alpha-max=7.976931346825466e307",
+                               "--alpha-step=8.988465675210426e307")
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == b""
-        assert b"ladder angle 3*alpha overflows" in proc.stderr
+        assert b"last alpha" in proc.stderr and b"overflows" in proc.stderr
         assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
 
     def test_row_cap_is_usage_error(self, capsys):
@@ -569,12 +571,20 @@ class TestPolytope:
         assert "--alpha" in err or "--targets" in err
 
     @pytest.mark.parametrize("alpha", ["1e308", "-1e308"])
-    def test_overflowing_ladder_is_usage_error(self, capsys, alpha):
-        # 3*alpha overflows to inf, and cos(inf) used to escape as a traceback
+    def test_huge_ladder_alpha_gives_targets_in_range(self, capsys, alpha):
+        # 3*alpha overflows, but the targets are taken from cos(alpha) alone
         code, out, err = run_cli(capsys, "polytope", f"--alpha={alpha}")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "--alpha" in err and "Traceback" not in err
+        assert code in (EXIT_OK, EXIT_INFEASIBLE), err
+        assert all(-1.0 <= t <= 1.0 for t in json.loads(out)["targets"])
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, PI / 4, 0.9, 1.2, 1.5])
+    def test_ladder_targets_match_the_correlator_route(self, capsys, monkeypatch, alpha):
+        checked = []
+        check = polytope.polytope_check
+        monkeypatch.setattr(polytope, "polytope_check", lambda t: checked.append(t) or check(t))
+        run_cli(capsys, "polytope", f"--alpha={alpha!r}", "--eta-d=0.85")
+        expected = polytope.targets_from_correlator(quantum.ideal_correlator, chsh.ladder_settings(alpha))
+        assert checked[0] == pytest.approx([0.85 * e for e in expected], abs=1e-15, rel=0)
 
 
 class TestLibraryErrors:

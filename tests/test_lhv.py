@@ -520,6 +520,19 @@ class TestColumnContract:
         assert joint.pp == 0.5 * (0.3 * 0.5) + 0.5 * (0.6 * 0.25)
         assert joint.mm == 0.5 * ((1.0 - 0.3) * 0.5) + 0.5 * ((1.0 - 0.6) * (1.0 - 0.25))
 
+    def test_exact_key_wins_over_an_earlier_near_key(self):
+        # state 0 tabulates b = 0.3 - 5e-10 and b = 0.3, both within the
+        # angle tolerance of 0.3; state 1 only the first, so b = 0.3 is
+        # answered key by key, not by the index of complete keys
+        m = lhv.tabulated_factorized_model(
+            [0.5, 0.5], {0: {0.1: 0.5}, 1: {0.1: 0.5}},
+            {0: {0.3 - 5e-10: 0.25, 0.3: 0.75}, 1: {0.3 - 5e-10: 0.125}},
+        )
+        assert m.t2_column(0.3)[0].tolist() == [0.75, 0.125]
+        assert m.t2_column(0.3 - 5e-10)[0].tolist() == [0.25, 0.125]
+        assert m.t2_column(0.3 + 2e-10)[0].tolist() == [0.25, 0.125]  # first near key, in key order
+        assert np.isnan(m.t2_column(0.3 + 2e-9)[0]).all()
+
 
 class TestFineStrategyWeights:
     """Fine's theorem for factorized models, without sampling: each state's
