@@ -321,15 +321,31 @@ class TestChshScan:
         assert len(rows) == 3
         assert max(float(row.split(",")[1]) for row in rows) <= 2.0 * math.sqrt(2.0)
 
-    def test_overflowing_last_alpha_is_usage_error(self):
-        # the range over the step is finite, but k*step overflows at k = 2,
-        # which must be refused before numpy computes it
-        proc = run_cli_process("chsh-scan", "--alpha-min=-1e308", "--alpha-max=7.976931346825466e307",
-                               "--alpha-step=8.988465675210426e307")
+    @pytest.mark.parametrize("argv", [
+        ("--alpha-min=-1e308", "--alpha-max=7.976931346825466e307", "--alpha-step=8.988465675210426e307"),
+        ("--alpha-min=-7.976931346825466e307", "--alpha-max=1e308", "--alpha-step=8.988465675210426e307"),
+    ])
+    def test_overflowing_ladder_is_usage_error(self, argv):
+        # the range over the step is finite, but the last grid alpha k*step
+        # overflows at k = 2, which must be refused before numpy computes it
+        proc = run_cli_process("chsh-scan", *argv)
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == b""
         assert b"last alpha" in proc.stderr and b"overflows" in proc.stderr
         assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("--alpha-max=1e308", "--alpha-step=1e308"),
+        ("--alpha-min=-1e308", "--alpha-max=0", "--alpha-step=1e308"),
+    ])
+    def test_huge_step_ladder_scans(self, argv):
+        # 3*alpha would overflow here, but each row is taken from cos(alpha) alone
+        proc = run_cli_process("chsh-scan", *argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == b""
+        rows = proc.stdout.decode().split("\n\n")[0].splitlines()[1:]
+        assert len(rows) == 2
+        assert max(float(row.split(",")[1]) for row in rows) <= 2.0 * math.sqrt(2.0)
 
     def test_row_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "chsh-scan", "--alpha-step", "1e-12")
