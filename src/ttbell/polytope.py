@@ -8,19 +8,20 @@ it is a convex mixture of the 16 strategy vectors.  For correlators in
 of minus signs stays at or below 2 (those eight combinations are the
 nontrivial facets of the correlator polytope).
 
-Membership is decided twice, by independent routes: the facet scan above,
-and a phase-1 simplex that searches for explicit nonnegative strategy
-weights.  Feasible targets come with the weights as a certificate;
-infeasible ones with the violated facet and its gap.
+The facet scan decides membership.  Feasible targets come with explicit
+weights as a certificate: the 8 distinct strategy vectors are the
+vertices of a cross-polytope, and its triangulation around the +++- / ++-+
+diagonal gives every point inside it weights in closed form.  Infeasible
+targets come with the violated facet and its gap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .chsh import CLASSICAL_BOUND, ChshSettings
+from .chsh import CLASSICAL_BOUND
 
 FEASIBILITY_TOL = 1e-9
 
@@ -54,18 +55,6 @@ class PolytopeCertificate:
     violated_facet: Optional[tuple[tuple[int, int, int, int], float]] = None
 
 
-def targets_from_correlator(
-    correlator: Callable[[float, float], float], s: ChshSettings
-) -> tuple[float, float, float, float]:
-    """Four correlators in the fixed order (a,b), (a,b'), (a',b'), (a',b)."""
-    return (
-        correlator(s.a, s.b),
-        correlator(s.a, s.b_prime),
-        correlator(s.a_prime, s.b_prime),
-        correlator(s.a_prime, s.b),
-    )
-
-
 def facet_values(targets: Sequence[float]) -> list[tuple[tuple[int, int, int, int], float]]:
     """All eight signed CHSH combinations of the targets, each summed left
     to right from 0.0."""
@@ -73,99 +62,34 @@ def facet_values(targets: Sequence[float]) -> list[tuple[tuple[int, int, int, in
     return [(signs, 0.0 + e0 * t0 + e1 * t1 + e2 * t2 + e3 * t3) for signs, e0, e1, e2, e3 in _FACETS]
 
 
-# Strategies s and -s have the same correlators, so their tableau columns
-# are equal and stay equal through every pivot; Bland's rule always reaches
-# the lower index first, so the higher one never enters the basis.  The
-# tableau keeps one column per distinct correlator vector, the first
-# strategy that has it, and then the artificial columns; _VARIABLES maps a
-# kept column to its variable (strategy index, or 16 + row for an artificial).
-_KEPT = [
-    j for j, s in enumerate(STRATEGIES)
-    if strategy_correlators(s) not in {strategy_correlators(t) for t in STRATEGIES[:j]}
-]
-_VARIABLES = (*_KEPT, *range(len(STRATEGIES), len(STRATEGIES) + 5))
+def _closed_weights(targets: Sequence[float]) -> dict[Strategy, float]:
+    """Nonnegative strategy weights matching targets the facet scan accepts.
 
-
-def _tableau_rows() -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
-    """Row i of the phase-1 tableau without its right-hand side, as given and
-    negated: the kept strategy columns (correlator i of the strategy, 1 for
-    the normalization row) then the artificial identity, which never flips."""
-    rows = []
-    for i in range(5):
-        strategy = [float(strategy_correlators(STRATEGIES[j])[i]) if i < 4 else 1.0 for j in _KEPT]
-        artificial = [float(i == r) for r in range(5)]
-        rows.append((tuple(strategy + artificial), tuple([-v for v in strategy] + artificial)))
-    return tuple(rows)
-
-
-# made once: the constraint part of the tableau, each row as given and
-# negated (a row is negated when its target is negative)
-_TABLEAU_ROWS = _tableau_rows()
-_PIVOT_TOL = 1e-11
-
-
-def _simplex_weights(targets: Sequence[float]) -> Optional[dict[Strategy, float]]:
-    """Phase-1 simplex: nonnegative strategy weights matching the targets.
-
-    Minimizes the total artificial infeasibility of the 5-equation system
-    (four correlators plus normalization) over the 16 strategy weights,
-    with Bland's rule for termination.  Returns None when the residual
-    optimum exceeds ``FEASIBILITY_TOL``.
-
-    The tableau is five rows of Python floats: the kept strategy columns,
-    the 5 artificial columns and the right-hand side.  Every entry is
-    updated by the same IEEE operations, in the same order, as a numpy
-    tableau of all 16 strategies would be (``tests/polytope_oracle.py`` is
-    one), so the weights agree with it bit for bit, signed zeros included.
+    The 16 strategies give 8 correlator vectors, +-u_k for the orthogonal
+    axes u0 = (1,-1,-1,1) (+++- at +u0, ++-+ at -u0), u1 = (1,1,1,1)
+    (++++ / ++--), u2 = (1,1,-1,-1) (+-++ / +---) and u3 = (1,-1,1,-1)
+    (+-+- / +--+).  With c_k = u_k.t/4 the targets are t = sum_k c_k u_k,
+    and the largest facet value is 2 * sum_k |c_k|.  Weight |c_k| goes on
+    the strategy at sign(c_k) u_k for k = 1..3, and the remainder
+    r = 1 - |c1| - |c2| - |c3| is split along u0 as (r + c0)/2 on +++- and
+    (r - c0)/2 on ++-+: the simplex of the cross-polytope's triangulation
+    around the +++- / ++-+ diagonal that holds t.  A target up to
+    ``FEASIBILITY_TOL`` past a facet leaves one half negative; it is
+    clamped to 0.
     """
-    rhs = [*targets, 1.0]
-    tab = []
-    for i, t in enumerate(rhs):
-        given, negated = _TABLEAU_ROWS[i]
-        tab.append([*negated, -t] if t < 0.0 else [*given, t])
-    n_columns = len(_VARIABLES)
-    basis = list(_VARIABLES[len(_KEPT):])  # the artificials, by variable
-    # phase-1 reduced costs: z_j - c_j for cost 1 on the artificials; every
-    # column sum is an exact small integer, the rhs sum runs top to bottom
-    obj = [-sum(column) for column in zip(*tab)]
-    for j in range(len(_KEPT), n_columns):
-        obj[j] += 1.0
-
-    below = -_PIVOT_TOL
-    for _ in range(10000):
-        for entering in range(n_columns):
-            if obj[entering] < below:
-                break
-        else:
-            break
-        ratios = [
-            (row[-1] / row[entering], basis[i], i)
-            for i, row in enumerate(tab)
-            if row[entering] > _PIVOT_TOL
-        ]
-        if not ratios:
-            return None  # unbounded phase-1 cannot happen; bail out defensively
-        _, _, leaving = min(ratios)
-        pivot = tab[leaving][entering]
-        lead = tab[leaving] = [v / pivot for v in tab[leaving]]
-        for i, row in enumerate(tab):
-            f = row[entering]
-            if i != leaving and f != 0.0:
-                tab[i] = [v - f * w for v, w in zip(row, lead)]
-        f = obj[entering]
-        obj = [v - f * w for v, w in zip(obj, lead)]
-        basis[leaving] = _VARIABLES[entering]
-    else:
-        raise RuntimeError("simplex did not terminate")
-
-    infeasibility = -obj[-1]
-    if infeasibility > FEASIBILITY_TOL:
-        return None
-
+    t0, t1, t2, t3 = targets
     weights = dict.fromkeys(STRATEGIES, 0.0)
-    for row, var in zip(tab, basis):
-        if var < len(STRATEGIES):
-            weights[STRATEGIES[var]] = max(row[-1], 0.0)
+    r = 1.0
+    for c, plus, minus in (
+        ((t0 + t1 + t2 + t3) / 4.0, (1, 1, 1, 1), (1, 1, -1, -1)),
+        ((t0 + t1 - t2 - t3) / 4.0, (1, -1, 1, 1), (1, -1, -1, -1)),
+        ((t0 - t1 + t2 - t3) / 4.0, (1, -1, 1, -1), (1, -1, -1, 1)),
+    ):
+        weights[plus if c >= 0.0 else minus] = abs(c)
+        r -= abs(c)
+    c0 = (t0 - t1 - t2 + t3) / 4.0
+    weights[(1, 1, 1, -1)] = max(0.0, (r + c0) / 2.0)
+    weights[(1, 1, -1, 1)] = max(0.0, (r - c0) / 2.0)
     return weights
 
 
@@ -181,9 +105,9 @@ def reconstruct_targets(weights: dict[Strategy, float]) -> tuple[float, float, f
 def polytope_check(targets: Sequence[float]) -> PolytopeCertificate:
     """Decide local-polytope membership of four correlators, with certificate.
 
-    The facet scan is the decision oracle; the simplex provides the
-    explicit weights on feasible instances.  Disagreement between the two
-    routes (beyond ``FEASIBILITY_TOL``) is a logic error and raises.
+    The facet scan decides: the targets are feasible when no facet exceeds
+    2 by more than ``FEASIBILITY_TOL``.  Feasible targets get the closed-form
+    strategy weights, infeasible ones the largest facet and its gap.
     """
     targets = tuple(float(t) for t in targets)
     if len(targets) != 4:
@@ -197,20 +121,8 @@ def polytope_check(targets: Sequence[float]) -> PolytopeCertificate:
     feasible = worst_value <= CLASSICAL_BOUND + FEASIBILITY_TOL
     gap = max(worst_value - CLASSICAL_BOUND, 0.0)
 
-    weights = _simplex_weights(targets)
-    if feasible and weights is None:
-        raise RuntimeError(
-            f"facet oracle says feasible (max facet {worst_value!r}) but no weights found"
-        )
-    if not feasible and weights is not None:
-        residual = max(abs(x - y) for x, y in zip(reconstruct_targets(weights), targets))
-        raise RuntimeError(
-            f"facet oracle says infeasible (max facet {worst_value!r}) but simplex "
-            f"found weights with residual {residual!r}"
-        )
-
     if feasible:
-        return PolytopeCertificate(feasible=True, gap=gap, weights=weights)
+        return PolytopeCertificate(feasible=True, gap=gap, weights=_closed_weights(targets))
     return PolytopeCertificate(
         feasible=False, gap=gap, violated_facet=(worst_signs, worst_value)
     )

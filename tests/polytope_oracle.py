@@ -1,16 +1,30 @@
-"""Numpy-tableau oracle of the phase-1 simplex, for the tests.
+"""Numpy-tableau phase-1 simplex and the four-correlator order, for the tests.
 
 This is the simplex ``ttbell.polytope`` first shipped: it builds the whole
-5 x 22 tableau on every call and pivots it with numpy row operations.  The
-tests check that ``polytope._simplex_weights`` returns the same weights,
-bit for bit, and the same ``None``s.
+5 x 22 tableau on every call and pivots it with numpy row operations.  It
+is the independent route to strategy weights: ``polytope`` takes its
+weights in closed form from the triangulation of the correlator polytope,
+and the tests check that both routes print the same weights.
 """
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ttbell.chsh import ChshSettings
 from ttbell.polytope import STRATEGIES, Strategy, strategy_correlators
+
+
+def correlator_targets(
+    correlator: Callable[[float, float], float], s: ChshSettings
+) -> tuple[float, float, float, float]:
+    """Four correlators in the fixed order (a,b), (a,b'), (a',b'), (a',b)."""
+    return (
+        correlator(s.a, s.b),
+        correlator(s.a, s.b_prime),
+        correlator(s.a_prime, s.b_prime),
+        correlator(s.a_prime, s.b),
+    )
 
 
 def simplex_weights(targets: Sequence[float], tol: float) -> Optional[dict[Strategy, float]]:

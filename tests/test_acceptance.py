@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+import polytope_oracle
+
 from ttbell import chsh, lhv, montecarlo, polytope, quantum
 
 TOL = 1e-12
@@ -147,9 +149,10 @@ def test_05_lhv_chsh_bound_sweep():
 
 
 def test_06_polytope_certificates():
-    """Quantum targets certified infeasible; scaled ones feasible; routes agree."""
+    """Quantum targets certified infeasible; scaled ones feasible; random
+    feasible targets get weights that reproduce them."""
     settings = chsh.ladder_settings(math.pi / 4)
-    targets = polytope.targets_from_correlator(quantum.ideal_correlator, settings)
+    targets = polytope_oracle.correlator_targets(quantum.ideal_correlator, settings)
 
     cert = polytope.polytope_check(targets)
     gap_err = abs(cert.gap - (TWO_SQRT_TWO - 2.0))
@@ -165,7 +168,7 @@ def test_06_polytope_certificates():
     agreement = True
     for _ in range(10_000):
         t = tuple(rng.uniform(-1.0, 1.0, 4))
-        c = polytope.polytope_check(t)  # raises internally on route disagreement
+        c = polytope.polytope_check(t)
         if c.feasible:
             r = polytope.reconstruct_targets(c.weights)
             agreement = agreement and max(abs(x - y) for x, y in zip(r, t)) <= 1e-9

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polytope_oracle
+
 from ttbell import chsh, cli, lhv, montecarlo, polytope, quantum
 from ttbell.cli import (
     EXIT_INFEASIBLE,
@@ -577,6 +579,26 @@ class TestPolytope:
         assert data["feasible"] is True
         assert sum(data["weights"].values()) == pytest.approx(1.0, abs=1e-6)
 
+    def test_targets_just_past_a_facet_get_weights(self, capsys):
+        # largest facet 2.000000001: feasible within the tolerance
+        targets = (0.42111764351642517, 0.8417918566717204, 0.7318189140564746, 0.8475068737882301)
+        code, out, err = run_cli(capsys, "polytope", "--targets=" + ",".join(map(repr, targets)))
+        assert (code, err) == (EXIT_OK, "")
+        data = json.loads(out)
+        assert data["max_facet"]["value"] == 2.000000001
+        weights = {tuple(1 if c == "+" else -1 for c in k): w for k, w in data["weights"].items()}
+        assert min(weights.values()) >= 0.0
+        # 1e-9 plus the 9-decimal rounding of eight nonzero weights
+        rebuilt = polytope.reconstruct_targets(weights)
+        assert max(abs(x - y) for x, y in zip(rebuilt, targets)) <= 1e-9 + 8 * 5e-10
+
+    def test_signed_zero_target_prints_no_negative_zero_weight(self, capsys):
+        code, out, _ = run_cli(capsys, "polytope", "--targets=0,-0.5,-0.5,-0")
+        assert code == EXIT_OK
+        weights = json.loads(out)["weights"]
+        assert [math.copysign(1.0, w) for w in weights.values()] == [1.0] * 16
+        assert (weights["+++-"], weights["++-+"], weights["++--"]) == (0.5, 0.25, 0.25)
+
     def test_out_of_range_targets_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "polytope", "--targets", "1.2,0,0,0")
         assert code == EXIT_USAGE
@@ -599,7 +621,7 @@ class TestPolytope:
         check = polytope.polytope_check
         monkeypatch.setattr(polytope, "polytope_check", lambda t: checked.append(t) or check(t))
         run_cli(capsys, "polytope", f"--alpha={alpha!r}", "--eta-d=0.85")
-        expected = polytope.targets_from_correlator(quantum.ideal_correlator, chsh.ladder_settings(alpha))
+        expected = polytope_oracle.correlator_targets(quantum.ideal_correlator, chsh.ladder_settings(alpha))
         assert checked[0] == pytest.approx([0.85 * e for e in expected], abs=1e-15, rel=0)
 
 
