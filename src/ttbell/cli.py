@@ -9,7 +9,8 @@ rows and ``polytope --alpha``'s targets are taken from cos(alpha) alone.
 
 Output is CSV (a header line, then one line per record; fields are
 numbers or true/false and never need quoting; floats with nine decimal
-places) or JSON (sorted keys, floats rounded to nine decimals); identical
+places) or JSON (sorted keys, floats rounded to nine decimals), chosen by
+``--format``; ``polytope`` takes no ``--format`` and writes JSON.  Identical
 configuration and seed produce byte-identical output.
 
 Each option is described once, by a row of ``OPTIONS``: its key, how a
@@ -46,13 +47,12 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from . import lhv, model_io, montecarlo, polytope, quantum
-from .chsh import ChshSettings, chsh_value, ladder_settings, scan_alpha, threshold_analysis
+from .chsh import MAX_SCAN_ROWS, ChshSettings, chsh_value, ladder_settings, scan_alpha, threshold_analysis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,7 +125,8 @@ OPTIONS = (
     Option("trials", int, 100000, "number of Monte Carlo trials", ("mc", "sweep")),
     Option("seed", int, 2024, "RNG seed (64-bit)", ("mc", "sweep")),
     Option("out", str, None, "output path (default: stdout)", EVERY_COMMAND),
-    Option("format", str, "csv", "output format: csv or json", EVERY_COMMAND),
+    Option("format", str, "csv", "output format: csv or json",  # polytope writes JSON only
+           ("table", "mc", "chsh-scan", "lhv-verify", "sweep")),
     Option("degrees", _to_bool, False, "interpret all angle inputs as degrees", ANGLE_COMMANDS),
 )
 OPTION_KEYS = frozenset(opt.key for opt in OPTIONS)
@@ -558,9 +559,17 @@ def _parse_angle_list(text: str, key: str) -> list[float]:
     return values
 
 
+# a config file holds a few flat lines; a longer one is refused unread
+MAX_CONFIG_BYTES = 1 << 20
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    text = Path(path).read_text()
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise UsageError(f"{path}: config file larger than the limit of {MAX_CONFIG_BYTES} bytes")
+    text = data.decode()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -624,7 +633,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
                 raise UsageError(f"{_flag(key)} must be finite, got {raw!r}")
         else:
             merged[key] = raw
-    if merged["format"] not in FORMATS:
+    if merged.get("format", "csv") not in FORMATS:
         raise UsageError(f"--format must be csv or json, got {merged['format']!r}")
 
     scale = math.pi / 180.0
@@ -675,6 +684,10 @@ def _table_blocks(a_list, b_list):
 def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
     a_list = _parse_angle_list(opts["a"], "a")
     b_list = _parse_angle_list(opts["b"], "b")
+    rows = 4 * len(a_list) * len(b_list)
+    if rows > MAX_SCAN_ROWS:
+        raise UsageError(f"table of {rows} rows exceeds the limit of {MAX_SCAN_ROWS}; "
+                         "use shorter --a or --b lists")
     # a - b is monotone in both angles, so its two extremes bound every pair
     if not all(map(math.isfinite, (max(a_list) - min(b_list), min(a_list) - max(b_list)))):
         raise UsageError("--a and --b are too far apart: a - b overflows for some pair")

@@ -18,8 +18,10 @@ A model is evaluated a *column* at a time: for one setting, the validated
 pair (P(+1), P(-1)) as the two rows of a (2, K) float64 array over all K
 states; every result is an array reduction over columns.  Sums over states
 run strictly left to right, so each equals a Python loop over the states bit
-for bit.  Tabulated models are checked once, when built, into one read-only
-array of columns and a key -> column index, and hand out views of it.
+for bit.  Tabulated models (random, or read from a model file) are checked
+once, when built, into one read-only array of columns and a key -> column
+index, and hand out views of it.  Per state, only the CHSH combination is
+given; the tests take a state's joint from the columns themselves.
 
 For factorized models the per-lambda product mean factorizes,
 E12 = E1 * E2, which is what bounds the per-lambda CHSH combination by 2.
@@ -42,7 +44,6 @@ from .quantum import (
     OUTCOMES,
     JointDistribution,
     Moments,
-    UndefinedConditionalError,
     clamp_probability,
     quantum_joint,
 )
@@ -68,15 +69,6 @@ class LambdaPoint:
 
     id: int
     weight: float
-
-
-@dataclass(frozen=True)
-class PerLambdaStats:
-    """Slot means and product mean at a single hidden state."""
-
-    e1: float
-    e2: float
-    e12: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,18 +155,18 @@ def _response_pair(evaluate: Callable[[int], float], what: str) -> tuple[float, 
     return values[0], values[1]
 
 
-def _joint_terms(m: LhvModel, a_angles, b_angles) -> tuple[np.ndarray, ...]:
-    """Columns at every setting pair (a_angles[i], b_angles[j]), each fetched
-    once: slot 1, shape (I, 2, K); slot 2, shape (J, 2, K) for factorized
-    models and (I, J, 2, 2, K), after A=+1 / A=-1, for general ones; and the
-    per-state joint entries, shape (I, J, 2, 2, K), where ``terms[i, j, o, p]``
-    has first outcome OUTCOMES[o], second OUTCOMES[p]."""
+def _joint_terms(m: LhvModel, a_angles, b_angles) -> tuple[np.ndarray, np.ndarray]:
+    """The slot-1 columns, shape (I, 2, K), and the per-state joint entries
+    at every setting pair (a_angles[i], b_angles[j]), shape (I, J, 2, 2, K),
+    where ``terms[i, j, o, p]`` has first outcome OUTCOMES[o], second
+    OUTCOMES[p].  Each column is fetched once: slot 2 at each b for
+    factorized models, at each (a, b, A) for general ones."""
     pa = np.array([m.t1_column(a) for a in a_angles])
     if m.kind == FACTORIZED:
         pb = np.array([m.t2_column(b) for b in b_angles])
-        return pa, pb, pa[:, None, :, None] * pb[:, None]
+        return pa, pa[:, None, :, None] * pb[:, None]
     pb = np.array([[[m.t2_column(a, b, A) for A in OUTCOMES] for b in b_angles] for a in a_angles])
-    return pa, pb, pa[:, None, :, None] * pb
+    return pa, pa[:, None, :, None] * pb
 
 
 def _untabulated(terms: np.ndarray, where: str) -> InvalidModelError:
@@ -201,7 +193,7 @@ def _ensemble(m: LhvModel, terms: np.ndarray) -> list[float]:
 def _averaged(m: LhvModel, a: float, b: float):
     """Slot-1 columns and per-state joint entries at (a, b) (as
     ``_joint_terms`` gives them), then the ensemble joint and moments."""
-    pa, _, terms = _joint_terms(m, (a,), (b,))
+    pa, terms = _joint_terms(m, (a,), (b,))
     pp, pm, mp, mm = entries = _ensemble(m, terms)
     if any(map(math.isnan, entries)):
         raise _untabulated(terms, f"(a={a!r}, b={b!r})")
@@ -214,48 +206,9 @@ def _averaged(m: LhvModel, a: float, b: float):
     return pa, terms, joint, moments
 
 
-def _state(m: LhvModel, a: float, b: float, lam: LambdaPoint):
-    """Slot-1 and slot-2 columns and the joint of one hidden state at (a, b)."""
-    pa, pb, terms = (x[..., lam.id] for x in _joint_terms(m, (a,), (b,)))
-    entries = terms.ravel().tolist()
-    if any(math.isnan(v) for v in entries):
-        raise InvalidModelError(f"no response tabulated at (a={a!r}, b={b!r}) for id {lam.id}")
-    return pa, pb, JointDistribution(*entries)
-
-
-def per_lambda_joint(m: LhvModel, a: float, b: float, lam: LambdaPoint) -> JointDistribution:
-    """Joint outcome distribution contributed by a single hidden state."""
-    return _state(m, a, b, lam)[2]
-
-
-def per_lambda_stats(m: LhvModel, a: float, b: float, lam: LambdaPoint) -> PerLambdaStats:
-    """Slot means e1, e2 and the product mean e12 at one hidden state.
-
-    e12 is summed from the per-lambda joint rather than taken as e1*e2, so
-    the factorization identity stays an observable property, not an input.
-    """
-    pa, pb, joint = _state(m, a, b, lam)
-    if m.kind == FACTORIZED:
-        e2 = pb.item(0) - pb.item(1)
-    else:
-        e2 = (joint.pp + joint.mp) - (joint.pm + joint.mm)
-    return PerLambdaStats(e1=pa.item(0) - pa.item(1), e2=e2, e12=joint.correlator())
-
-
 def average_over_lambda(m: LhvModel, a: float, b: float) -> tuple[JointDistribution, Moments]:
     """Ensemble joint and moments: weighted sums of per-lambda quantities."""
     return _averaged(m, a, b)[2:]
-
-
-def model_conditional_t2(m: LhvModel, a: float, b: float, a_outcome: int, b_outcome: int) -> float:
-    """Ensemble conditional P(B | A) = joint / first-slot marginal."""
-    joint, _ = average_over_lambda(m, a, b)
-    p1 = joint.prob(a_outcome, 1) + joint.prob(a_outcome, -1)
-    if p1 <= 0.0:
-        raise UndefinedConditionalError(
-            f"first-slot outcome {a_outcome:+d} has zero probability; conditional undefined"
-        )
-    return joint.prob(a_outcome, b_outcome) / p1
 
 
 def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
@@ -313,52 +266,13 @@ ANGLE_TOL = 1e-9  # how far a tabulated angle may lie from the one asked for
 MAX_TABLE_CELLS = 1 << 20  # 16 keys at MAX_GRID_SIZE states
 
 
-def tabulated_factorized_model(
-    weights,
-    p1_tables: dict[int, dict[float, float]],
-    p2_tables: dict[int, dict[float, float]],
-) -> LhvModel:
-    """Factorized model whose responses are lookup tables angle -> P(+1).
-
-    Evaluating at an angle not present in a table (within ``ANGLE_TOL``) is
-    an error: finite models are defined only at their tabulated settings.
-    """
-    p1, p2 = ([t.get(k, {}).items() for k in range(len(weights))] for t in (p1_tables, p2_tables))
-    return flat_tabulated_model(FACTORIZED, weights, _flat(p1), _flat(p2))
-
-
-def tabulated_general_model(
-    weights,
-    p1_tables: dict[int, dict[float, float]],
-    p2_tables: dict[int, dict[tuple[float, float, int], float]],
-) -> LhvModel:
-    """General model with first-slot tables angle -> P(+1) and second-slot
-    tables (a, b, A) -> P(+1)."""
-    p1 = [p1_tables.get(k, {}).items() for k in range(len(weights))]
-    p2 = [[(*key, p) for key, p in p2_tables.get(k, {}).items()] for k in range(len(weights))]
-    return flat_tabulated_model(GENERAL, weights, _flat(p1), _flat(p2))
-
-
-def _flat(per_state):
-    """Per-state entries ``(*key, p)`` as one flat table (see ``flat_tabulated_model``),
-    keys in first-seen order."""
-    index: dict = {}
-    rows, cols, values = [], [], []
-    for k, entries in enumerate(per_state):
-        for *key, p in entries:
-            rows.append(k)
-            cols.append(index.setdefault(tuple(key), len(index)))
-            values.append(p)
-    return list(index), rows, cols, values
-
-
 def flat_tabulated_model(kind, weights, p1, p2) -> LhvModel:
     """Model from one flat table per slot, ``(keys, rows, cols, values)``:
     state ``rows[i]`` has P(+1) = ``values[i]`` at ``keys[cols[i]]``, keys
     ``(angle,)`` or, for general slot 2, ``(a, b, A)``.  Each (state, key)
-    has at most one entry: a model file refuses a repeat at its line, and a
-    dict cannot hold one.  A slot of more than ``MAX_TABLE_CELLS`` keys x
-    states raises ``InvalidModelError``."""
+    has at most one entry: a model file refuses a repeat at its line.  A
+    slot of more than ``MAX_TABLE_CELLS`` keys x states raises
+    ``InvalidModelError``."""
     n_states = len(weights)
     return LhvModel(
         weights=weights,
@@ -483,7 +397,7 @@ def per_state_chsh(m: LhvModel, s: ChshSettings) -> np.ndarray:
 
 def averaged_chsh(m: LhvModel, s: ChshSettings) -> float:
     """CHSH combination of the ensemble correlators."""
-    terms = _joint_terms(m, (s.a, s.a_prime), (s.b, s.b_prime))[2]
+    terms = _joint_terms(m, (s.a, s.a_prime), (s.b, s.b_prime))[1]
     sums = _ensemble(m, terms)  # (pp, pm, mp, mm) at (a, b), (a, b'), (a', b), (a', b')
     c_ab, c_abp, c_apb, c_apbp = [sums[i] - sums[i + 1] - sums[i + 2] + sums[i + 3] for i in (0, 4, 8, 12)]
     value = abs(c_ab + c_abp + c_apbp - c_apb)

@@ -6,11 +6,10 @@ at the second.  With outcomes A, B = +/-1 the joint distribution is
 
     P(A, B | a, b) = (1/4) (1 + A sin a) [1 + A B cos(a - b)]
 
-which this module evaluates both in that closed form and by composing
-squared overlaps of the explicit spin states (the two routes cross-check
-each other).  Marginals, conditionals, the ideal two-time correlator
-cos(a - b) and the dichotomic-moment identities used by the hidden-variable
-analysis are provided as well.
+which this module evaluates in that closed form, with its marginals and
+conditional, one value at a time or elementwise over numpy arrays.  The
+route composed from squared overlaps of the explicit spin states, which the
+tests check the closed form against, lives in ``tests/quantum_oracle.py``.
 
 All functions are pure; angles are radians, restricted to the xz-plane.
 """
@@ -22,11 +21,6 @@ from dataclasses import dataclass
 
 OUTCOMES = (1, -1)
 PROB_TOL = 1e-12
-NORM_TOL = 1e-9  # how far a state's norm^2 may lie from 1
-
-
-class InvalidStateError(ValueError):
-    """A spin state failed its normalization contract."""
 
 
 class UndefinedConditionalError(ValueError):
@@ -52,18 +46,6 @@ def _check_outcome(value: int, name: str = "outcome") -> int:
     if value not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class SpinState:
-    """Spinor in the sigma_z basis: amp_plus |z+> + amp_minus |z->."""
-
-    amp_plus: complex
-    amp_minus: complex
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2
 
 
 @dataclass(frozen=True)
@@ -110,66 +92,13 @@ class Moments:
     correlator: float
 
 
-def basis_state(theta: float, sign: int) -> SpinState:
-    """Eigenstate of the spin component along ``theta`` with eigenvalue ``sign``.
-
-    +1 maps to (cos t/2, sin t/2), -1 to (-sin t/2, cos t/2); both are
-    real-valued unit spinors.
-    """
-    _check_outcome(sign)
-    half = 0.5 * theta
-    c, s = math.cos(half), math.sin(half)
-    if sign == 1:
-        return SpinState(complex(c), complex(s))
-    return SpinState(complex(-s), complex(c))
-
-
-def initial_state() -> SpinState:
-    """Source state: polarized along +x, (|z+> + |z->)/sqrt(2)."""
-    r = math.sqrt(0.5)
-    return SpinState(complex(r), complex(r))
-
-
-def overlap_prob(psi: SpinState, phi: SpinState) -> float:
-    """|<psi|phi>|^2 for unit-normalized states."""
-    for state in (psi, phi):
-        if abs(state.norm_sq - 1.0) > NORM_TOL:
-            raise InvalidStateError(
-                f"state norm^2 = {state.norm_sq!r} deviates from 1 beyond {NORM_TOL}"
-            )
-    inner = (
-        psi.amp_plus.conjugate() * phi.amp_plus
-        + psi.amp_minus.conjugate() * phi.amp_minus
-    )
-    return clamp_probability(abs(inner) ** 2)
-
-
-def quantum_joint(a: float, b: float, mode: str = "closed_form") -> JointDistribution:
-    """Joint distribution of (A, B) for settings (a, b).
-
-    ``closed_form`` evaluates the product formula directly; ``amplitude``
-    composes |<psi0|phi_A(a)>|^2 |<phi_A(a)|phi_B(b)>|^2.  The two agree to
-    1e-12 and the amplitude route is kept as the independent oracle.
-    """
-    if mode == "closed_form":
-        sa = math.sin(a)
-        c = math.cos(a - b)
-        probs = {
-            (A, B): clamp_probability(0.25 * (1.0 + A * sa) * (1.0 + A * B * c))
-            for A in OUTCOMES
-            for B in OUTCOMES
-        }
-    elif mode == "amplitude":
-        psi0 = initial_state()
-        probs = {}
-        for A in OUTCOMES:
-            phi_a = basis_state(a, A)
-            first = overlap_prob(psi0, phi_a)
-            for B in OUTCOMES:
-                probs[(A, B)] = clamp_probability(first * overlap_prob(phi_a, basis_state(b, B)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'closed_form' or 'amplitude'")
-    return JointDistribution(probs[(1, 1)], probs[(1, -1)], probs[(-1, 1)], probs[(-1, -1)])
+def quantum_joint(a: float, b: float) -> JointDistribution:
+    """Joint distribution of (A, B) for settings (a, b), in closed form."""
+    sa = math.sin(a)
+    c = math.cos(a - b)
+    return JointDistribution(*(
+        clamp_probability(0.25 * (1.0 + A * sa) * (1.0 + A * B * c)) for A in OUTCOMES for B in OUTCOMES
+    ))
 
 
 def marginal_t1(a: float, a_outcome: int) -> float:
@@ -232,50 +161,3 @@ def probability_columns(sin_a, cos_ab, a_outcome, b_outcome):
     conditional = _clamp_probabilities(0.5 * (1.0 + ab * cos_ab))
     conditional[p_t1 == 0.0] = math.nan
     return joint, p_t1, p_t2, conditional
-
-
-def ideal_correlator(a: float, b: float) -> float:
-    """<sigma_a sigma_b> = cos(a - b) for perfect detection."""
-    return math.cos(a - b)
-
-
-def quantum_moments(a: float, b: float) -> Moments:
-    """The three dichotomic moments of the joint at (a, b)."""
-    return Moments(
-        mean_t1=math.sin(a),
-        mean_t2=math.sin(a) * math.cos(a - b),
-        correlator=ideal_correlator(a, b),
-    )
-
-
-def conditional_from_moments(m: Moments, a_outcome: int, b_outcome: int) -> float:
-    """Conditional P(B | A) reconstructed from dichotomic moments.
-
-    For observables valued +/-1,
-        P(B|A) = (1/2) [1 + (B m2 + A B m12) / (1 + A m1)].
-    Raises when the conditioning weight 1 + A m1 is not positive.
-    """
-    _check_outcome(a_outcome, "A")
-    _check_outcome(b_outcome, "B")
-    denom = 1.0 + a_outcome * m.mean_t1
-    if denom <= 0.0:
-        raise UndefinedConditionalError(
-            f"1 + A<t1-mean> = {denom!r} is not positive; conditional undefined"
-        )
-    num = b_outcome * m.mean_t2 + a_outcome * b_outcome * m.correlator
-    return clamp_probability(0.5 * (1.0 + num / denom))
-
-
-def t2_mean_identity(a: float, b: float) -> tuple[float, float]:
-    """Both sides of <sigma_b>_a = <sigma_a><sigma_a sigma_b>.
-
-    The left side is the t2 mean read off the t2 marginal, the right side
-    the product of the t1 mean and the correlator, each assembled from its
-    own route through the distributions.  For this preparation they agree
-    identically in (a, b).
-    """
-    lhs = sum(B * marginal_t2(a, b, B) for B in OUTCOMES)
-    mean_t1 = sum(A * marginal_t1(a, A) for A in OUTCOMES)
-    joint = quantum_joint(a, b)
-    rhs = mean_t1 * joint.correlator()
-    return lhs, rhs

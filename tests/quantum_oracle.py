@@ -1,0 +1,88 @@
+"""Amplitude oracle and moment identities of the quantum model, for the tests.
+
+``ttbell.quantum`` evaluates the joint distribution in closed form.  Here it
+is composed instead from squared overlaps of explicit real spinors in the
+sigma_z basis, |<psi0|phi_A(a)>|^2 |<phi_A(a)|phi_B(b)>|^2, so the tests can
+check the closed form against an independent route.  The dichotomic-moment
+identities that the hidden-variable analysis rests on are kept here too,
+each assembled from the package's marginals and joint.
+"""
+
+import math
+
+from ttbell.quantum import (
+    OUTCOMES,
+    Moments,
+    UndefinedConditionalError,
+    _check_outcome,
+    clamp_probability,
+    marginal_t1,
+    marginal_t2,
+    quantum_joint,
+)
+
+SOURCE = (math.sqrt(0.5), math.sqrt(0.5))  # polarized along +x
+
+
+def spinor(theta, sign):
+    """Eigenstate of the spin component along theta with eigenvalue sign:
+    +1 is (cos t/2, sin t/2), -1 is (-sin t/2, cos t/2)."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return (c, s) if sign == 1 else (-s, c)
+
+
+def overlap(psi, phi):
+    """|<psi|phi>|^2 of two real spinors."""
+    return abs(psi[0] * phi[0] + psi[1] * phi[1]) ** 2
+
+
+def brute_joint(a, b, A, B):
+    """P(A, B | a, b): squared overlaps multiplied by hand."""
+    phi_a = spinor(a, A)
+    return overlap(SOURCE, phi_a) * overlap(phi_a, spinor(b, B))
+
+
+def ideal_correlator(a: float, b: float) -> float:
+    """<sigma_a sigma_b> = cos(a - b) for perfect detection."""
+    return math.cos(a - b)
+
+
+def quantum_moments(a: float, b: float) -> Moments:
+    """The three dichotomic moments of the joint at (a, b)."""
+    return Moments(
+        mean_t1=math.sin(a),
+        mean_t2=math.sin(a) * math.cos(a - b),
+        correlator=ideal_correlator(a, b),
+    )
+
+
+def conditional_from_moments(m: Moments, a_outcome: int, b_outcome: int) -> float:
+    """Conditional P(B | A) reconstructed from dichotomic moments.
+
+    For observables valued +/-1,
+        P(B|A) = (1/2) [1 + (B m2 + A B m12) / (1 + A m1)].
+    Raises when the conditioning weight 1 + A m1 is not positive.
+    """
+    _check_outcome(a_outcome, "A")
+    _check_outcome(b_outcome, "B")
+    denom = 1.0 + a_outcome * m.mean_t1
+    if denom <= 0.0:
+        raise UndefinedConditionalError(
+            f"1 + A<t1-mean> = {denom!r} is not positive; conditional undefined"
+        )
+    num = b_outcome * m.mean_t2 + a_outcome * b_outcome * m.correlator
+    return clamp_probability(0.5 * (1.0 + num / denom))
+
+
+def t2_mean_identity(a: float, b: float) -> tuple[float, float]:
+    """Both sides of <sigma_b>_a = <sigma_a><sigma_a sigma_b>.
+
+    The left side is the t2 mean read off the t2 marginal, the right side
+    the product of the t1 mean and the correlator, each assembled from its
+    own route through the distributions.  For this preparation they agree
+    identically in (a, b).
+    """
+    lhs = sum(B * marginal_t2(a, b, B) for B in OUTCOMES)
+    mean_t1 = sum(A * marginal_t1(a, A) for A in OUTCOMES)
+    rhs = mean_t1 * quantum_joint(a, b).correlator()
+    return lhs, rhs

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import polytope_oracle
+import quantum_oracle
 
 from ttbell import chsh, lhv, montecarlo, polytope, quantum
 
@@ -26,24 +27,24 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_01_quantum_model_equivalence():
-    """Amplitude-composed and closed-form joints agree on a 100x100 grid."""
+    """The closed-form joint and the amplitude oracle agree on a 100x100 grid."""
     start = time.perf_counter()
     grid = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     worst_gap = 0.0
     worst_norm = 0.0
     for a in grid:
         for b in grid:
-            closed = quantum.quantum_joint(a, b, mode="closed_form")
-            amp = quantum.quantum_joint(a, b, mode="amplitude")
-            for (_, pc), (_, pa) in zip(closed.items(), amp.items()):
+            closed = quantum.quantum_joint(a, b)
+            amp = [quantum_oracle.brute_joint(a, b, *outs) for outs, _ in closed.items()]
+            for (_, pc), pa in zip(closed.items(), amp):
                 worst_gap = max(worst_gap, abs(pc - pa))
                 assert 0.0 <= pc <= 1.0
-            worst_norm = max(worst_norm, abs(closed.total - 1.0), abs(amp.total - 1.0))
+            worst_norm = max(worst_norm, abs(closed.total - 1.0), abs(sum(amp) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst_gap <= TOL and worst_norm <= TOL and elapsed < 1.0
     report(
         "01 quantum-model-equivalence", ok,
-        f"(max mode gap {worst_gap:.2e}, max norm defect {worst_norm:.2e}, {elapsed:.2f}s)",
+        f"(max route gap {worst_gap:.2e}, max norm defect {worst_norm:.2e}, {elapsed:.2f}s)",
     )
 
 
@@ -152,7 +153,7 @@ def test_06_polytope_certificates():
     """Quantum targets certified infeasible; scaled ones feasible; random
     feasible targets get weights that reproduce them."""
     settings = chsh.ladder_settings(math.pi / 4)
-    targets = polytope_oracle.correlator_targets(quantum.ideal_correlator, settings)
+    targets = polytope_oracle.correlator_targets(quantum_oracle.ideal_correlator, settings)
 
     cert = polytope.polytope_check(targets)
     gap_err = abs(cert.gap - (TWO_SQRT_TWO - 2.0))
@@ -196,7 +197,7 @@ def test_07_bookkeeping_identity_suite():
     worst_identity = 0.0
     for a in grid:
         for b in grid:
-            lhs, rhs = quantum.t2_mean_identity(a, b)
+            lhs, rhs = quantum_oracle.t2_mean_identity(a, b)
             worst_identity = max(worst_identity, abs(lhs - rhs))
     ok_identity = worst_identity <= TOL
 

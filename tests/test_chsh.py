@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quantum_oracle import ideal_correlator
 from ttbell import chsh
-from ttbell.quantum import ideal_correlator
 
 TOL = 1e-12
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)

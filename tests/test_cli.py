@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import polytope_oracle
+import quantum_oracle
 
 from ttbell import chsh, cli, lhv, montecarlo, polytope, quantum
 from ttbell.cli import (
@@ -89,6 +90,29 @@ class TestTable:
         code_rad, out_rad, _ = run_cli(capsys, "table", "--a", repr(PI / 2), "--b", "0.0")
         code_deg, out_deg, _ = run_cli(capsys, "table", "--a", "90", "--b", "0", "--degrees")
         assert out_rad == out_deg
+
+    def test_table_above_row_cap_is_usage_error(self, capsys):
+        # 4 x 2049 x 512 rows is just past 2**22: refused before any row is
+        # built, not rendered in 2049 blocks
+        a, b = _grid(2049), _grid(512)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "table", "--a", a, "--b", b, "--out", os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"ttbell table: error: table of {4 * 2049 * 512} rows exceeds the limit of "
+                       f"{chsh.MAX_SCAN_ROWS}; use shorter --a or --b lists\n")
+        assert peak < 1 << 20
+
+    def test_row_cap_admits_a_table_of_exactly_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 24)
+        code, out, _ = run_cli(capsys, "table", "--a", "0,1,2", "--b", "0,1")
+        assert code == EXIT_OK and len(out.splitlines()) == 1 + 24
+        code, out, err = run_cli(capsys, "table", "--a", "0,1,2", "--b", "0,1,2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "table of 36 rows exceeds the limit of 24" in err
 
 
 def scalar_table_rows(a_list, b_list):
@@ -603,6 +627,18 @@ class TestPolytope:
         code, _, err = run_cli(capsys, "polytope", "--targets", "1.2,0,0,0")
         assert code == EXIT_USAGE
 
+    def test_format_flag_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "polytope", "--alpha", "0.7", "--eta-d", "0.5", "--format", "csv")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: ttbell polytope [-h] ")
+        assert "ttbell polytope: error: unrecognized arguments: --format csv" in err
+
+    def test_format_config_key_is_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv\n")
+        argv = ("polytope", "--alpha", "0.7", "--eta-d", "0.5")
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == run_cli(capsys, *argv)
+
     def test_missing_inputs_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "polytope")
         assert code == EXIT_USAGE
@@ -621,7 +657,7 @@ class TestPolytope:
         check = polytope.polytope_check
         monkeypatch.setattr(polytope, "polytope_check", lambda t: checked.append(t) or check(t))
         run_cli(capsys, "polytope", f"--alpha={alpha!r}", "--eta-d=0.85")
-        expected = polytope_oracle.correlator_targets(quantum.ideal_correlator, chsh.ladder_settings(alpha))
+        expected = polytope_oracle.correlator_targets(quantum_oracle.ideal_correlator, chsh.ladder_settings(alpha))
         assert checked[0] == pytest.approx([0.85 * e for e in expected], abs=1e-15, rel=0)
 
 
@@ -726,6 +762,42 @@ class TestConfigAndIo:
             capsys, "mc", "--a", "0", "--b", "0", "--config", str(tmp_path / "none.cfg")
         )
         assert code == EXIT_IO
+
+    def test_config_file_above_size_limit_is_usage_error(self, capsys, tmp_path):
+        # a valid table config one byte past 1 MiB is refused unread, not
+        # parsed into 350 k angles and a 1.4 M-row table
+        cfg = tmp_path / "big.cfg"
+        head = "b = 0\na = "
+        angles = ",".join(["0.5"] * ((cli.MAX_CONFIG_BYTES - len(head)) // 4 + 1))
+        cfg.write_text(head + angles)
+        assert cfg.stat().st_size == cli.MAX_CONFIG_BYTES + 1
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "table", "--config", str(cfg), "--out", os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"ttbell table: error: {cfg}: config file larger than the limit of {1 << 20} bytes\n"
+        assert peak < 2 << 20  # the file's bytes, read once
+
+    def test_undecodable_config_file_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"a = 0.3 # \xff\n")
+        code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("ttbell table: error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_config_file_at_size_limit_is_read(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = 0.3\nb = 0.1\n")
+        monkeypatch.setattr(cli, "MAX_CONFIG_BYTES", cfg.stat().st_size)
+        code, out, _ = run_cli(capsys, "table", "--config", str(cfg))
+        assert code == EXIT_OK and out.startswith("a,b,A,B,")
+        monkeypatch.setattr(cli, "MAX_CONFIG_BYTES", cfg.stat().st_size - 1)
+        code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{cfg}: config file larger than the limit of" in err
 
     def test_every_subcommand_is_byte_deterministic(self, capsys):
         invocations = [

@@ -84,7 +84,7 @@ HELP_CASES = [
     (("mc",), "508d6640a9b88776f18ce0badab06b7454a8a215d44e80ad5bf09891aa7e8550"),
     (("chsh-scan",), "62512d9a1fd4f1e0df1076f1b0b96d0347736fb3eac71609b8a101975e30989c"),
     (("lhv-verify",), "19e185a29b94dff22ca190843552f661a4a498221cd7e2e4d25ba79b462af7bd"),
-    (("polytope",), "36f04abfa0ab985825b860c07d2623be9f425e19bf2ca64e58150b9ad49ffc61"),
+    (("polytope",), "e33e3ff091251beb48fc243b6f5f4b0da950bf50cf8d2f8e84157d7ed6d90627"),
     (("sweep",), "2c2957f70089f0a708bba535ad27e45f4d488b64be9dd3f43ed44ff76923c41e"),
 ]
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import lhv_oracle
 from ttbell import lhv
 from ttbell.chsh import ChshSettings, ladder_settings
-from ttbell.quantum import UndefinedConditionalError, quantum_joint
+from ttbell.quantum import quantum_joint
 
 TOL = 1e-12
 
@@ -68,7 +68,7 @@ class TestConstruction:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(lhv.InvalidModelError):
-            lhv.tabulated_factorized_model([bad, 1.0], {}, {})
+            lhv_oracle.tabulated_factorized_model([bad, 1.0], {}, {})
 
     def test_response_out_of_range_rejected(self):
         m = single_lambda_model(0.5, 0.5)
@@ -76,48 +76,50 @@ class TestConstruction:
             m.support, lambda A, a, l: 1.2 if A == 1 else -0.2, lambda B, b, l: 0.5
         )
         with pytest.raises(lhv.InvalidModelError):
-            lhv.per_lambda_joint(bad, 0.0, 0.0, bad.support[0])
+            lhv.average_over_lambda(bad, 0.0, 0.0)
 
     def test_response_sum_must_be_one(self):
         m = single_lambda_model(0.5, 0.5)
         bad = lhv.factorized_model(m.support, lambda A, a, l: 0.4, lambda B, b, l: 0.5)
         with pytest.raises(lhv.InvalidModelError):
-            lhv.per_lambda_joint(bad, 0.0, 0.0, bad.support[0])
+            lhv.average_over_lambda(bad, 0.0, 0.0)
 
 
 class TestPerLambda:
+    """A one-state model's ensemble is its state; a state of a larger model
+    is read off its columns by ``lhv_oracle.state_joint``."""
+
     def test_deterministic_state(self):
         m = single_lambda_model(1.0, 1.0)
-        j = lhv.per_lambda_joint(m, 0.1, 0.2, m.support[0])
+        j, moments = lhv.average_over_lambda(m, 0.1, 0.2)
         assert j.pp == 1.0 and j.pm == j.mp == j.mm == 0.0
-        stats = lhv.per_lambda_stats(m, 0.1, 0.2, m.support[0])
-        assert (stats.e1, stats.e2, stats.e12) == (1.0, 1.0, 1.0)
+        assert (moments.mean_t1, moments.mean_t2, moments.correlator) == (1.0, 1.0, 1.0)
 
     def test_uniform_responses(self):
         m = single_lambda_model(0.5, 0.5)
-        j = lhv.per_lambda_joint(m, 0.0, 0.0, m.support[0])
+        j, moments = lhv.average_over_lambda(m, 0.0, 0.0)
         for _, p in j.items():
             assert p == pytest.approx(0.25, abs=TOL)
-        assert lhv.per_lambda_stats(m, 0.0, 0.0, m.support[0]).e1 == 0.0
+        assert moments.mean_t1 == 0.0
 
     @given(PROBS, PROBS)
     def test_factorization_identity(self, p1, p2):
         m = single_lambda_model(p1, p2)
-        stats = lhv.per_lambda_stats(m, 0.3, 0.7, m.support[0])
-        assert stats.e12 == pytest.approx(stats.e1 * stats.e2, abs=TOL)
+        _, moments = lhv.average_over_lambda(m, 0.3, 0.7)
+        assert moments.correlator == pytest.approx(moments.mean_t1 * moments.mean_t2, abs=TOL)
 
     def test_general_model_stats_come_from_the_joint(self):
         # p1(+)=0.7, p2(+|+)=0.9, p2(+|-)=0.2: joint (.63, .07, .06, .24)
-        stats = lhv.per_lambda_stats(asymmetric_general_model(), 0.0, 0.0, lhv.LambdaPoint(0, 0.5))
-        assert stats.e1 == pytest.approx(0.4, abs=TOL)
-        assert stats.e2 == pytest.approx((0.63 + 0.06) - (0.07 + 0.24), abs=TOL)
-        assert stats.e12 == pytest.approx(0.63 - 0.07 - 0.06 + 0.24, abs=TOL)
-        assert abs(stats.e12 - stats.e1 * stats.e2) > 0.5  # no factorization here
+        j = lhv_oracle.state_joint(asymmetric_general_model(), 0.0, 0.0, 0)
+        e1, e2, e12 = (j.pp + j.pm) - (j.mp + j.mm), (j.pp + j.mp) - (j.pm + j.mm), j.correlator()
+        assert e1 == pytest.approx(0.4, abs=TOL)
+        assert e2 == pytest.approx((0.63 + 0.06) - (0.07 + 0.24), abs=TOL)
+        assert e12 == pytest.approx(0.63 - 0.07 - 0.06 + 0.24, abs=TOL)
+        assert abs(e12 - e1 * e2) > 0.5  # no factorization here
 
     def test_general_model_joint_uses_conditional_response(self):
         m = asymmetric_general_model()
-        lam = m.support[0]
-        j = lhv.per_lambda_joint(m, 0.0, 0.0, lam)
+        j = lhv_oracle.state_joint(m, 0.0, 0.0, 0)
         # p1(+)=0.7, p2(+|+)=0.9, p2(+|-)=0.2, enumerated by hand
         assert j.pp == pytest.approx(0.7 * 0.9, abs=TOL)
         assert j.pm == pytest.approx(0.7 * 0.1, abs=TOL)
@@ -126,10 +128,23 @@ class TestPerLambda:
 
 
 class TestAverage:
+    def test_ensemble_is_the_weighted_sum_of_state_joints_bitwise(self):
+        # left to right from 0.0, as a Python loop over the states adds
+        rng = np.random.default_rng(77)
+        models = [lhv.random_factorized_model(rng, k, [0.2], [0.9]) for k in (1, 2, 5, 40)]
+        models += [asymmetric_general_model(), lhv.position_style_model(33)]
+        for m in models:
+            expected = [0.0] * 4
+            for k, w in enumerate(m.weights.tolist()):
+                for i, p in enumerate(dataclasses.astuple(lhv_oracle.state_joint(m, 0.2, 0.9, k))):
+                    expected[i] += w * p
+            joint, _ = lhv.average_over_lambda(m, 0.2, 0.9)
+            assert [p.hex() for p in dataclasses.astuple(joint)] == [p.hex() for p in expected]
+
     def test_single_state_average_is_the_state(self):
         m = single_lambda_model(0.8, 0.3)
         joint, moments = lhv.average_over_lambda(m, 0.1, 0.9)
-        per = lhv.per_lambda_joint(m, 0.1, 0.9, m.support[0])
+        per = lhv_oracle.state_joint(m, 0.1, 0.9, 0)
         assert joint == per
         assert moments.mean_t1 == pytest.approx(0.6, abs=TOL)
 
@@ -177,7 +192,7 @@ class TestReproducer:
             assert joint.prob(A, 1) + joint.prob(A, -1) == pytest.approx(
                 expected.prob(A, 1) + expected.prob(A, -1), abs=TOL
             )
-        assert lhv.model_conditional_t2(m, a, b, 1, -1) == pytest.approx(
+        assert joint.prob(1, -1) / (joint.prob(1, 1) + joint.prob(1, -1)) == pytest.approx(
             expected.prob(1, -1) / (expected.prob(1, 1) + expected.prob(1, -1)), abs=TOL
         )
 
@@ -261,6 +276,29 @@ class TestChshBounds:
         with pytest.raises(lhv.UnsupportedModelError):
             lhv.per_lambda_chsh(m, s, m.support[0])
 
+    def test_per_state_route_equals_per_lambda_route_bitwise(self):
+        # per_state_chsh (the CLI's route) and per_lambda_chsh (one state at
+        # a time) give the same float at every state
+        rng = np.random.default_rng(4242)
+        s = ladder_settings(math.pi / 4)
+        t1, t2 = [s.a, s.a_prime], [s.b, s.b_prime]
+        support = [lhv.LambdaPoint(k, 0.25) for k in range(4)]
+        models = [
+            lhv.random_factorized_model(rng, int(rng.integers(1, 8)), t1, t2) for _ in range(100)
+        ] + [
+            lhv.position_style_model(1000),
+            lhv.fixed_setting_reproducer(0.9, 0.2),
+            single_lambda_model(0.3, 0.8),
+            lhv.factorized_model(
+                support,
+                lambda A, a, l: 0.5 * (1.0 + A * math.sin(a + l.id)),
+                lambda B, b, l: 0.5 * (1.0 + B * math.cos(b * l.id)),
+            ),
+        ]
+        for m in models:
+            per_state = [v.hex() for v in lhv.per_state_chsh(m, s).tolist()]
+            assert per_state == [lhv.per_lambda_chsh(m, s, lam).hex() for lam in m.support]
+
 
 class TestIndependenceProperties:
     def test_factorized_t2_marginal_ignores_first_setting(self):
@@ -278,8 +316,8 @@ class TestIndependenceProperties:
     def test_per_lambda_conditionals_ignore_first_outcome(self):
         rng = np.random.default_rng(123)
         m = lhv.random_factorized_model(rng, 4, [0.2], [0.9])
-        for lam in m.support:
-            j = lhv.per_lambda_joint(m, 0.2, 0.9, lam)
+        for k in range(len(m.weights)):
+            j = lhv_oracle.state_joint(m, 0.2, 0.9, k)
             p1_plus = j.pp + j.pm
             p1_minus = j.mp + j.mm
             if p1_plus > 0 and p1_minus > 0:
@@ -339,14 +377,16 @@ class TestConsistencyChecks:
             assert report.passed
 
     def test_tabulated_model_requires_known_angle(self):
-        m = lhv.tabulated_factorized_model([1.0], {0: {0.5: 0.7}}, {0: {0.25: 0.4}})
+        m = lhv_oracle.tabulated_factorized_model([1.0], {0: {0.5: 0.7}}, {0: {0.25: 0.4}})
         with pytest.raises(lhv.InvalidModelError):
             lhv.average_over_lambda(m, 0.5, 0.75)
 
     def test_model_conditional_requires_support(self):
+        # A = -1 never happens, so no conditional on it is formed (no 0/0)
         m = single_lambda_model(1.0, 0.5)
-        with pytest.raises(UndefinedConditionalError):
-            lhv.model_conditional_t2(m, 0.0, 0.0, -1, 1)
+        report = lhv.verify_consistency(m, 0.0, 0.0)
+        assert report.conditional_moment_route_error == 0.0
+        assert report.outcome_swap_error == 0.0 and report.passed
 
     def test_state_limit_holds_for_any_model(self):
         # the O(K^2) check refuses a model above MAX_GRID_SIZE states before
@@ -414,7 +454,7 @@ class TestColumnContract:
     """A model is evaluated one response column per setting over all states."""
 
     def test_columns_hold_both_outcomes_over_all_states(self):
-        m = lhv.tabulated_factorized_model([0.25, 0.75], {0: {0.5: 0.2}, 1: {0.5: 1.0}}, {})
+        m = lhv_oracle.tabulated_factorized_model([0.25, 0.75], {0: {0.5: 0.2}, 1: {0.5: 1.0}}, {})
         plus, minus = m.t1_column(0.5)
         assert plus.tolist() == [0.2, 1.0]
         assert minus.tolist() == [1.0 - 0.2, 0.0]
@@ -422,9 +462,9 @@ class TestColumnContract:
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.2, 1.0 + 1e-9])
     def test_bad_table_entry_rejected_when_built(self, bad):
         with pytest.raises(lhv.InvalidModelError):
-            lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.1: 0.3}, 1: {0.1: bad}}, {})
+            lhv_oracle.tabulated_factorized_model([0.5, 0.5], {0: {0.1: 0.3}, 1: {0.1: bad}}, {})
         with pytest.raises(lhv.InvalidModelError):
-            lhv.tabulated_general_model([1.0], {0: {0.1: 0.3}}, {0: {(0.1, 0.2, -1): bad}})
+            lhv_oracle.tabulated_general_model([1.0], {0: {0.1: 0.3}}, {0: {(0.1, 0.2, -1): bad}})
 
     def test_first_bad_entry_in_state_order_is_reported(self):
         # entries given out of state order; state 0's dust is clamped, and
@@ -451,7 +491,7 @@ class TestColumnContract:
         assert peak < 1 << 20
 
     def test_rounding_dust_clamped_when_built(self):
-        m = lhv.tabulated_factorized_model([1.0], {0: {0.1: 1.0 + 1e-13}}, {0: {0.2: -1e-13}})
+        m = lhv_oracle.tabulated_factorized_model([1.0], {0: {0.1: 1.0 + 1e-13}}, {0: {0.2: -1e-13}})
         assert [c.tolist() for c in m.t1_column(0.1)] == [[1.0], [0.0]]
         assert [c.tolist() for c in m.t2_column(0.2)] == [[0.0], [1.0]]
 
@@ -467,12 +507,12 @@ class TestColumnContract:
         assert [lam.weight for lam in m.support] == m.weights.tolist()
 
     def test_untabulated_angle_raises_everywhere(self):
-        m = lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.5: 0.7}, 1: {0.5: 0.1}},
-                                           {0: {0.25: 0.4}, 1: {0.25: 0.9}})
+        m = lhv_oracle.tabulated_factorized_model([0.5, 0.5], {0: {0.5: 0.7}, 1: {0.5: 0.1}},
+                                                  {0: {0.25: 0.4}, 1: {0.25: 0.9}})
         s = ChshSettings(a=0.5, a_prime=0.6, b=0.25, b_prime=0.25)
         for evaluate in (
             lambda: lhv.average_over_lambda(m, 0.6, 0.25),
-            lambda: lhv.per_lambda_joint(m, 0.5, 0.3, m.support[1]),
+            lambda: lhv.average_over_lambda(m, 0.5, 0.3),
             lambda: lhv.verify_consistency(m, 0.5, 0.3),
             lambda: lhv.averaged_chsh(m, s),
             lambda: lhv.per_state_chsh(m, s),
@@ -483,8 +523,8 @@ class TestColumnContract:
 
     def test_untabulated_angle_message(self):
         # state 1 has no response at a' = 0.6, so every message names it
-        m = lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.5: 0.7, 0.6: 0.2}, 1: {0.5: 0.1}},
-                                           {0: {0.25: 0.4}, 1: {0.25: 0.9}})
+        m = lhv_oracle.tabulated_factorized_model([0.5, 0.5], {0: {0.5: 0.7, 0.6: 0.2}, 1: {0.5: 0.1}},
+                                                  {0: {0.25: 0.4}, 1: {0.25: 0.9}})
         s = ChshSettings(a=0.5, a_prime=0.6, b=0.25, b_prime=0.25)
         at_s = "ChshSettings(a=0.5, a_prime=0.6, b=0.25, b_prime=0.25)"
         for evaluate, where in (
@@ -497,7 +537,7 @@ class TestColumnContract:
             assert str(err.value) == f"no response tabulated at {where} for id 1"
 
     def test_angle_within_tolerance_answers(self):
-        m = lhv.tabulated_factorized_model([1.0], {0: {0.5: 0.7}}, {0: {0.25: 0.4}})
+        m = lhv_oracle.tabulated_factorized_model([1.0], {0: {0.5: 0.7}}, {0: {0.25: 0.4}})
         assert lhv.average_over_lambda(m, 0.5 + 5e-10, 0.25 - 5e-10) == lhv.average_over_lambda(
             m, 0.5, 0.25
         )
@@ -505,15 +545,14 @@ class TestColumnContract:
     def test_states_with_different_angle_sets(self):
         # state 0 tabulates a = 0.2, state 1 does not; state 1 tabulates
         # b = 0.3 only to within the angle tolerance
-        m = lhv.tabulated_factorized_model(
+        m = lhv_oracle.tabulated_factorized_model(
             [0.5, 0.5],
             {0: {0.1: 0.3, 0.2: 0.9}, 1: {0.1: 0.6}},
             {0: {0.3: 0.5}, 1: {0.3 + 5e-10: 0.25}},
         )
-        joint = lhv.per_lambda_joint(m, 0.2, 0.3, m.support[0])
+        joint = lhv_oracle.state_joint(m, 0.2, 0.3, 0)
         assert (joint.pp, joint.pm) == (0.9 * 0.5, 0.9 * 0.5)
-        with pytest.raises(lhv.InvalidModelError):
-            lhv.per_lambda_joint(m, 0.2, 0.3, m.support[1])
+        assert math.isnan(lhv_oracle.state_joint(m, 0.2, 0.3, 1).pp)
         with pytest.raises(lhv.InvalidModelError):
             lhv.average_over_lambda(m, 0.2, 0.3)
         joint, _ = lhv.average_over_lambda(m, 0.1, 0.3)
@@ -524,7 +563,7 @@ class TestColumnContract:
         # state 0 tabulates b = 0.3 - 5e-10 and b = 0.3, both within the
         # angle tolerance of 0.3; state 1 only the first, so b = 0.3 is
         # answered key by key, not by the index of complete keys
-        m = lhv.tabulated_factorized_model(
+        m = lhv_oracle.tabulated_factorized_model(
             [0.5, 0.5], {0: {0.1: 0.5}, 1: {0.1: 0.5}},
             {0: {0.3 - 5e-10: 0.25, 0.3: 0.75}, 1: {0.3 - 5e-10: 0.125}},
         )

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lhv_oracle
 from ttbell import lhv, model_io
 
 FACTORIZED_TEXT = """\
@@ -53,7 +54,7 @@ class TestParsing:
 
     def test_parse_general(self):
         model = load_text(GENERAL_TEXT)
-        joint = lhv.per_lambda_joint(model, 0.3, 0.9, model.support[0])
+        joint = lhv_oracle.state_joint(model, 0.3, 0.9, 0)
         assert joint.pp == pytest.approx(0.6 * 0.8, abs=1e-12)
         assert joint.mp == pytest.approx(0.4 * 0.1, abs=1e-12)
 
@@ -201,7 +202,7 @@ class TestRoundTrip:
         pairs = [(0.1, 0.3), (-0.7, 0.3)]
         p1 = {k: {a: float(rng.random()) for a, _ in pairs} for k in range(n)}
         p2 = {k: {(a, b, A): float(rng.random()) for a, b in pairs for A in (1, -1)} for k in range(n)}
-        model = lhv.tabulated_general_model(weights, p1, p2)
+        model = lhv_oracle.tabulated_general_model(weights, p1, p2)
         settings = dict(t1_angles=[a for a, _ in pairs], t2_pairs=pairs)
         text = written(model, tmp_path / "a", **settings)
         assert text.count("\n") == 1 + 7 * n
@@ -227,7 +228,7 @@ class TestRoundTrip:
         weights = (1.0 / 3.0, 2.0 / 3.0)
         p1 = {0: {0.1: 1.0 / 7.0}, 1: {0.1: 2.0 / 7.0}}
         p2 = {0: {0.2: 0.123456789012345}, 1: {0.2: 1.0 / 9.0}}
-        model = lhv.tabulated_factorized_model(weights, p1, p2)
+        model = lhv_oracle.tabulated_factorized_model(weights, p1, p2)
         path = tmp_path / "frac.model"
         model_io.write_model_file(path, model, t1_angles=[0.1], t2_angles=[0.2])
         loaded = model_io.load_model(path)
@@ -266,7 +267,7 @@ class TestRoundTrip:
 
     def test_untabulated_setting_leaves_no_file(self, tmp_path):
         # every check runs before the file is opened
-        model = lhv.tabulated_factorized_model([0.5, 0.5], {0: {0.1: 0.5}, 1: {0.1: 0.5}}, {0: {0.2: 0.5}})
+        model = lhv_oracle.tabulated_factorized_model([0.5, 0.5], {0: {0.1: 0.5}, 1: {0.1: 0.5}}, {0: {0.2: 0.5}})
         path = tmp_path / "missing.model"
         with pytest.raises(lhv.InvalidModelError, match="no t2 response tabulated at"):
             model_io.write_model_file(path, model, t1_angles=[0.1], t2_angles=[0.2])
@@ -277,8 +278,8 @@ class TestRoundTrip:
         path = tmp_path / "general.model"
         model_io.write_model_file(path, model, t1_angles=[0.3], t2_pairs=[(0.3, 0.9)])
         rebuilt = model_io.load_model(path)
-        j1 = lhv.per_lambda_joint(model, 0.3, 0.9, model.support[0])
-        j2 = lhv.per_lambda_joint(rebuilt, 0.3, 0.9, rebuilt.support[0])
+        j1 = lhv_oracle.state_joint(model, 0.3, 0.9, 0)
+        j2 = lhv_oracle.state_joint(rebuilt, 0.3, 0.9, 0)
         assert j1 == j2
 
 

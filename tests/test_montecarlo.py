@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
+import lhv_oracle
 import montecarlo_oracle as oracle
 from ttbell import montecarlo as mc
 from ttbell.quantum import quantum_joint
@@ -361,7 +362,7 @@ class TestHvDetection:
                 averaged = sum(
                     lam.weight
                     * oracle.hv_detection_probability(
-                        lhv.per_lambda_joint(model, a, b, lam).prob(A, B), cfg
+                        lhv_oracle.state_joint(model, a, b, lam.id).prob(A, B), cfg
                     )
                     for lam in model.support
                 )
@@ -377,7 +378,7 @@ class TestHvDetection:
 
         model = lhv.fixed_setting_reproducer(a, b)
         for lam in model.support:
-            joint = lhv.per_lambda_joint(model, a, b, lam)
+            joint = lhv_oracle.state_joint(model, a, b, lam.id)
             for _, p in joint.items():
                 model_total += lam.weight * oracle.hv_detection_probability(p, cfg)
         assert model_total == pytest.approx(cfg.detect_prob, abs=1e-12)

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polytope_oracle
+from quantum_oracle import ideal_correlator
 
 from ttbell import polytope as pt
 from ttbell.chsh import ladder_settings
-from ttbell.quantum import ideal_correlator
 
 CORR = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

@@ -12,79 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quantum_oracle as oracle
 from ttbell import quantum as q
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 TOL = 1e-12
-
-
-def brute_joint(a, b, A, B):
-    """Eq-by-amplitudes oracle: squared overlaps multiplied by hand."""
-    psi0 = (math.sqrt(0.5), math.sqrt(0.5))
-    phi_a = _spinor(a, A)
-    phi_b = _spinor(b, B)
-    first = abs(psi0[0] * phi_a[0] + psi0[1] * phi_a[1]) ** 2
-    second = abs(phi_a[0] * phi_b[0] + phi_a[1] * phi_b[1]) ** 2
-    return first * second
-
-
-def _spinor(theta, sign):
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return (c, s) if sign == 1 else (-s, c)
-
-
-class TestStates:
-    def test_basis_state_poles(self):
-        up = q.basis_state(0.0, 1)
-        assert (up.amp_plus, up.amp_minus) == (1.0, 0.0)
-        down_aligned = q.basis_state(math.pi, 1)
-        assert abs(down_aligned.amp_plus) < TOL
-        assert down_aligned.amp_minus == pytest.approx(1.0, abs=TOL)
-
-    def test_basis_state_x_axis_equals_source(self):
-        x_plus = q.basis_state(math.pi / 2, 1)
-        psi0 = q.initial_state()
-        assert q.overlap_prob(psi0, x_plus) == pytest.approx(1.0, abs=TOL)
-        assert q.overlap_prob(psi0, q.basis_state(math.pi / 2, -1)) == pytest.approx(0.0, abs=TOL)
-
-    def test_initial_state_components(self):
-        psi0 = q.initial_state()
-        assert psi0.amp_plus.real == pytest.approx(0.70710678, abs=1e-8)
-        assert psi0.amp_plus == psi0.amp_minus
-        assert psi0.norm_sq == pytest.approx(1.0, abs=TOL)
-
-    @given(ANGLES, st.sampled_from((1, -1)))
-    def test_basis_states_unit_norm(self, theta, sign):
-        assert q.basis_state(theta, sign).norm_sq == pytest.approx(1.0, abs=TOL)
-
-    @given(ANGLES)
-    def test_basis_pair_orthogonal(self, theta):
-        p = q.overlap_prob(q.basis_state(theta, 1), q.basis_state(theta, -1))
-        assert p == pytest.approx(0.0, abs=TOL)
-
-    def test_outcome_validation(self):
-        with pytest.raises(ValueError):
-            q.basis_state(0.0, 0)
-        with pytest.raises(ValueError):
-            q.basis_state(0.0, 2)
-
-
-class TestOverlap:
-    def test_self_overlap_is_one(self):
-        s = q.basis_state(1.234, 1)
-        assert q.overlap_prob(s, s) == pytest.approx(1.0, abs=TOL)
-
-    def test_known_overlap(self):
-        # |<z+|phi+(pi/3)>|^2 = cos^2(pi/6) = 3/4, frozen from complex arithmetic
-        p = q.overlap_prob(q.basis_state(0.0, 1), q.basis_state(math.pi / 3, 1))
-        assert p == pytest.approx(0.75, abs=TOL)
-
-    def test_rejects_unnormalized(self):
-        bad = q.SpinState(complex(1.0), complex(1.0))
-        with pytest.raises(q.InvalidStateError):
-            q.overlap_prob(bad, q.initial_state())
-        with pytest.raises(q.InvalidStateError):
-            q.overlap_prob(q.initial_state(), bad)
 
 
 class TestJoint:
@@ -102,22 +34,18 @@ class TestJoint:
         # (1/4)(1 + sqrt(3)/2)(1 - sqrt(3)/2) = 1/16, amplitude oracle agrees
         j = q.quantum_joint(math.pi / 3, math.pi / 6)
         assert j.pm == pytest.approx(1.0 / 16.0, abs=TOL)
-        assert j.pm == pytest.approx(brute_joint(math.pi / 3, math.pi / 6, 1, -1), abs=TOL)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            q.quantum_joint(0.0, 0.0, mode="exact")
+        assert j.pm == pytest.approx(oracle.brute_joint(math.pi / 3, math.pi / 6, 1, -1), abs=TOL)
 
     @given(ANGLES, ANGLES)
     def test_modes_agree_and_normalize(self, a, b):
-        closed = q.quantum_joint(a, b, mode="closed_form")
-        amp = q.quantum_joint(a, b, mode="amplitude")
-        for (outs, p_closed), (_, p_amp) in zip(closed.items(), amp.items()):
-            assert p_closed == pytest.approx(p_amp, abs=TOL)
+        """The closed form and the amplitude oracle agree, and each sums to 1."""
+        closed = q.quantum_joint(a, b)
+        amp = [oracle.brute_joint(a, b, *outs) for outs, _ in closed.items()]
+        for (_, p_closed), p_amp in zip(closed.items(), amp):
             assert 0.0 <= p_closed <= 1.0
-            assert p_closed == pytest.approx(brute_joint(a, b, *outs), abs=TOL)
+            assert p_closed == pytest.approx(p_amp, abs=TOL)
         assert closed.total == pytest.approx(1.0, abs=TOL)
-        assert amp.total == pytest.approx(1.0, abs=TOL)
+        assert sum(amp) == pytest.approx(1.0, abs=TOL)
 
 
 class TestMarginalsAndConditionals:
@@ -158,6 +86,17 @@ class TestMarginalsAndConditionals:
         with pytest.raises(q.UndefinedConditionalError):
             q.conditional_t2(-math.pi / 2, 0.0, 1, 1)
 
+    def test_outcomes_must_be_plus_or_minus_one(self):
+        for evaluate in (
+            lambda: q.marginal_t1(0.3, 0),
+            lambda: q.marginal_t2(0.3, 0.1, 2),
+            lambda: q.conditional_t2(0.3, 0.1, 0, 1),
+            lambda: q.conditional_t2(0.3, 0.1, 1, -2),
+            lambda: q.quantum_joint(0.3, 0.1).prob(1, 0),
+        ):
+            with pytest.raises(ValueError, match="must be \\+1 or -1"):
+                evaluate()
+
     def test_conditional_depends_on_first_outcome(self):
         # outcome-dependence witness, any cos(a-b) != 0
         a, b = 0.7, 0.1
@@ -183,64 +122,64 @@ class TestMarginalsAndConditionals:
     def test_conditional_equals_repreparation_overlap(self, a, b, A, B):
         if q.marginal_t1(a, A) == 0.0:
             return
-        reprep = q.overlap_prob(q.basis_state(a, A), q.basis_state(b, B))
+        reprep = oracle.overlap(oracle.spinor(a, A), oracle.spinor(b, B))
         assert q.conditional_t2(a, b, A, B) == pytest.approx(reprep, abs=TOL)
 
 
 class TestCorrelatorAndMoments:
     def test_correlator_values(self):
-        assert q.ideal_correlator(1.3, 1.3) == 1.0
-        assert q.ideal_correlator(0.0, math.pi / 2) == pytest.approx(0.0, abs=TOL)
+        assert oracle.ideal_correlator(1.3, 1.3) == 1.0
+        assert oracle.ideal_correlator(0.0, math.pi / 2) == pytest.approx(0.0, abs=TOL)
         # brute-force sum oracle at (pi/4, 0)
         s = sum(A * B * p for (A, B), p in q.quantum_joint(math.pi / 4, 0.0).items())
-        assert q.ideal_correlator(math.pi / 4, 0.0) == pytest.approx(0.70710678, abs=1e-8)
-        assert q.ideal_correlator(math.pi / 4, 0.0) == pytest.approx(s, abs=TOL)
+        assert oracle.ideal_correlator(math.pi / 4, 0.0) == pytest.approx(0.70710678, abs=1e-8)
+        assert oracle.ideal_correlator(math.pi / 4, 0.0) == pytest.approx(s, abs=TOL)
 
     @given(ANGLES, ANGLES)
     def test_correlator_equals_outcome_sum(self, a, b):
         s = sum(A * B * p for (A, B), p in q.quantum_joint(a, b).items())
-        assert q.ideal_correlator(a, b) == pytest.approx(s, abs=TOL)
+        assert oracle.ideal_correlator(a, b) == pytest.approx(s, abs=TOL)
 
     def test_conditional_from_moments_cases(self):
         perfect = q.Moments(mean_t1=0.0, mean_t2=0.0, correlator=1.0)
-        assert q.conditional_from_moments(perfect, 1, 1) == pytest.approx(1.0, abs=TOL)
+        assert oracle.conditional_from_moments(perfect, 1, 1) == pytest.approx(1.0, abs=TOL)
         flat = q.Moments(mean_t1=0.0, mean_t2=0.0, correlator=0.0)
         for A in q.OUTCOMES:
             for B in q.OUTCOMES:
-                assert q.conditional_from_moments(flat, A, B) == 0.5
+                assert oracle.conditional_from_moments(flat, A, B) == 0.5
 
     def test_conditional_from_moments_matches_quantum(self):
-        m = q.quantum_moments(math.pi / 3, 0.0)
-        assert q.conditional_from_moments(m, 1, -1) == pytest.approx(0.25, abs=TOL)
+        m = oracle.quantum_moments(math.pi / 3, 0.0)
+        assert oracle.conditional_from_moments(m, 1, -1) == pytest.approx(0.25, abs=TOL)
 
     @given(ANGLES, ANGLES, st.sampled_from((1, -1)), st.sampled_from((1, -1)))
     def test_moment_route_reproduces_conditional(self, a, b, A, B):
-        m = q.quantum_moments(a, b)
+        m = oracle.quantum_moments(a, b)
         # skip the near-singular conditioning region, where the divided form
         # legitimately loses absolute precision
         if 1.0 + A * m.mean_t1 <= 1e-6:
             return
-        assert q.conditional_from_moments(m, A, B) == pytest.approx(
+        assert oracle.conditional_from_moments(m, A, B) == pytest.approx(
             q.conditional_t2(a, b, A, B), abs=TOL
         )
 
     def test_conditional_from_moments_rejects_null_denominator(self):
         degenerate = q.Moments(mean_t1=-1.0, mean_t2=0.0, correlator=0.0)
         with pytest.raises(q.UndefinedConditionalError):
-            q.conditional_from_moments(degenerate, 1, 1)
+            oracle.conditional_from_moments(degenerate, 1, 1)
 
     def test_t2_mean_identity_examples(self):
-        lhs, rhs = q.t2_mean_identity(0.0, 0.42)
+        lhs, rhs = oracle.t2_mean_identity(0.0, 0.42)
         assert lhs == pytest.approx(0.0, abs=TOL) and rhs == pytest.approx(0.0, abs=TOL)
-        lhs, rhs = q.t2_mean_identity(math.pi / 2, math.pi / 2)
+        lhs, rhs = oracle.t2_mean_identity(math.pi / 2, math.pi / 2)
         assert lhs == pytest.approx(1.0, abs=TOL) and rhs == pytest.approx(1.0, abs=TOL)
-        lhs, rhs = q.t2_mean_identity(math.pi / 3, math.pi / 6)
+        lhs, rhs = oracle.t2_mean_identity(math.pi / 3, math.pi / 6)
         assert lhs == pytest.approx(0.75, abs=TOL)
         assert rhs == pytest.approx(0.75, abs=TOL)
 
     @given(ANGLES, ANGLES)
     def test_t2_mean_identity_everywhere(self, a, b):
-        lhs, rhs = q.t2_mean_identity(a, b)
+        lhs, rhs = oracle.t2_mean_identity(a, b)
         assert lhs == pytest.approx(rhs, abs=TOL)
 
 
