@@ -28,9 +28,11 @@ Records are then formatted and written ``ROW_BLOCK`` rows at a time.
 ``quantum.probability_columns`` on sines and cosines taken by ``math``.
 A block is rendered with numpy, all its float columns in one pass and
 each other column on its own, in the very bytes that formatting each
-cell with ``fmt`` / ``_json_number`` gives; those two still write
-one-record documents and the few cells outside the columns' exact range
-(None, non-finite, |x| >= 4e6, integers of ten or more digits).
+cell with ``fmt`` / ``_json_number`` gives (a None or non-finite float is
+``nan`` / ``null``); those two still write one-record documents and the
+few cells outside the columns' exact range (|x| >= 4e6, integers of ten
+or more digits).  ``polytope``'s document fills a template that is
+``json_text``'s layout of its payload, one per layout.
 
 Exit codes: 0 success (and polytope-feasible), 1 usage error, 2 I/O
 error, 3 polytope-infeasible, 4 lhv-verify check failure.  A stdout
@@ -46,6 +48,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -259,6 +262,9 @@ _WIDTH = {FLOAT: 20, INT: 10, SIGNED: 10, BOOL: 5}
 _DTYPE = {FLOAT: np.float64, INT: np.int64, SIGNED: np.int64, BOOL: np.bool_}
 _SCALAR = {FLOAT: float, INT: int, SIGNED: int, BOOL: bool}
 _EXPONENT_PLACES = np.arange(9, 20)  # the places of a FLOAT slot an exponent form rewrites
+# a None or non-finite FLOAT cell's slot, by json_side: nan or null, the rest masked
+_MISSING = [(np.frombuffer(text.ljust(20).encode(), np.uint8), np.arange(20) < len(text))
+            for text in ("nan", "null")]
 
 # The cell writers below fill a slot one byte column at a time: a column is
 # one strided loop over the block's rows, while an operation on an (n, 3)
@@ -330,13 +336,17 @@ def _put_digits(chars: np.ndarray, valid: np.ndarray, value: np.ndarray, masked:
 def _float_cells(x, chars, valid, json_side, masked):
     """Write the cells of x with |x| < 4e6 (finite), one a row of ``chars``.
 
-    Returns the mask of the cells that must take the scalar path, |d| of
-    every cell (0 for those) and the whole places masked (``_put_digits``).
+    Returns the mask of the finite cells past that range, which take the
+    scalar path, the mask of the non-finite ones (None if there are none),
+    |d| of every cell (0 for both) and the whole places masked (``_put_digits``).
     """
     magnitude = np.abs(x)
     scalar = ~(magnitude < _FAST_LIMIT)
+    missing = None
     if scalar.any():
         magnitude[scalar] = 0.0
+        missing = ~np.isfinite(x)
+        scalar ^= missing
     units = _billionths(magnitude).astype(np.uint64)
     whole = units // _UNITS
     frac = (units - whole * _UNITS).astype(np.uint32)
@@ -356,7 +366,7 @@ def _float_cells(x, chars, valid, json_side, masked):
         kept = valid[:, 12:20].view(np.uint32)
         kept[:, 0] = np.where(low > 0, _EVERY_DIGIT, word_kept[high])
         kept[:, 1] = word_kept[low]
-    return scalar, units, masked
+    return scalar, missing, units, masked
 
 
 def _exponent_cells(d: np.ndarray):
@@ -419,11 +429,11 @@ class _BlockRenderer:
     largest value has; ``masked`` records, per field, how many leading
     places are masked in every row, so a block masks only those a wider
     block before it kept.  JSON cells that ``repr`` writes with an exponent
-    (0 < |round(x, 9)| < 1e-4) are rewritten in their rows.  A row with a
-    cell the columns do not write (None or non-finite, |x| >= 4e6, an
-    integer of ten or more digits) is written by ``fmt`` /
-    ``_json_number`` instead and spliced in at its place.  Each row starts
-    with ``lead``.
+    (0 < |round(x, 9)| < 1e-4) and None or non-finite FLOAT cells (``nan``,
+    ``null``) are rewritten in their rows.  A row with a cell the columns
+    do not write (|x| >= 4e6, an integer of ten or more digits) is written
+    by ``fmt`` / ``_json_number`` instead and spliced in at its place.
+    Each row starts with ``lead``.
     """
 
     def __init__(self, columns, json_side: bool, indent: str = "", lead: str = ""):
@@ -476,13 +486,18 @@ class _BlockRenderer:
             k = len(self.floats)
             x = np.concatenate([cells[i] for i, _, _ in self.floats], out=self.float_x[:k * n])
             float_chars, float_valid = self.float_chars[:k * n], self.float_valid[:k * n]
-            float_scalar, units, self.masked[FLOAT] = _float_cells(
+            float_scalar, missing, units, self.masked[FLOAT] = _float_cells(
                 x, float_chars, float_valid, self.json_side, self.masked[FLOAT])
             scalar |= float_scalar.reshape(k, n).any(axis=0)
             for c, (_, start, stop) in enumerate(self.floats):
                 column = slice(c * n, (c + 1) * n)
                 chars[:, start:stop] = float_chars[column]
                 valid[:, start:stop] = float_valid[column]
+            # the rows' FLOAT slots are copied whole each block, so rewriting one needs no undo
+            if missing is not None and missing.any():
+                slot, row = np.divmod(np.flatnonzero(missing), n)
+                places = self.float_starts[slot, None] + np.arange(_WIDTH[FLOAT])
+                chars[row[:, None], places], valid[row[:, None], places] = _MISSING[self.json_side]
             if self.json_side:  # cells repr writes with an exponent, rewritten in their rows
                 tiny = np.flatnonzero((units > 0) & (units < _TINY))
                 if len(tiny):
@@ -547,14 +562,23 @@ def emit_records(fmt_name: str, columns, blocks, summary=None):
     yield "\n}\n"
 
 
-def _parse_angle_list(text: str, key: str) -> list[float]:
+_LIST_ENTRY = re.compile(r"[^,]+")  # an entry of a comma-separated list
+
+
+def _parse_angle_list(text, key: str) -> np.ndarray:
+    """The angles of a comma-separated list (blank entries skipped) as
+    float64, read an entry at a time: no Python object per angle is held.
+    An array is a list ``--degrees`` has already parsed and scaled."""
+    if isinstance(text, np.ndarray):
+        return text
+    entries = filter(str.strip, map(re.Match.group, _LIST_ENTRY.finditer(str(text))))
     try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        values = np.fromiter(map(float, entries), dtype=np.float64)
     except ValueError:
         raise UsageError(f"{_flag(key)} expects a number or comma-separated numbers, got {text!r}")
-    if not values:
+    if not len(values):
         raise UsageError(f"{_flag(key)} is empty")
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         raise UsageError(f"{_flag(key)} must be finite, got {text!r}")
     return values
 
@@ -641,7 +665,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
         key = opt.key
         if merged.get("degrees") and opt.angle and merged[key] is not None:
             if opt.convert is str:  # may still be a comma list at this point
-                merged[key] = ",".join(repr(v * scale) for v in _parse_angle_list(merged[key], key))
+                merged[key] = _parse_angle_list(merged[key], key) * scale
             else:
                 merged[key] = merged[key] * scale
     for opt in options:
@@ -666,12 +690,12 @@ def _table_blocks(a_list, b_list):
     once per pair, with ``math``, and ``quantum.probability_columns`` does
     the rest, so every cell has the bits of the scalar closed forms.  They
     cannot fail once ``cmd_table`` has checked every a - b is finite."""
-    a_all, b_all = np.array(a_list), np.array(b_list)
-    sin_all = np.array([math.sin(a) for a in a_list])
-    rows = 4 * len(a_list) * len(b_list)
+    a_all, b_all = np.asarray(a_list, dtype=np.float64), np.asarray(b_list, dtype=np.float64)
+    sin_all = np.fromiter(map(math.sin, a_all), dtype=np.float64, count=len(a_all))
+    rows = 4 * len(a_all) * len(b_all)
     for lo in range(0, rows, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, rows)
-        i, j = np.divmod(np.arange(lo // 4, (hi + 3) // 4), len(b_list))  # the block's pairs
+        i, j = np.divmod(np.arange(lo // 4, (hi + 3) // 4), len(b_all))  # the block's pairs
         a, b = a_all[i], b_all[j]
         cos_ab = np.array([math.cos(d) for d in (a - b).tolist()])
         pair, outcome = np.divmod(np.arange(lo, hi), 4)
@@ -682,18 +706,17 @@ def _table_blocks(a_list, b_list):
 
 
 def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
-    a_list = _parse_angle_list(opts["a"], "a")
-    b_list = _parse_angle_list(opts["b"], "b")
-    rows = 4 * len(a_list) * len(b_list)
+    a = _parse_angle_list(opts["a"], "a")
+    b = _parse_angle_list(opts["b"], "b")
+    rows = 4 * len(a) * len(b)
     if rows > MAX_SCAN_ROWS:
         raise UsageError(f"table of {rows} rows exceeds the limit of {MAX_SCAN_ROWS}; "
                          "use shorter --a or --b lists")
     # a - b is monotone in both angles, so its two extremes bound every pair
-    if not all(map(math.isfinite, (max(a_list) - min(b_list), min(a_list) - max(b_list)))):
+    extremes = (float(a.max()) - float(b.min()), float(a.min()) - float(b.max()))
+    if not all(map(math.isfinite, extremes)):
         raise UsageError("--a and --b are too far apart: a - b overflows for some pair")
-    return EXIT_OK, emit_records(
-        opts["format"], TABLE_COLUMNS, _table_blocks(a_list, b_list)
-    )
+    return EXIT_OK, emit_records(opts["format"], TABLE_COLUMNS, _table_blocks(a, b))
 
 
 MC_COLUMNS = (
@@ -784,8 +807,9 @@ def cmd_sweep(opts: dict) -> tuple[int, Iterable[str]]:
 def _single_angle(opts: dict, key: str) -> float:
     values = _parse_angle_list(opts[key], key)
     if len(values) != 1:
-        raise UsageError(f"{_flag(key)} expects a single angle here, got {opts[key]!r}")
-    return values[0]
+        text = opts[key] if isinstance(opts[key], str) else ",".join(map(repr, values.tolist()))
+        raise UsageError(f"{_flag(key)} expects a single angle here, got {text!r}")
+    return float(values[0])
 
 
 def _select_model(opts: dict):
@@ -899,36 +923,59 @@ def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:
             targets = tuple(float(t) for t in tokens)
         except ValueError:
             raise UsageError(f"--targets expects numbers, got {opts['targets']!r}")
-        source = {"targets": "explicit"}
+        source = {}
     elif opts["alpha"] is not None:
         eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
         # cos of the ladder's separations alpha, alpha, alpha and 3*alpha, with cos 3a = c (4c^2 - 3)
         c = math.cos(opts["alpha"])
         targets = tuple(eta_f * value for value in (c, c, c, c * (4.0 * c * c - 3.0)))
-        source = {"targets": "ladder", "alpha": jnum(opts["alpha"]), "eta_f": jnum(eta_f)}
+        source = {"alpha": _json_number(opts["alpha"]), "eta_f": _json_number(eta_f)}
     else:
         raise UsageError("polytope needs --alpha (with efficiencies) or --targets")
 
     cert = polytope.polytope_check(targets)
-    facets = polytope.facet_values(targets)
-    max_signs, max_value = max(facets, key=lambda sv: sv[1])
-    payload = {
-        "source": source,
-        "targets": [jnum(t) for t in targets],
-        "feasible": cert.feasible,
-        "gap": jnum(cert.gap),
-        "max_facet": {"signs": list(max_signs), "value": jnum(max_value)},
-        "violated_facet": (
-            None if cert.violated_facet is None
-            else {"signs": list(cert.violated_facet[0]), "value": jnum(cert.violated_facet[1])}
-        ),
-        "weights": (
-            None if cert.weights is None
-            else {polytope.strategy_label(s): jnum(w) for s, w in cert.weights.items()}
-        ),
-    }
-    exit_code = EXIT_OK if cert.feasible else EXIT_INFEASIBLE
-    return exit_code, [json_text(payload)]
+    # an infeasible certificate's violated facet is the largest one
+    signs, value = cert.violated_facet or max(polytope.facet_values(targets), key=lambda sv: sv[1])
+    fields = {**source, "gap": _json_number(cert.gap), "max": _json_number(value)}
+    fields.update(zip(_numbered("t", 4), map(_json_number, targets)))
+    fields.update(zip(_numbered("max", 4), map(str, signs)))
+    if cert.feasible:
+        fields.update(zip(_numbered("w", 16), [_json_number(cert.weights[s]) for s in polytope.STRATEGIES]))
+    text = _polytope_template("alpha" in source, cert.feasible) % fields
+    return EXIT_OK if cert.feasible else EXIT_INFEASIBLE, [text]
+
+
+@functools.cache
+def _numbered(name: str, n: int) -> tuple[str, ...]:
+    """Fields ``name0`` to ``name<n-1>`` of a ``_polytope_template``."""
+    return tuple(f"{name}{k}" for k in range(n))
+
+
+@functools.cache
+def _polytope_template(ladder: bool, feasible: bool) -> str:
+    """``polytope``'s document for one layout as a template of ``%(field)s``.
+
+    It is ``json_text`` of a payload whose leaves are placeholders, so the
+    layout is ``json_text``'s; each field is filled with the text
+    ``json_text`` writes for that leaf.  An infeasible document's violated
+    facet is filled from the max facet's fields.
+    """
+    def leaf(field):  # json_text writes it as "\u0000field"
+        return "\0" + field
+
+    max_facet = {"signs": list(map(leaf, _numbered("max", 4))), "value": leaf("max")}
+    text = json_text({
+        "source": ({"targets": "ladder", "alpha": leaf("alpha"), "eta_f": leaf("eta_f")} if ladder
+                   else {"targets": "explicit"}),
+        "targets": list(map(leaf, _numbered("t", 4))),
+        "feasible": feasible,
+        "gap": leaf("gap"),
+        "max_facet": max_facet,
+        "violated_facet": None if feasible else max_facet,
+        "weights": ({polytope.strategy_label(s): leaf(field)
+                     for s, field in zip(polytope.STRATEGIES, _numbered("w", 16))} if feasible else None),
+    })
+    return re.sub(r'"\\u0000(\w+)"', r"%(\1)s", text.replace("%", "%%"))
 
 
 COMMANDS = {

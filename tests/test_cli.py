@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its output contracts."""
 
+import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -105,6 +107,40 @@ class TestTable:
         assert err == (f"ttbell table: error: table of {4 * 2049 * 512} rows exceeds the limit of "
                        f"{chsh.MAX_SCAN_ROWS}; use shorter --a or --b lists\n")
         assert peak < 1 << 20
+
+    def test_angle_list_of_the_largest_config_holds_no_object_per_angle(self):
+        # 1 MiB of "0," is 524 288 angles, parsed into float64 an entry at a
+        # time: the traced peak is the array, not a str and a float per angle
+        text = "0," * (cli.MAX_CONFIG_BYTES // 2)
+        tracemalloc.start()
+        try:
+            values = cli._parse_angle_list(text, "a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.dtype == np.float64 and len(values) == cli.MAX_CONFIG_BYTES // 2
+        assert not values.any()
+        assert peak < 16 * len(values)
+        # one blank entry as long: skipped in one pass, not searched again from each place
+        with pytest.raises(cli.UsageError, match="^--a is empty$"):
+            cli._parse_angle_list(" \t" * (cli.MAX_CONFIG_BYTES // 2), "a")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("table", "--a= 0.5 , ,\t,-1e-3,", "--b=,0"), None),  # blank entries are skipped
+        (("table", "--a=", "--b=0"), "--a is empty"),
+        (("table", "--a=, ,\t", "--b=0"), "--a is empty"),
+        (("table", "--a=0", "--b=1,x"), "--b expects a number or comma-separated numbers, got '1,x'"),
+        (("table", "--a=1,-inf", "--b=0"), "--a must be finite, got '1,-inf'"),
+        (("table", "--a=1,1e308", "--b=0", "--degrees"), None),
+        (("mc", "--a=10,20", "--degrees"),
+         "--a expects a single angle here, got '0.17453292519943295,0.3490658503988659'"),
+    ])
+    def test_angle_list_inputs_and_messages(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        if message is None:
+            assert (code, err) == (EXIT_OK, "") and len(out.splitlines()) == 9
+        else:
+            assert (code, out, err) == (EXIT_USAGE, "", f"ttbell {argv[0]}: error: {message}\n")
 
     def test_row_cap_admits_a_table_of_exactly_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 24)
@@ -659,6 +695,74 @@ class TestPolytope:
         run_cli(capsys, "polytope", f"--alpha={alpha!r}", "--eta-d=0.85")
         expected = polytope_oracle.correlator_targets(quantum_oracle.ideal_correlator, chsh.ladder_settings(alpha))
         assert checked[0] == pytest.approx([0.85 * e for e in expected], abs=1e-15, rel=0)
+
+
+    def test_template_document_equals_json_text_of_the_payload(self, monkeypatch):
+        # the template route against the payload route it replaced, on
+        # random, infeasible, just-past-a-facet, zero-weight and ladder targets
+        checked = []
+        check = polytope.polytope_check
+        monkeypatch.setattr(polytope, "polytope_check", lambda t: checked.append(t) or check(t))
+        cli._polytope_template.cache_clear()
+        codes = set()
+        cases = polytope_cases(np.random.default_rng(61))
+        assert len(cases) >= 10_000
+        for flags in cases:  # flag values as the parser leaves them, without its time
+            opts = cli._merge_options(argparse.Namespace(command="polytope", config=None, **flags))
+            code, chunks = cli.cmd_polytope(opts)
+            assert ("".join(chunks), code) == payload_document(opts, checked[-1]), flags
+            codes.add((code, opts["alpha"] is None))
+        assert codes == {(c, explicit) for c in (EXIT_OK, EXIT_INFEASIBLE) for explicit in (True, False)}
+        assert cli._polytope_template.cache_info().currsize == 4
+
+
+def payload_document(opts, targets) -> tuple[str, int]:
+    """``polytope``'s document as ``json_text`` of its payload, and its exit code."""
+    if opts["alpha"] is None:
+        source = {"targets": "explicit"}
+    else:
+        eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
+        source = {"targets": "ladder", "alpha": cli.jnum(opts["alpha"]), "eta_f": cli.jnum(eta_f)}
+    cert = polytope.polytope_check(targets)
+    max_signs, max_value = max(polytope.facet_values(targets), key=lambda sv: sv[1])
+    payload = {
+        "source": source,
+        "targets": [cli.jnum(t) for t in targets],
+        "feasible": cert.feasible,
+        "gap": cli.jnum(cert.gap),
+        "max_facet": {"signs": list(max_signs), "value": cli.jnum(max_value)},
+        "violated_facet": (
+            None if cert.violated_facet is None
+            else {"signs": list(cert.violated_facet[0]), "value": cli.jnum(cert.violated_facet[1])}
+        ),
+        "weights": (
+            None if cert.weights is None
+            else {polytope.strategy_label(s): cli.jnum(w) for s, w in cert.weights.items()}
+        ),
+    }
+    return cli.json_text(payload), EXIT_OK if cert.feasible else EXIT_INFEASIBLE
+
+
+def polytope_cases(rng) -> list[dict]:
+    """``polytope`` flag values: --targets of every kind and --alpha ladders."""
+    targets = list(rng.uniform(-1.0, 1.0, (3_500, 4)))
+    # 2 + up to 1e-9 on a facet, where the closed-form weights are clamped
+    for signs in polytope.FACET_SIGNS:
+        for t in rng.uniform(-0.6, 0.6, (150, 4)):
+            on = t + (2.0 - float(np.dot(signs, t))) / 4.0 * np.array(signs)
+            targets += [on + delta / 4.0 * np.array(signs) for delta in (1e-12, 5e-10, 1e-9)]
+    # vertices and edges of the polytope (mostly zero weights), signed zeros
+    vertices = [np.array(polytope.strategy_correlators(s), dtype=float) for s in polytope.STRATEGIES]
+    targets += vertices + [(u + v) / 2.0 for u in vertices for v in vertices]
+    targets += [np.array(z) for z in itertools.product((0.0, -0.0, 1e-5, -3e-7), repeat=4)]
+    cases = [{"targets": ",".join(map(repr, t.tolist()))} for t in targets if np.all(np.abs(t) <= 1.0)]
+    cases += [{"targets": " 0.5, ,-0.25,\t1e-5,-0 ,"}, {"targets": "1,1,1,-1"}]
+    ladders = rng.uniform((-10.0, 0.3, 0.9), (10.0, 1.0, 1.0), (2_500, 3)).tolist()
+    cases += [{"alpha": repr(alpha), "eta_d": repr(eta), "f1": repr(f1)} for alpha, eta, f1 in ladders]
+    cases += [{"alpha": repr(alpha), "degrees": True, "eta_d": "0.75"}
+              for alpha in rng.uniform(-720.0, 720.0, 500).tolist()]
+    cases += [{"alpha": "1e308"}, {"alpha": "-1e308", "eta_d": "0.5"}, {"alpha": "0", "eta_d": "0"}]
+    return cases
 
 
 class TestLibraryErrors:

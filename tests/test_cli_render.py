@@ -8,6 +8,7 @@ kind is checked in both formats on random and adversarial values.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -180,3 +181,49 @@ def test_every_exponent_form_json_cell_matches_oracle():
     cells = np.concatenate([values, -values]).tolist()
     bad = mismatches("json", [("x", FLOAT)], [(cell,) for cell in cells])
     assert not bad, (len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("block", [7, 2048])
+def test_only_cells_past_the_exact_range_take_the_scalar_path(monkeypatch, fmt_name, block):
+    # None, NaN (a negative payload too) and +-inf are written in the block
+    # as nan / null; a row reaches scalar_row only for |x| >= 4e6 or an
+    # integer of ten or more digits
+    monkeypatch.setattr(cli, "ROW_BLOCK", block)
+    negative_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+    assert np.isnan(negative_nan) and np.signbit(negative_nan)
+    missing = (None, math.nan, -math.nan, float(negative_nan), math.inf, -math.inf)
+    rng = np.random.default_rng(53)
+    n = 3_000
+    x = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)).tolist()
+    y = rng.random(n).tolist()
+    counts = rng.integers(-10**9 + 1, 10**9, n).tolist()
+    for row in rng.integers(0, n, 300):
+        if rng.random() < 0.5:
+            x[row] = missing[rng.integers(len(missing))]
+        else:
+            y[row] = missing[rng.integers(len(missing))]
+    scalar_rows = set(rng.integers(0, n, 40).tolist())
+    for row in scalar_rows:
+        kind = rng.integers(3)
+        if kind == 0:
+            x[row] = float(rng.choice((4e6, -4.5e6, 1e300)))
+        elif kind == 1:
+            y[row] = float(rng.choice((-4e6, 1e16)))
+        else:
+            counts[row] = int(rng.choice((10**9, -10**9, 2**62)))
+    rows = list(zip(range(n), x, counts, y))
+    columns = [("i", INT), ("x", FLOAT), ("n", INT), ("y", FLOAT)]
+    expected = scalar_document(fmt_name, columns, rows)
+    reached = []
+    renderer = cli._renderer
+
+    def spied(*args):
+        render = renderer(*args)
+        return lambda row: reached.append(row[0]) or render(row)
+
+    monkeypatch.setattr(cli, "_renderer", spied)
+    written = "".join(cli.emit_records(fmt_name, columns, row_blocks(rows)))
+    assert written == expected
+    assert set(reached) == scalar_rows and len(reached) == len(scalar_rows)
+    assert sum(x[r] is None or not math.isfinite(x[r]) for r in range(n)) > 100
