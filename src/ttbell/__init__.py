@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``quantum``     closed-form and amplitude-composed measurement statistics
+- ``quantum``     closed-form measurement statistics (joint, marginal, conditional)
 - ``montecarlo``  seeded detection-chain simulation with efficiencies
 - ``lhv``         factorized / general hidden-variable models and checks
 - ``chsh``        CHSH expression, angle ladder, detection threshold

@@ -27,12 +27,13 @@ Records are then formatted and written ``ROW_BLOCK`` rows at a time.
 ``table`` builds a block's rows as columns, with the closed forms of
 ``quantum.probability_columns`` on sines and cosines taken by ``math``.
 A block is rendered with numpy, all its float columns in one pass and
-each other column on its own, in the very bytes that formatting each
-cell with ``fmt`` / ``_json_number`` gives (a None or non-finite float is
-``nan`` / ``null``); those two still write one-record documents and the
-few cells outside the columns' exact range (|x| >= 4e6, integers of ten
-or more digits).  ``polytope``'s document fills a template that is
-``json_text``'s layout of its payload, one per layout.
+each boolean or +-1 outcome column as one of two fixed texts, in the very
+bytes that formatting each cell with ``fmt`` / ``_json_number`` gives (a
+None or non-finite float is ``nan`` / ``null``); those two still write
+one-record documents, such as ``mc``'s with its integer counts, and the
+few float cells outside the columns' exact range (|x| >= 4e6).
+``polytope``'s document fills a template that is ``json_text``'s layout
+of its payload, one per layout.
 
 Exit codes: 0 success (and polytope-feasible), 1 usage error, 2 I/O
 error, 3 polytope-infeasible, 4 lhv-verify check failure.  A stdout
@@ -192,8 +193,8 @@ _CELL_TEXT = {  # kind -> (CSV text, JSON text)
 
 
 # Rows rendered per output chunk; bounds the memory held at once.  A block
-# holds two bytes per byte of row width and 48 per FLOAT cell: 1.75 MB for
-# the 8-column JSON table (283-byte rows), then its text twice over while it
+# holds two bytes per byte of row width and 48 per FLOAT cell: 1.68 MB for
+# the 8-column JSON table (267-byte rows), then its text twice over while it
 # is made and while it is written.
 ROW_BLOCK = 2048
 
@@ -256,14 +257,11 @@ _TINY = 100_000  # repr writes an exponent for 0 < |d| below this
 # the ASCII digits of each 3-digit group, one table per digit place
 _DIGITS = np.array([list(b"%03d" % g) for g in range(1000)], dtype=np.uint8).T.copy()
 _EVERY_DIGIT = np.uint32(0x01010101)  # a keep mask word of four kept digits
-_BOOL_TEXT = np.array([list(b"false"), list(b"true ")], dtype=np.uint8).T.copy()
-# cell slot widths: sign and 9 digits, then for a FLOAT the point and 9 decimals
-_WIDTH = {FLOAT: 20, INT: 10, SIGNED: 10, BOOL: 5}
-_DTYPE = {FLOAT: np.float64, INT: np.int64, SIGNED: np.int64, BOOL: np.bool_}
-_SCALAR = {FLOAT: float, INT: int, SIGNED: int, BOOL: bool}
+_FLOAT_WIDTH = 20  # a FLOAT slot: the sign, 9 whole places, the point and 9 decimals
+_DTYPE = {FLOAT: np.float64, SIGNED: np.int64, BOOL: np.bool_}
 _EXPONENT_PLACES = np.arange(9, 20)  # the places of a FLOAT slot an exponent form rewrites
 # a None or non-finite FLOAT cell's slot, by json_side: nan or null, the rest masked
-_MISSING = [(np.frombuffer(text.ljust(20).encode(), np.uint8), np.arange(20) < len(text))
+_MISSING = [(np.frombuffer(text.ljust(_FLOAT_WIDTH).encode(), np.uint8), np.arange(_FLOAT_WIDTH) < len(text))
             for text in ("nan", "null")]
 
 # The cell writers below fill a slot one byte column at a time: a column is
@@ -305,8 +303,9 @@ def _billionths(x: np.ndarray) -> np.ndarray:
 
 
 def _put_digits(chars: np.ndarray, valid: np.ndarray, value: np.ndarray, masked: int) -> int:
-    """Write value, integers below 1e9, right-aligned in the 9 places of
-    ``chars``, each kept from its first nonzero digit (the last always).
+    """Write value, the whole parts of a block's FLOAT cells (integers
+    below 4e6), right-aligned in the 9 places of ``chars``, each kept from
+    its first nonzero digit (the last always).
 
     Only the places of the largest value are written and compared.  The
     places before them must be masked: the first ``masked`` are, in every
@@ -391,25 +390,21 @@ def _exponent_cells(d: np.ndarray):
     return chars, valid
 
 
-def _int_cells(v, chars, valid, plus, masked):
-    """Write the cells of v with |v| < 1e9; returns the mask of the others
-    and the places masked (``_put_digits``)."""
-    scalar = (v <= -_UNITS) | (v >= _UNITS)
-    magnitude = np.abs(v)
-    if scalar.any():
-        magnitude[scalar] = 0
-    if plus:
-        chars[:, 0] = np.where(v < 0, ord("-"), ord("+"))
-    else:
-        np.less(v, 0, out=valid[:, 0])
-    return scalar, _put_digits(chars[:, 1:10], valid[:, 1:10], magnitude, masked)
+# The two texts of a BOOL or SIGNED cell, by json_side: the first for false
+# or -1, the second for true or +1.
+_CHOICE_TEXT = {BOOL: (("false", "true"),) * 2, SIGNED: (("-1", "+1"), ("-1", "1"))}
 
 
-def _bool_cells(v, chars, valid):
-    """Write ``true`` or ``false`` (a space, dropped, pads ``true``)."""
-    for place, letters in enumerate(_BOOL_TEXT):
-        chars[:, place] = letters[v.view(np.uint8)]
-    np.logical_not(v, out=valid[:, 4])
+@functools.cache
+def _choice(kind: str, json_side: bool):
+    """Bytes of the two texts of a BOOL or SIGNED cell, the shorter one padded
+    with a space, and whether each keeps its slot's last place."""
+    texts = _CHOICE_TEXT[kind][json_side]
+    width = max(map(len, texts))
+    chars = np.array([list(text.ljust(width).encode()) for text in texts], dtype=np.uint8)
+    keeps = np.array([len(text) == width for text in texts])
+    chars.flags.writeable = keeps.flags.writeable = False
+    return chars, keeps
 
 
 class _BlockRenderer:
@@ -424,15 +419,16 @@ class _BlockRenderer:
     mask, then copied a column's slots at a time into the rows.  Per-call
     numpy overhead is then paid once a block, not once a FLOAT column.
 
-    A digit field (the whole part of the FLOAT cells, the magnitude of an
-    INT or SIGNED column) is written only in as many places as the block's
-    largest value has; ``masked`` records, per field, how many leading
+    The whole part of the FLOAT cells is written only in as many places as
+    the block's largest value has; ``masked`` is how many of its leading
     places are masked in every row, so a block masks only those a wider
     block before it kept.  JSON cells that ``repr`` writes with an exponent
     (0 < |round(x, 9)| < 1e-4) and None or non-finite FLOAT cells (``nan``,
-    ``null``) are rewritten in their rows.  A row with a cell the columns
-    do not write (|x| >= 4e6, an integer of ten or more digits) is written
-    by ``fmt`` / ``_json_number`` instead and spliced in at its place.
+    ``null``) are rewritten in their rows.  A row with a FLOAT cell the
+    columns do not write (|x| >= 4e6) is written by ``fmt`` /
+    ``_json_number`` instead and spliced in at its place.  A BOOL or SIGNED
+    cell is one of two fixed texts (``_choice``): a SIGNED cell must be +1
+    or -1, and an INT column is refused, as only ``record_text`` writes one.
     Each row starts with ``lead``.
     """
 
@@ -441,16 +437,19 @@ class _BlockRenderer:
         self.lead = lead
         self.json_side = json_side
         self.kinds = [kind for _, kind in columns]
+        if INT in self.kinds:
+            raise ValueError("an INT column is written by record_text, not in blocks")
         self.scalar_row = _renderer(columns, json_side, indent)
         pieces = [piece.encode("ascii") for piece in (lead + template).split("%s")]
-        self.fixed, self.floats, self.others, at = [], [], [], 0
+        self.fixed, self.floats, self.choices, at = [], [], [], 0
         for piece, i in itertools.zip_longest(pieces, order):
             self.fixed.append((at, piece))
             at += len(piece)
             if i is not None:
-                slots = self.floats if self.kinds[i] == FLOAT else self.others
-                slots.append((i, at, at + _WIDTH[self.kinds[i]]))
-                at += _WIDTH[self.kinds[i]]
+                kind = self.kinds[i]
+                width = _FLOAT_WIDTH if kind == FLOAT else _choice(kind, json_side)[0].shape[1]
+                (self.floats if kind == FLOAT else self.choices).append((i, at, at + width))
+                at += width
         self.width = at
         self.float_starts = np.array([start for _, start, _ in self.floats], dtype=np.intp)
         self._allocate(0)
@@ -461,18 +460,13 @@ class _BlockRenderer:
         self.valid = np.ones((rows, self.width), dtype=bool)
         for at, piece in self.fixed:
             self.chars[:, at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
-        for _, start, _ in self.others:  # FLOAT slots are copied whole from float_chars
-            self.chars[:, start] = ord("-")  # a sign, where one is written
         cells = len(self.floats) * rows
         self.float_x = np.empty(cells)
-        self.float_chars = np.empty((cells, _WIDTH[FLOAT]), dtype=np.uint8)
-        self.float_valid = np.ones((cells, _WIDTH[FLOAT]), dtype=bool)
+        self.float_chars = np.empty((cells, _FLOAT_WIDTH), dtype=np.uint8)
+        self.float_valid = np.ones((cells, _FLOAT_WIDTH), dtype=bool)
         self.float_chars[:, 0] = ord("-")
         self.float_chars[:, 10] = ord(".")
-        # leading places of each digit field masked in every row: the FLOAT
-        # whole places, and the magnitude of each INT or SIGNED slot by its start
-        fields = [start for i, start, _ in self.others if self.kinds[i] != BOOL]
-        self.masked = dict.fromkeys([FLOAT, *fields], 0)
+        self.masked = 0  # leading whole places of the FLOAT slots masked in every row
 
     def text(self, block) -> str:
         """Text of the rows of ``block``: one column of cells per column."""
@@ -486,9 +480,9 @@ class _BlockRenderer:
             k = len(self.floats)
             x = np.concatenate([cells[i] for i, _, _ in self.floats], out=self.float_x[:k * n])
             float_chars, float_valid = self.float_chars[:k * n], self.float_valid[:k * n]
-            float_scalar, missing, units, self.masked[FLOAT] = _float_cells(
-                x, float_chars, float_valid, self.json_side, self.masked[FLOAT])
-            scalar |= float_scalar.reshape(k, n).any(axis=0)
+            float_scalar, missing, units, self.masked = _float_cells(
+                x, float_chars, float_valid, self.json_side, self.masked)
+            scalar = float_scalar.reshape(k, n).any(axis=0)
             for c, (_, start, stop) in enumerate(self.floats):
                 column = slice(c * n, (c + 1) * n)
                 chars[:, start:stop] = float_chars[column]
@@ -496,7 +490,7 @@ class _BlockRenderer:
             # the rows' FLOAT slots are copied whole each block, so rewriting one needs no undo
             if missing is not None and missing.any():
                 slot, row = np.divmod(np.flatnonzero(missing), n)
-                places = self.float_starts[slot, None] + np.arange(_WIDTH[FLOAT])
+                places = self.float_starts[slot, None] + np.arange(_FLOAT_WIDTH)
                 chars[row[:, None], places], valid[row[:, None], places] = _MISSING[self.json_side]
             if self.json_side:  # cells repr writes with an exponent, rewritten in their rows
                 tiny = np.flatnonzero((units > 0) & (units < _TINY))
@@ -504,14 +498,17 @@ class _BlockRenderer:
                     slot, row = np.divmod(tiny, n)
                     places = self.float_starts[slot, None] + _EXPONENT_PLACES
                     chars[row[:, None], places], valid[row[:, None], places] = _exponent_cells(units[tiny])
-        for i, start, stop in self.others:
-            kind, out = self.kinds[i], (chars[:, start:stop], valid[:, start:stop])
-            if kind == BOOL:
-                _bool_cells(cells[i], *out)
-            else:
-                int_scalar, self.masked[start] = _int_cells(
-                    cells[i], *out, kind == SIGNED and not self.json_side, self.masked[start])
-                scalar |= int_scalar
+        for i, start, stop in self.choices:  # the slot's text, then its one place kept by value
+            kind, v = self.kinds[i], cells[i]
+            if kind == SIGNED:
+                wrong = np.abs(v) != 1
+                if wrong.any():
+                    raise ValueError(f"a SIGNED cell is +1 or -1, got {v[wrong][0]}")
+                v = v > 0
+            texts, keeps = _choice(kind, self.json_side)
+            index = v.view(np.uint8)
+            chars[:, start:stop] = texts.take(index, axis=0)
+            valid[:, stop - 1] = keeps.take(index)
         if not scalar.any():
             return str(chars[valid], "ascii")
         rows = np.flatnonzero(scalar)
@@ -522,7 +519,7 @@ class _BlockRenderer:
         valid[rows] = kept  # the masked leading places stay masked
         pieces, done = [], 0
         for r in rows.tolist():
-            row = [_SCALAR[kind](column[r]) for column, kind in zip(cells, self.kinds)]
+            row = [column[r].item() for column in cells]
             pieces += (body[done:ends[r]], self.lead, self.scalar_row(row))
             done = ends[r]
         pieces.append(body[done:])

@@ -269,15 +269,30 @@ def _first_repeat(*slots) -> None:
 
 
 def _blocks(f):
-    """The lines of a text file, as ``str.splitlines`` splits the whole
-    text, in lists read about ``READ_BLOCK`` characters at a time."""
-    tail = ""
+    r"""The lines of a text file, as ``str.splitlines`` splits the whole
+    text, in lists read about ``READ_BLOCK`` characters at a time.
+
+    A line that no chunk has ended yet is held as its pieces and joined
+    once, so a long line costs time linear in its length.  A chunk that
+    ends in ``\r`` may have split a ``\r\n``; its ``\n`` is then dropped
+    from the next chunk, so that it ends no second, empty line."""
+    head: list[str] = []  # the pieces of a line no chunk has ended yet
+    carriage = False  # whether the last chunk ended in \r
     for chunk in iter(lambda: f.read(READ_BLOCK), ""):
-        lines = (tail + chunk).splitlines()
-        tail = "" if chunk[-1] in _LINE_ENDS else lines.pop()
-        yield lines
-    if tail:
-        yield [tail]
+        if carriage and chunk[0] == "\n":
+            chunk = chunk[1:]
+        carriage = chunk.endswith("\r")
+        lines = chunk.splitlines()
+        tail = lines.pop() if lines and chunk[-1] not in _LINE_ENDS else None
+        if head and lines:
+            lines[0] = "".join([*head, lines[0]])
+            head = []
+        if tail is not None:
+            head.append(tail)
+        if lines:
+            yield lines
+    if head:
+        yield ["".join(head)]
 
 
 READ_BLOCK = 1 << 13  # characters read at a time

@@ -3,7 +3,8 @@
 The oracle is the route the block renderer replaced: every cell through
 ``cli.fmt`` / ``cli._json_number`` (by way of ``cli._renderer``), the rows
 joined the way the CSV and JSON documents lay them out.  Every column
-kind is checked in both formats on random and adversarial values.
+kind a block holds is checked in both formats on random and adversarial
+values.
 """
 
 import functools
@@ -76,20 +77,12 @@ def adversarial_floats() -> list:
     return cells
 
 
-@functools.cache
-def adversarial_ints() -> list:
-    rng = np.random.default_rng(7)
-    edges = np.array([0, 1, 9, 10, 999_999_999, 10**9, 10**9 + 1, 2**63 - 1])
-    values = np.concatenate([
-        rng.integers(-2 * 10**9, 2 * 10**9, 20_000),
-        rng.integers(-2**63, 2**63, 2_000, dtype=np.int64),
-        edges, -edges, [-2**63],
-    ])
-    return values.tolist()
+def signs(rng, n: int) -> list:
+    return rng.choice((-1, 1), n).tolist()
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
-@pytest.mark.parametrize("kind", [FLOAT, INT, SIGNED, BOOL])
+@pytest.mark.parametrize("kind", [FLOAT, SIGNED, BOOL])
 def test_block_renderer_matches_cell_by_cell_oracle(fmt_name, kind):
     if kind == FLOAT:
         cells = adversarial_floats()
@@ -97,9 +90,21 @@ def test_block_renderer_matches_cell_by_cell_oracle(fmt_name, kind):
     elif kind == BOOL:
         cells = (np.random.default_rng(3).random(5_000) < 0.5).tolist()
     else:
-        cells = adversarial_ints()
+        cells = signs(np.random.default_rng(7), 5_000)
     bad = mismatches(fmt_name, [("x", kind)], [(cell,) for cell in cells])
     assert not bad, (len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_block_columns_refuse_int_kind_and_signed_cells_other_than_one(fmt_name):
+    # only record_text writes an INT column, and a SIGNED cell is +1 or -1:
+    # anything else is refused rather than written with a wrong sign
+    with pytest.raises(ValueError, match="INT column"):
+        "".join(cli.emit_records(fmt_name, [("x", FLOAT), ("n", INT)], [[[0.5], [3]]]))
+    for wrong in (0, 2, -2, 10**9, -2**63, 2**63 - 1):
+        cells = [1, -1] * 3000 + [wrong]
+        with pytest.raises(ValueError, match=rf"SIGNED cell is \+1 or -1, got {wrong}"):
+            "".join(cli.emit_records(fmt_name, [("A", SIGNED)], [[cells]]))
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
@@ -108,12 +113,12 @@ def test_rows_of_mixed_kinds_match_oracle(monkeypatch, fmt_name, block):
     # rows written cell by cell fall inside blocks and on their boundaries
     monkeypatch.setattr(cli, "ROW_BLOCK", block)
     rng = np.random.default_rng(11)
-    floats, ints = adversarial_floats(), adversarial_ints()
-    rows = [
-        (floats[i], ints[j], int(rng.choice((-1, 1))), bool(rng.random() < 0.5), floats[-1 - i])
-        for i, j in zip(rng.integers(0, len(floats), 3_000), rng.integers(0, len(ints), 3_000))
-    ]
-    columns = [("b", FLOAT), ("n", INT), ("A", SIGNED), ("ok", BOOL), ("a", FLOAT)]
+    floats = adversarial_floats()
+    picks = rng.integers(0, len(floats), 3_000)
+    oks = (rng.random(len(picks)) < 0.5).tolist()
+    rows = list(zip([floats[i] for i in picks], signs(rng, len(picks)), signs(rng, len(picks)), oks,
+                    [floats[-1 - i] for i in picks]))
+    columns = [("b", FLOAT), ("B", SIGNED), ("A", SIGNED), ("ok", BOOL), ("a", FLOAT)]
     bad = mismatches(fmt_name, columns, rows)
     assert not bad, (len(bad), bad[:5])
 
@@ -139,11 +144,10 @@ def test_rows_of_several_float_columns_match_oracle(monkeypatch, fmt_name, block
     for row, values in planted.items():
         for column, value in values.items():
             cells[column, row] = value
-    ints = rng.integers(-10**9 + 1, 10**9, n).tolist()  # all within the columns' range
     oks = (rng.random(n) < 0.5).tolist()
     x, y, z, w = (cells[c].tolist() for c in range(4))
-    rows = list(zip(x, ints, y, oks, z, w))
-    columns = [("x", FLOAT), ("n", INT), ("y", FLOAT), ("ok", BOOL), ("z", FLOAT), ("w", FLOAT)]
+    rows = list(zip(x, signs(rng, n), y, oks, z, w))
+    columns = [("x", FLOAT), ("A", SIGNED), ("y", FLOAT), ("ok", BOOL), ("z", FLOAT), ("w", FLOAT)]
     bad = mismatches(fmt_name, columns, rows)
     assert not bad, (len(bad), bad[:5])
 
@@ -151,9 +155,10 @@ def test_rows_of_several_float_columns_match_oracle(monkeypatch, fmt_name, block
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 @pytest.mark.parametrize("block", [7, 2048])
 def test_digit_width_changing_between_blocks_matches_oracle(monkeypatch, fmt_name, block):
-    # a digit field is written only in the places of its block's widest
-    # value: a narrow block after a wide one must mask the places the wide
-    # one kept, and a wide block after a narrow one must write them
+    # the whole part of the FLOAT cells is written only in the places of
+    # its block's widest value: a narrow block after a wide one must mask
+    # the places the wide one kept, and a wide block after a narrow one
+    # must write them
     monkeypatch.setattr(cli, "ROW_BLOCK", block)
     rng = np.random.default_rng(41)
     widths = [1, 7, 1, 1, 7, 7, 1]  # narrow -> wide, wide -> narrow, and runs of each
@@ -162,13 +167,10 @@ def test_digit_width_changing_between_blocks_matches_oracle(monkeypatch, fmt_nam
         sign = rng.choice((-1, 1), block)
         whole = rng.integers(10 ** (digits - 1) if digits > 1 else 0, min(10**digits, 4 * 10**6), block)
         floats = sign * (whole + rng.random(block))
-        int_digits = 9 if digits > 1 else 1
-        ints = sign * rng.integers(10 ** (int_digits - 1) if int_digits > 1 else 0, 10**int_digits, block)
         small = rng.random(block) < 0.25  # narrower values among the wide ones
         floats[small] = np.round(floats[small] % 10, 3)
-        ints[small] %= 10
-        rows += zip(floats.tolist(), ints.tolist(), (-ints).tolist(), rng.random(block).tolist())
-    columns = [("x", FLOAT), ("n", INT), ("A", SIGNED), ("y", FLOAT)]
+        rows += zip(floats.tolist(), sign.tolist(), rng.random(block).tolist())
+    columns = [("x", FLOAT), ("A", SIGNED), ("y", FLOAT)]
     bad = mismatches(fmt_name, columns, rows)
     assert not bad, (len(bad), bad[:5])
 
@@ -187,8 +189,7 @@ def test_every_exponent_form_json_cell_matches_oracle():
 @pytest.mark.parametrize("block", [7, 2048])
 def test_only_cells_past_the_exact_range_take_the_scalar_path(monkeypatch, fmt_name, block):
     # None, NaN (a negative payload too) and +-inf are written in the block
-    # as nan / null; a row reaches scalar_row only for |x| >= 4e6 or an
-    # integer of ten or more digits
+    # as nan / null; a row reaches scalar_row only for |x| >= 4e6
     monkeypatch.setattr(cli, "ROW_BLOCK", block)
     negative_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
     assert np.isnan(negative_nan) and np.signbit(negative_nan)
@@ -197,7 +198,6 @@ def test_only_cells_past_the_exact_range_take_the_scalar_path(monkeypatch, fmt_n
     n = 3_000
     x = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)).tolist()
     y = rng.random(n).tolist()
-    counts = rng.integers(-10**9 + 1, 10**9, n).tolist()
     for row in rng.integers(0, n, 300):
         if rng.random() < 0.5:
             x[row] = missing[rng.integers(len(missing))]
@@ -205,15 +205,12 @@ def test_only_cells_past_the_exact_range_take_the_scalar_path(monkeypatch, fmt_n
             y[row] = missing[rng.integers(len(missing))]
     scalar_rows = set(rng.integers(0, n, 40).tolist())
     for row in scalar_rows:
-        kind = rng.integers(3)
-        if kind == 0:
+        if rng.random() < 0.5:
             x[row] = float(rng.choice((4e6, -4.5e6, 1e300)))
-        elif kind == 1:
-            y[row] = float(rng.choice((-4e6, 1e16)))
         else:
-            counts[row] = int(rng.choice((10**9, -10**9, 2**62)))
-    rows = list(zip(range(n), x, counts, y))
-    columns = [("i", INT), ("x", FLOAT), ("n", INT), ("y", FLOAT)]
+            y[row] = float(rng.choice((-4e6, 1e16)))
+    rows = list(zip(map(float, range(n)), x, signs(rng, n), y))  # i < 4e6 is written in the block
+    columns = [("i", FLOAT), ("x", FLOAT), ("A", SIGNED), ("y", FLOAT)]
     expected = scalar_document(fmt_name, columns, rows)
     reached = []
     renderer = cli._renderer

@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -314,3 +315,47 @@ def test_write_memory_is_bounded_by_blocks_not_states(tmp_path):
         tracemalloc.stop()
     assert path.read_text().count("\n") == 1 + 3 * (1 << 16)
     assert peak <= 4_000_000, peak
+
+
+SEPARATORS = [*model_io._LINE_ENDS, "\r\n"]
+
+
+@pytest.mark.parametrize("read_block", [1, 2, 3, 5, 8])
+def test_blocks_split_lines_as_splitlines_at_any_read_size(monkeypatch, read_block):
+    # every separator, \r\n among them, on both sides of every read boundary
+    monkeypatch.setattr(model_io, "READ_BLOCK", read_block)
+    rng = np.random.default_rng(read_block)
+    pieces = ["", "a", "bc", "defg", "\r", "\n", *SEPARATORS]
+    for _ in range(500):
+        text = "".join(rng.choice(pieces, rng.integers(0, 25)).tolist())
+        lines = [line for block in model_io._blocks(io.StringIO(text)) for line in block]
+        assert lines == text.splitlines(), repr(text)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("separator", SEPARATORS, ids=repr)
+def test_error_line_past_a_read_boundary_is_the_splitlines_line(tmp_path, separator, shift):
+    # the separator after the first comment starts one place before, at or
+    # after the last character of the first read; a text stream and a file
+    # both report the error at its line of text.splitlines()
+    head = "kind factorized" + separator + "lambda 0 1" + separator + "#"
+    comment = "x" * (model_io.READ_BLOCK - 1 + shift - len(head))
+    text = head + comment + separator + ("# c" + separator) * 3000 + "bogus 1" + separator
+    expected = f"line {text.splitlines().index('bogus 1') + 1}: unknown directive 'bogus'"
+    path = tmp_path / "model"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(model_io.ModelFileError) as from_stream:
+        model_io.load_model(io.StringIO(text))
+    with open(path, encoding="utf-8") as f, pytest.raises(model_io.ModelFileError) as from_file:
+        model_io.load_model(f)
+    assert str(from_stream.value) == str(from_file.value) == expected
+
+
+def test_long_comment_line_loads_in_linear_time():
+    # a 16 MB comment line took 27.5 s when each read joined and re-split
+    # the whole pending line; its pieces are now joined once
+    text = "kind factorized\n#" + "x" * (16 << 20) + "\nlambda 0 1\np1 0 0.1 0.5\np2 0 0.2 0.5\n"
+    start = time.perf_counter()
+    model = load_text(text)
+    assert time.perf_counter() - start < 2.0
+    assert list(model.weights) == [1.0]
