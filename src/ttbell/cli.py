@@ -16,10 +16,12 @@ configuration and seed produce byte-identical output.
 Each option is described once, by a row of ``OPTIONS``: its key, how a
 string converts, its default, its help text, the subcommands that read
 it, whether it is an angle and whether it must lie in [0, 1].  The
-parser, the config-key check, ``_merge_options`` (flag, else config
-file, else default; then ``--degrees`` on the angles and the [0, 1]
-checks) are built from that table.  A config file may hold any option
-key; a subcommand ignores the keys it does not read.
+parser, the config-key check and ``_merge_options`` are built from that
+table; the merge resolves each option once: its flag, else its config
+value, converted (a comma list to a float64 array), scaled by
+``--degrees`` if an angle and checked against [0, 1]; else its default,
+in radians and never scaled.  A config file may hold any option key; a
+subcommand ignores the keys it does not read.
 
 A subcommand parses, validates and computes before it writes anything,
 so a usage error leaves stdout empty and creates no ``--out`` file.
@@ -67,10 +69,19 @@ EXIT_VERIFY_FAILED = 4
 CHSH_TOL = 1e-12
 
 BUILTIN_MODELS = ("fixed-setting-reproducer", "position-style")
+FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
     pass
+
+
+QUOTE_CHARS = 60  # a message quotes at most this many characters of an outside token
+
+
+def _quote(text: str) -> str:
+    """``repr`` of text, or of its first ``QUOTE_CHARS`` characters then ``...``."""
+    return repr(text) if len(text) <= QUOTE_CHARS else repr(text[:QUOTE_CHARS]) + "..."
 
 
 def _to_bool(text: str) -> bool:
@@ -79,13 +90,38 @@ def _to_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {_quote(text)}")
+
+
+_LIST_ENTRY = re.compile(r"[^,]+")  # an entry of a comma-separated list
+
+
+def _parse_list(text: str, key: str) -> np.ndarray:
+    """The numbers of a comma-separated list (blank entries skipped) as
+    float64, read an entry at a time: no Python object per number is held."""
+    entries = filter(str.strip, map(re.Match.group, _LIST_ENTRY.finditer(text)))
+    try:
+        values = np.fromiter(map(float, entries), dtype=np.float64)
+    except ValueError:
+        raise UsageError(f"{_flag(key)} expects a number or comma-separated numbers, got {_quote(text)}")
+    if not len(values):
+        raise UsageError(f"{_flag(key)} is empty")
+    if not np.isfinite(values).all():
+        raise UsageError(f"{_flag(key)} must be finite, got {_quote(text)}")
+    return values
+
+
+def _to_format(text: str) -> str:
+    if text not in FORMATS:
+        raise UsageError(f"--format must be csv or json, got {_quote(text)}")
+    return text
 
 
 class Option(NamedTuple):
     """One option: its config key (the flag is ``--`` plus the key with
-    ``-`` for ``_``), how a string value converts, its default, its help
-    text, the subcommands that read it, whether it is an angle (scaled by
+    ``-`` for ``_``), how a string value converts (raising ValueError, or
+    UsageError with a message of its own), its default, its help text, the
+    subcommands that read it, whether it is an angle (scaled by
     ``--degrees``) and whether it must lie in [0, 1]."""
 
     key: str
@@ -97,7 +133,6 @@ class Option(NamedTuple):
     unit: bool = False
 
 
-FORMATS = ("csv", "json")
 ANGLE_COMMANDS = ("table", "mc", "chsh-scan", "lhv-verify", "polytope")  # those that read an angle
 EVERY_COMMAND = (*ANGLE_COMMANDS, "sweep")
 DETECTION_COMMANDS = ("mc", "chsh-scan", "polytope")  # those that read the efficiencies
@@ -108,16 +143,17 @@ OPTIONS = (
     Option("model_file", str, None, "path to a model file (see model file schema in the README)",
            ("lhv-verify",)),
     Option("grid_size", int, 1000, "hidden-state count for the position-style model", ("lhv-verify",)),
-    Option("a", str, math.pi / 4,
+    Option("a", functools.partial(_parse_list, key="a"), np.array([math.pi / 4]),
            "first-slot analyzer angle (radians; table accepts a comma-separated list)",
            ("table", "mc", "lhv-verify"), angle=True),
-    Option("b", str, 0.0,
+    Option("b", functools.partial(_parse_list, key="b"), np.array([0.0]),
            "second-slot analyzer angle (radians; table accepts a comma-separated list)",
            ("table", "mc", "lhv-verify"), angle=True),
     Option("a_prime", float, 0.0, "alternate first-slot angle", ("lhv-verify",), angle=True),
     Option("b_prime", float, math.pi / 4, "alternate second-slot angle", ("lhv-verify",), angle=True),
     Option("alpha", float, None, "ladder separation angle", ("polytope",), angle=True),
-    Option("targets", str, None, "four comma-separated correlators E(a,b),E(a,b'),E(a',b'),E(a',b)",
+    Option("targets", functools.partial(_parse_list, key="targets"), None,
+           "four comma-separated correlators E(a,b),E(a,b'),E(a',b'),E(a',b)",
            ("polytope",)),
     Option("alpha_min", float, 0.0, "scan start", ("chsh-scan",), angle=True),
     Option("alpha_max", float, math.pi, "scan end (inclusive)", ("chsh-scan",), angle=True),
@@ -129,7 +165,7 @@ OPTIONS = (
     Option("trials", int, 100000, "number of Monte Carlo trials", ("mc", "sweep")),
     Option("seed", int, 2024, "RNG seed (64-bit)", ("mc", "sweep")),
     Option("out", str, None, "output path (default: stdout)", EVERY_COMMAND),
-    Option("format", str, "csv", "output format: csv or json",  # polytope writes JSON only
+    Option("format", _to_format, "csv", "output format: csv or json",  # polytope writes JSON only
            ("table", "mc", "chsh-scan", "lhv-verify", "sweep")),
     Option("degrees", _to_bool, False, "interpret all angle inputs as degrees", ANGLE_COMMANDS),
 )
@@ -559,27 +595,6 @@ def emit_records(fmt_name: str, columns, blocks, summary=None):
     yield "\n}\n"
 
 
-_LIST_ENTRY = re.compile(r"[^,]+")  # an entry of a comma-separated list
-
-
-def _parse_angle_list(text, key: str) -> np.ndarray:
-    """The angles of a comma-separated list (blank entries skipped) as
-    float64, read an entry at a time: no Python object per angle is held.
-    An array is a list ``--degrees`` has already parsed and scaled."""
-    if isinstance(text, np.ndarray):
-        return text
-    entries = filter(str.strip, map(re.Match.group, _LIST_ENTRY.finditer(str(text))))
-    try:
-        values = np.fromiter(map(float, entries), dtype=np.float64)
-    except ValueError:
-        raise UsageError(f"{_flag(key)} expects a number or comma-separated numbers, got {text!r}")
-    if not len(values):
-        raise UsageError(f"{_flag(key)} is empty")
-    if not np.isfinite(values).all():
-        raise UsageError(f"{_flag(key)} must be finite, got {text!r}")
-    return values
-
-
 # a config file holds a few flat lines; a longer one is refused unread
 MAX_CONFIG_BYTES = 1 << 20
 
@@ -596,11 +611,11 @@ def _load_config_file(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+            raise UsageError(f"{path}:{line_no}: expected 'key = value', got {_quote(raw)}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key not in OPTION_KEYS:
-            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            raise UsageError(f"{path}:{line_no}: unknown config key {_quote(key)}")
         values[key] = value.strip()
     return values
 
@@ -618,8 +633,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         for opt in OPTIONS:
             if command not in opt.commands:
                 continue
-            if opt.convert is _to_bool:
-                sp.add_argument(_flag(opt.key), action="store_true", default=None, help=opt.help)
+            if opt.convert is _to_bool:  # a bare flag, given to the merge as a config file gives it
+                sp.add_argument(_flag(opt.key), action="store_const", const="true", default=None, help=opt.help)
             else:
                 sp.add_argument(_flag(opt.key), dest=opt.key, default=None, help=opt.help,
                                 choices=FORMATS if opt.key == "format" else None)
@@ -628,46 +643,31 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    """The options of ``args.command``: each from its flag, else from the
-    config file, else its default; converted, then scaled by ``--degrees``
-    and checked against [0, 1] where the table says so."""
+    """The options of ``args.command``, each resolved once as the module
+    docstring says: ``--degrees`` first, as it scales the angles, then the
+    rest in ``OPTIONS`` order."""
     config_values = _load_config_file(args.config) if args.config else {}
-
     options = [opt for opt in OPTIONS if args.command in opt.commands]
     merged = {}
-    for opt in options:
+    for opt in sorted(options, key=lambda opt: opt.key != "degrees"):
         key = opt.key
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            raw = flag_value
-        elif key in config_values:
-            raw = config_values[key]
-        else:
+        text = getattr(args, key, None)
+        if text is None:
+            text = config_values.get(key)
+        if text is None:
             merged[key] = opt.default
             continue
-        if isinstance(raw, str):
-            try:
-                merged[key] = opt.convert(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad value for {_flag(key)}: {exc}")
-            if isinstance(merged[key], float) and not math.isfinite(merged[key]):
-                raise UsageError(f"{_flag(key)} must be finite, got {raw!r}")
-        else:
-            merged[key] = raw
-    if merged.get("format", "csv") not in FORMATS:
-        raise UsageError(f"--format must be csv or json, got {merged['format']!r}")
-
-    scale = math.pi / 180.0
-    for opt in options:
-        key = opt.key
-        if merged.get("degrees") and opt.angle and merged[key] is not None:
-            if opt.convert is str:  # may still be a comma list at this point
-                merged[key] = _parse_angle_list(merged[key], key) * scale
-            else:
-                merged[key] = merged[key] * scale
-    for opt in options:
-        if opt.unit and not 0.0 <= merged[opt.key] <= 1.0:
-            raise UsageError(f"{_flag(opt.key)} must lie in [0, 1], got {merged[opt.key]!r}")
+        try:
+            value = opt.convert(text)
+        except ValueError as exc:  # Python's own message quotes the whole text
+            raise UsageError(f"bad value for {_flag(key)}: {str(exc).replace(repr(text), _quote(text))}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{_flag(key)} must be finite, got {_quote(text)}")
+        if opt.angle and merged["degrees"]:
+            value = value * (math.pi / 180.0)
+        if opt.unit and not 0.0 <= value <= 1.0:
+            raise UsageError(f"{_flag(key)} must lie in [0, 1], got {value!r}")
+        merged[key] = value
     return merged
 
 
@@ -703,8 +703,7 @@ def _table_blocks(a_list, b_list):
 
 
 def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
-    a = _parse_angle_list(opts["a"], "a")
-    b = _parse_angle_list(opts["b"], "b")
+    a, b = opts["a"], opts["b"]
     rows = 4 * len(a) * len(b)
     if rows > MAX_SCAN_ROWS:
         raise UsageError(f"table of {rows} rows exceeds the limit of {MAX_SCAN_ROWS}; "
@@ -801,20 +800,25 @@ def cmd_sweep(opts: dict) -> tuple[int, Iterable[str]]:
     return EXIT_OK, emit_records(opts["format"], SWEEP_COLUMNS, [list(zip(*rows))])
 
 
+def _exactly(opts: dict, key: str, n: int, what: str) -> list[float]:
+    """The n numbers of the list option ``key``, which expects ``what``."""
+    values = opts[key]
+    if len(values) != n:
+        shown = ",".join(map(repr, values[:QUOTE_CHARS].tolist()))  # enough to fill a quote
+        raise UsageError(f"{_flag(key)} expects {what}, got {_quote(shown)}")
+    return values.tolist()
+
+
 def _single_angle(opts: dict, key: str) -> float:
-    values = _parse_angle_list(opts[key], key)
-    if len(values) != 1:
-        text = opts[key] if isinstance(opts[key], str) else ",".join(map(repr, values.tolist()))
-        raise UsageError(f"{_flag(key)} expects a single angle here, got {text!r}")
-    return float(values[0])
+    return _exactly(opts, key, 1, "a single angle here")[0]
 
 
 def _select_model(opts: dict):
     """Build the requested model; returns (model, description, a, b).
 
-    Both angles are parsed before a model file is read or a built-in model
-    built, with or without ``--degrees``, so of several bad inputs the same
-    one is always reported first."""
+    Both angles are checked to be single before a model file is read or a
+    built-in model built, so of several bad inputs the same one is always
+    reported first."""
     name = opts["model"]
     path = opts["model_file"]
     if name and path:
@@ -838,7 +842,7 @@ def _select_model(opts: dict):
         model = lhv.position_style_model(opts["grid_size"])
         description = f"position-style(grid_size={opts['grid_size']})"
     elif name:
-        raise UsageError(f"unknown model {name!r}; expected one of: {', '.join(BUILTIN_MODELS)}")
+        raise UsageError(f"unknown model {_quote(name)}; expected one of: {', '.join(BUILTIN_MODELS)}")
     return model, description, a, b
 
 
@@ -852,7 +856,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
         raise UsageError(f"model evaluation failed: {exc}")
 
     # one entry per check: (name, passed, "error" or "value", that number)
-    checks = [(name, error <= report.tol, "error", error) for name, error in report.mandatory()]
+    checks = [(name, error <= lhv.RESPONSE_TOL, "error", error) for name, error in report.mandatory()]
     if model.kind == lhv.FACTORIZED:
         try:
             bounds = [
@@ -913,13 +917,7 @@ def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:
     if opts["targets"] is not None and opts["alpha"] is not None:
         raise UsageError("give either --targets or --alpha, not both")
     if opts["targets"] is not None:
-        tokens = [t for t in str(opts["targets"]).split(",") if t.strip() != ""]
-        if len(tokens) != 4:
-            raise UsageError(f"--targets expects four comma-separated correlators, got {opts['targets']!r}")
-        try:
-            targets = tuple(float(t) for t in tokens)
-        except ValueError:
-            raise UsageError(f"--targets expects numbers, got {opts['targets']!r}")
+        targets = tuple(_exactly(opts, "targets", 4, "four comma-separated correlators"))
         source = {}
     elif opts["alpha"] is not None:
         eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
@@ -931,8 +929,7 @@ def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:
         raise UsageError("polytope needs --alpha (with efficiencies) or --targets")
 
     cert = polytope.polytope_check(targets)
-    # an infeasible certificate's violated facet is the largest one
-    signs, value = cert.violated_facet or max(polytope.facet_values(targets), key=lambda sv: sv[1])
+    signs, value = cert.max_facet
     fields = {**source, "gap": _json_number(cert.gap), "max": _json_number(value)}
     fields.update(zip(_numbered("t", 4), map(_json_number, targets)))
     fields.update(zip(_numbered("max", 4), map(str, signs)))

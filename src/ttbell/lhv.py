@@ -425,7 +425,6 @@ class ConsistencyReport:
     mean_product_error: float
     double_average_error: float
     marginal_double_average_error: float
-    tol: float = RESPONSE_TOL
 
     def mandatory(self) -> list[tuple[str, float]]:
         """The checks that must pass, as (name, error) pairs: mean_product
@@ -442,7 +441,7 @@ class ConsistencyReport:
 
     @property
     def passed(self) -> bool:
-        return all(error <= self.tol for _, error in self.mandatory())
+        return all(error <= RESPONSE_TOL for _, error in self.mandatory())
 
 
 _LEAF = 1 << 16  # pair products held at once: 512 KiB, inside a 2 MiB L2
@@ -490,7 +489,7 @@ def _tree_sum(x: np.ndarray, y: np.ndarray, start: int, n: int, buffer: np.ndarr
     return float(np.add.reduce(out))
 
 
-def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TOL) -> ConsistencyReport:
+def verify_consistency(m: LhvModel, a: float, b: float) -> ConsistencyReport:
     """Run the ensemble bookkeeping identities for a model at (a, b).
 
     The double average over independent state pairs is a naive O(K^2) sum
@@ -532,7 +531,7 @@ def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TO
         if (B, A) in conds:
             d = abs(v - conds[(B, A)])
             swap_err = d if swap_err is None else max(swap_err, d)
-    symmetric = swap_err is not None and swap_err <= tol
+    symmetric = swap_err is not None and swap_err <= RESPONSE_TOL
 
     err_mean_product = abs(moments.mean_t2 - moments.mean_t1 * moments.correlator)
 
@@ -561,5 +560,4 @@ def verify_consistency(m: LhvModel, a: float, b: float, tol: float = RESPONSE_TO
         mean_product_error=err_mean_product,
         double_average_error=err_double,
         marginal_double_average_error=err_marginal_double,
-        tol=tol,
     )

@@ -46,13 +46,21 @@ def _fail(line_no: int, message: str):
     raise ModelFileError(f"line {line_no}: {message}")
 
 
+QUOTE_CHARS = 60  # a message quotes at most this many characters of a token
+
+
+def _quote(token: str) -> str:
+    """``repr`` of token, or of its first ``QUOTE_CHARS`` characters then ``...``."""
+    return repr(token) if len(token) <= QUOTE_CHARS else repr(token[:QUOTE_CHARS]) + "..."
+
+
 def _parse_float(token: str, line_no: int, what: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        _fail(line_no, f"{what} is not a number: {token!r}")
+        _fail(line_no, f"{what} is not a number: {_quote(token)}")
     if not math.isfinite(value):
-        _fail(line_no, f"{what} must be finite, got {token!r}")
+        _fail(line_no, f"{what} must be finite, got {_quote(token)}")
     return value
 
 
@@ -156,7 +164,7 @@ class _Parsed:
                         try:
                             state_id = int(tokens[1])
                         except ValueError:
-                            _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
+                            _fail(line_no, f"hidden-state id is not an integer: {_quote(tokens[1])}")
                         if state_id not in positions:
                             _fail(line_no, f"response references undeclared hidden state {state_id}")
                         pos = positions[state_id]
@@ -176,7 +184,7 @@ class _Parsed:
                             a = _parse_float(tokens[2], line_no, "first angle")
                             b = _parse_float(tokens[3], line_no, "second angle")
                             if tokens[4] not in ("+1", "-1", "1"):
-                                _fail(line_no, f"first outcome must be +1 or -1, got {tokens[4]!r}")
+                                _fail(line_no, f"first outcome must be +1 or -1, got {_quote(tokens[4])}")
                             p = _parse_prob(tokens[5], line_no, "p_plus")
                             add_line, add_pos, add_value, add_a, add_b, add_outcome = slot.appends
                             add_a(a)
@@ -206,7 +214,7 @@ class _Parsed:
                         try:
                             state_id = int(tokens[1])
                         except ValueError:
-                            _fail(line_no, f"hidden-state id is not an integer: {tokens[1]!r}")
+                            _fail(line_no, f"hidden-state id is not an integer: {_quote(tokens[1])}")
                         if not -(1 << 63) <= state_id < 1 << 63:
                             _fail(line_no, f"hidden-state id {state_id} does not fit in 64 bits")
                         if state_id in positions:
@@ -230,7 +238,7 @@ class _Parsed:
                         weights.append(weight)
                         continue
 
-                    _fail(line_no, f"unknown directive {directive!r}")
+                    _fail(line_no, f"unknown directive {_quote(directive)}")
         except ModelFileError:
             _first_repeat(p1, p2)  # the earlier error
             raise

@@ -49,8 +49,13 @@ def strategy_label(s: Strategy) -> str:
 
 @dataclass(frozen=True)
 class PolytopeCertificate:
+    """Feasibility, the gap past 2, and the largest facet (signs and value)
+    of four correlators; the weights if feasible, else the violated facet,
+    which is the largest one."""
+
     feasible: bool
     gap: float
+    max_facet: tuple[tuple[int, int, int, int], float]
     weights: Optional[dict[Strategy, float]] = None
     violated_facet: Optional[tuple[tuple[int, int, int, int], float]] = None
 
@@ -107,7 +112,8 @@ def polytope_check(targets: Sequence[float]) -> PolytopeCertificate:
 
     The facet scan decides: the targets are feasible when no facet exceeds
     2 by more than ``FEASIBILITY_TOL``.  Feasible targets get the closed-form
-    strategy weights, infeasible ones the largest facet and its gap.
+    strategy weights, infeasible ones the largest facet as the violated one;
+    both carry the largest facet and the gap.
     """
     targets = tuple(float(t) for t in targets)
     if len(targets) != 4:
@@ -117,12 +123,10 @@ def polytope_check(targets: Sequence[float]) -> PolytopeCertificate:
             raise ValueError(f"correlator {t!r} outside [-1, 1]")
 
     facets = facet_values(targets)
-    worst_signs, worst_value = max(facets, key=lambda sv: sv[1])
-    feasible = worst_value <= CLASSICAL_BOUND + FEASIBILITY_TOL
-    gap = max(worst_value - CLASSICAL_BOUND, 0.0)
+    worst = max(facets, key=lambda sv: sv[1])
+    feasible = worst[1] <= CLASSICAL_BOUND + FEASIBILITY_TOL
+    gap = max(worst[1] - CLASSICAL_BOUND, 0.0)
 
     if feasible:
-        return PolytopeCertificate(feasible=True, gap=gap, weights=_closed_weights(targets))
-    return PolytopeCertificate(
-        feasible=False, gap=gap, violated_facet=(worst_signs, worst_value)
-    )
+        return PolytopeCertificate(feasible=True, gap=gap, max_facet=worst, weights=_closed_weights(targets))
+    return PolytopeCertificate(feasible=False, gap=gap, max_facet=worst, violated_facet=worst)

@@ -17,7 +17,7 @@ import pytest
 import polytope_oracle
 import quantum_oracle
 
-from ttbell import chsh, cli, lhv, montecarlo, polytope, quantum
+from ttbell import chsh, cli, lhv, model_io, montecarlo, polytope, quantum
 from ttbell.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -114,7 +114,7 @@ class TestTable:
         text = "0," * (cli.MAX_CONFIG_BYTES // 2)
         tracemalloc.start()
         try:
-            values = cli._parse_angle_list(text, "a")
+            values = cli._parse_list(text, "a")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -123,7 +123,7 @@ class TestTable:
         assert peak < 16 * len(values)
         # one blank entry as long: skipped in one pass, not searched again from each place
         with pytest.raises(cli.UsageError, match="^--a is empty$"):
-            cli._parse_angle_list(" \t" * (cli.MAX_CONFIG_BYTES // 2), "a")
+            cli._parse_list(" \t" * (cli.MAX_CONFIG_BYTES // 2), "a")
 
     @pytest.mark.parametrize("argv, message", [
         (("table", "--a= 0.5 , ,\t,-1e-3,", "--b=,0"), None),  # blank entries are skipped
@@ -593,7 +593,7 @@ class TestLhvVerify:
     def test_failing_checks_exit_four(self, capsys, monkeypatch):
         import ttbell.cli as cli_module
 
-        def broken(model, a, b, tol=1e-12):
+        def broken(model, a, b):
             return lhv.ConsistencyReport(
                 marginal_from_mean_error=0.5,
                 conditional_moment_route_error=0.0,
@@ -759,7 +759,7 @@ def polytope_cases(rng) -> list[dict]:
     cases += [{"targets": " 0.5, ,-0.25,\t1e-5,-0 ,"}, {"targets": "1,1,1,-1"}]
     ladders = rng.uniform((-10.0, 0.3, 0.9), (10.0, 1.0, 1.0), (2_500, 3)).tolist()
     cases += [{"alpha": repr(alpha), "eta_d": repr(eta), "f1": repr(f1)} for alpha, eta, f1 in ladders]
-    cases += [{"alpha": repr(alpha), "degrees": True, "eta_d": "0.75"}
+    cases += [{"alpha": repr(alpha), "degrees": "true", "eta_d": "0.75"}
               for alpha in rng.uniform(-720.0, 720.0, 500).tolist()]
     cases += [{"alpha": "1e308"}, {"alpha": "-1e308", "eta_d": "0.5"}, {"alpha": "0", "eta_d": "0"}]
     return cases
@@ -942,6 +942,72 @@ class TestConfigAndIo:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("usage: ttbell [-h] COMMAND ...")
         assert "ttbell: error: the following arguments are required: COMMAND" in err
+
+
+class TestOptionPrecedence:
+    @pytest.mark.parametrize("argv, message", [
+        # a bad value is reported before a command's cross-option checks
+        (("polytope", "--targets=x", "--alpha=1"),
+         "--targets expects a number or comma-separated numbers, got 'x'"),
+        (("polytope", "--targets=0,0,0,0", "--alpha=x"),
+         "bad value for --alpha: could not convert string to float: 'x'"),
+        (("polytope", "--targets=0,0,0,0", "--alpha=1", "--eta-d=2"), "--eta-d must lie in [0, 1], got 2.0"),
+        (("lhv-verify", "--model=position-style", "--model-file=m.model", "--a=x"),
+         "--a expects a number or comma-separated numbers, got 'x'"),
+        (("lhv-verify", "--model=position-style", "--model-file=m.model", "--grid-size=x"),
+         "bad value for --grid-size: invalid literal for int() with base 10: 'x'"),
+        # good values: the cross-option checks, then the counts
+        (("polytope", "--targets=0,0", "--alpha=1"), "give either --targets or --alpha, not both"),
+        (("polytope", "--targets=1,2"), "--targets expects four comma-separated correlators, got '1.0,2.0'"),
+        (("lhv-verify", "--model=position-style", "--model-file=m.model", "--a=0,1"),
+         "give either --model or --model-file, not both"),
+    ])
+    def test_values_are_checked_before_the_command(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"ttbell {argv[0]}: error: {message}\n")
+
+    def test_a_bad_config_value_is_reported_before_the_cross_option_check(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("targets = 0,0,0,0\nf1 = -1\n")
+        code, out, err = run_cli(capsys, "polytope", "--alpha=1", "--config", str(cfg))
+        assert (code, out, err) == (EXIT_USAGE, "", "ttbell polytope: error: --f1 must lie in [0, 1], got -1.0\n")
+
+
+class TestBoundedMessages:
+    """A message quotes at most ``QUOTE_CHARS`` characters of a token from
+    outside input, then ``...``; a shorter token is quoted whole."""
+
+    def test_quote_keeps_a_token_of_the_limit_whole(self):
+        for quote in (cli._quote, model_io._quote):
+            assert quote("x" * 60) == repr("x" * 60)
+            assert quote("x" * 61) == repr("x" * 60) + "..."
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind factorized\n" + "x" * (1 << 20) + "\n", "line 2: unknown directive 'XXX'..."),
+        ("kind factorized\nlambda " + "x" * (1 << 20) + " 1\n", "line 2: hidden-state id is not an integer: 'XXX'..."),
+    ])
+    def test_model_file_tokens(self, capsys, tmp_path, text, message):
+        path = tmp_path / "junk.model"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "lhv-verify", "--model-file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"ttbell lhv-verify: error: {path}: {message.replace('XXX', 'x' * 60)}\n"
+        assert len(err) < 1024
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("table", "x" * (512 << 10), "{cfg}:1: expected 'key = value', got 'XXX'..."),
+        ("table", "x" * 500_000 + " = 1", "{cfg}:1: unknown config key 'XXX'..."),
+        ("table", "b = 0\na = " + "0," * 400_000 + "x",
+         "--a expects a number or comma-separated numbers, got '" + "0," * 30 + "'..."),
+        ("mc", "a = " + "0," * 200_000, "--a expects a single angle here, got '" + "0.0," * 15 + "'..."),
+    ])
+    def test_config_file_tokens(self, capsys, tmp_path, command, text, message):
+        cfg = tmp_path / "junk.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"ttbell {command}: error: {message.replace('XXX', 'x' * 60).format(cfg=cfg)}\n"
+        assert len(err) < 1024
 
 
 def _grid(n: int) -> str:

@@ -47,12 +47,14 @@ CONFIG_KEYS = tuple(opt.key for opt in cli.OPTIONS if opt.key != "out")  # write
 SMALL_SCAN = 20_000
 
 
-def _admitted_scan_rows(values: dict) -> float:
+def _admitted_scan_rows(values: dict, degrees: bool) -> float:
     """Rows of a chsh-scan with these option values that the row cap
-    admits, else 0 (as ``--degrees`` scales the range and the step alike,
-    it is ignored)."""
+    admits, else 0; with ``degrees`` the given values are degrees and the
+    defaults radians (no value of the vocabulary turns on a config file's
+    ``degrees`` key, so only the flag does)."""
+    scale = math.pi / 180.0 if degrees else 1.0
     try:
-        lo, hi, step = (float(values.get(key, default)) for key, default in
+        lo, hi, step = (float(values[key]) * scale if key in values else default for key, default in
                         (("alpha_min", 0.0), ("alpha_max", math.pi), ("alpha_step", 1e-3)))
         rows = (hi - lo) / step + 1
     except (ValueError, ZeroDivisionError):
@@ -72,12 +74,13 @@ def invocations(draw):
     config = None
     if draw(st.booleans()):
         config = {key: value(key) for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), unique=True))}
+    degrees = draw(st.booleans())
     if command == "chsh-scan":
-        assume(_admitted_scan_rows({**(config or {}), **flags}) <= SMALL_SCAN)
+        assume(_admitted_scan_rows({**(config or {}), **flags}, degrees) <= SMALL_SCAN)
     argv = [command] + [f"{cli._flag(key)}={text}" for key, text in flags.items()]
     if command in ("mc", "sweep"):
         argv.append(f"--trials={value('trials')}")
-    if draw(st.booleans()):
+    if degrees:
         argv.append("--degrees")
     if draw(st.booleans()):
         argv.append(f"--format={value('format')}")
@@ -114,7 +117,7 @@ def test_every_option_key_is_accepted_in_a_config_file(tmp_path):
     # each key is read from a config file, or ignored by a command that
     # does not take it: the output equals the run without the file
     values = {"model": "position-style", "model_file": "m.model", "alpha": "0.7",
-              "targets": "0,0,0,0", "out": "-"}
+              "targets": "0,0,0,0", "out": "-", "a": repr(math.pi / 4), "b": "0.0"}
     plain = _run(["table"])
     assert plain[0] == EXIT_OK
     for opt in cli.OPTIONS:
@@ -132,7 +135,8 @@ def _radians(text: str) -> str:
 
 def test_degrees_scale_exactly_the_angle_options():
     # a --degrees run equals the run given every angle option in radians,
-    # scaled as --degrees scales it, and every other option as it is
+    # scaled as --degrees scales it, and every other option as it is; an
+    # angle left to its default is radians in both runs, never scaled
     angles = {"a", "b", "a_prime", "b_prime", "alpha", "alpha_min", "alpha_max", "alpha_step"}
     assert angles == {opt.key for opt in cli.OPTIONS if opt.angle}
     cases = [
@@ -145,6 +149,10 @@ def test_degrees_scale_exactly_the_angle_options():
                         "a_prime": "10", "b_prime": "20"}),
         ("polytope", {"alpha": "45", "eta_d": "0.8", "f21": "0.9"}),
         ("polytope", {"alpha": "45", "eta_d": "0.6"}),
+        # defaulted angles: alpha_min and alpha_max; a; a_prime and b_prime
+        ("chsh-scan", {"alpha_step": "1"}),
+        ("mc", {"b": "10", "trials": "1000", "seed": "7"}),
+        ("lhv-verify", {"model": "position-style", "grid_size": "8", "a": "30", "b": "60"}),
     ]
     for command, values in cases:
         radian = [command] + [

@@ -95,6 +95,8 @@ class TestAgreement:
             cert = pt.polytope_check(targets)
             max_facet = max(v for _, v in pt.facet_values(targets))
             assert cert.feasible == (max_facet <= 2.0 + 1e-9)
+            assert cert.max_facet[1] == max_facet and cert.max_facet in pt.facet_values(targets)
+            assert cert.violated_facet == (None if cert.feasible else cert.max_facet)
             if cert.feasible:
                 rec = pt.reconstruct_targets(cert.weights)
                 assert max(abs(x - y) for x, y in zip(rec, targets)) < 1e-9
