@@ -32,8 +32,9 @@ A block is rendered with numpy, all its float columns in one pass and
 each boolean or +-1 outcome column as one of two fixed texts, in the very
 bytes that formatting each cell with ``fmt`` / ``_json_number`` gives (a
 None or non-finite float is ``nan`` / ``null``); those two still write
-one-record documents, such as ``mc``'s with its integer counts, and the
-few float cells outside the columns' exact range (|x| >= 4e6).
+one-record documents, such as ``mc``'s with its integer counts, and, row
+by row, each block that holds a finite float outside the columns' exact
+range (|x| >= 4e6).
 ``polytope``'s document fills a template that is ``json_text``'s layout
 of its payload, one per layout.
 
@@ -58,7 +59,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import lhv, model_io, montecarlo, polytope, quantum
-from .chsh import MAX_SCAN_ROWS, ChshSettings, chsh_value, ladder_settings, scan_alpha, threshold_analysis
+from .chsh import (MAX_SCAN_ROWS, VIOLATION_TOL, ChshSettings, chsh_value, ladder_settings, scan_alpha,
+                   threshold_analysis)
+from .model_io import QUOTE_CHARS, _quote
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,22 +69,12 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY_FAILED = 4
 
-CHSH_TOL = 1e-12
-
 BUILTIN_MODELS = ("fixed-setting-reproducer", "position-style")
 FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
     pass
-
-
-QUOTE_CHARS = 60  # a message quotes at most this many characters of an outside token
-
-
-def _quote(text: str) -> str:
-    """``repr`` of text, or of its first ``QUOTE_CHARS`` characters then ``...``."""
-    return repr(text) if len(text) <= QUOTE_CHARS else repr(text[:QUOTE_CHARS]) + "..."
 
 
 def _to_bool(text: str) -> bool:
@@ -369,19 +362,20 @@ def _put_digits(chars: np.ndarray, valid: np.ndarray, value: np.ndarray, masked:
 
 
 def _float_cells(x, chars, valid, json_side, masked):
-    """Write the cells of x with |x| < 4e6 (finite), one a row of ``chars``.
+    """Write the cells of x, one a row of ``chars``, if none is finite with
+    |x| >= 4e6; else write nothing and return None.
 
-    Returns the mask of the finite cells past that range, which take the
-    scalar path, the mask of the non-finite ones (None if there are none),
-    |d| of every cell (0 for both) and the whole places masked (``_put_digits``).
+    Returns the mask of the None or non-finite cells (None if there are
+    none), |d| of every cell (0 for those) and the whole places masked
+    (``_put_digits``).
     """
     magnitude = np.abs(x)
-    scalar = ~(magnitude < _FAST_LIMIT)
     missing = None
-    if scalar.any():
-        magnitude[scalar] = 0.0
+    if not (magnitude < _FAST_LIMIT).all():
         missing = ~np.isfinite(x)
-        scalar ^= missing
+        if (magnitude[~missing] >= _FAST_LIMIT).any():
+            return None
+        magnitude[missing] = 0.0
     units = _billionths(magnitude).astype(np.uint64)
     whole = units // _UNITS
     frac = (units - whole * _UNITS).astype(np.uint32)
@@ -401,7 +395,7 @@ def _float_cells(x, chars, valid, json_side, masked):
         kept = valid[:, 12:20].view(np.uint32)
         kept[:, 0] = np.where(low > 0, _EVERY_DIGIT, word_kept[high])
         kept[:, 1] = word_kept[low]
-    return scalar, missing, units, masked
+    return missing, units, masked
 
 
 def _exponent_cells(d: np.ndarray):
@@ -460,12 +454,12 @@ class _BlockRenderer:
     places are masked in every row, so a block masks only those a wider
     block before it kept.  JSON cells that ``repr`` writes with an exponent
     (0 < |round(x, 9)| < 1e-4) and None or non-finite FLOAT cells (``nan``,
-    ``null``) are rewritten in their rows.  A row with a FLOAT cell the
-    columns do not write (|x| >= 4e6) is written by ``fmt`` /
-    ``_json_number`` instead and spliced in at its place.  A BOOL or SIGNED
-    cell is one of two fixed texts (``_choice``): a SIGNED cell must be +1
-    or -1, and an INT column is refused, as only ``record_text`` writes one.
-    Each row starts with ``lead``.
+    ``null``) are rewritten in their rows.  A block with a finite FLOAT cell
+    the columns do not write (|x| >= 4e6) is written whole by ``fmt`` /
+    ``_json_number`` instead, row by row.  A BOOL or SIGNED cell is one of
+    two fixed texts (``_choice``): a SIGNED cell must be +1 or -1, checked
+    in every block, and an INT column is refused, as only ``record_text``
+    writes one.  Each row starts with ``lead``.
     """
 
     def __init__(self, columns, json_side: bool, indent: str = "", lead: str = ""):
@@ -511,29 +505,6 @@ class _BlockRenderer:
         if n > len(self.chars):
             self._allocate(n)
         chars, valid = self.chars[:n], self.valid[:n]
-        scalar = np.zeros(n, dtype=bool)
-        if self.floats:
-            k = len(self.floats)
-            x = np.concatenate([cells[i] for i, _, _ in self.floats], out=self.float_x[:k * n])
-            float_chars, float_valid = self.float_chars[:k * n], self.float_valid[:k * n]
-            float_scalar, missing, units, self.masked = _float_cells(
-                x, float_chars, float_valid, self.json_side, self.masked)
-            scalar = float_scalar.reshape(k, n).any(axis=0)
-            for c, (_, start, stop) in enumerate(self.floats):
-                column = slice(c * n, (c + 1) * n)
-                chars[:, start:stop] = float_chars[column]
-                valid[:, start:stop] = float_valid[column]
-            # the rows' FLOAT slots are copied whole each block, so rewriting one needs no undo
-            if missing is not None and missing.any():
-                slot, row = np.divmod(np.flatnonzero(missing), n)
-                places = self.float_starts[slot, None] + np.arange(_FLOAT_WIDTH)
-                chars[row[:, None], places], valid[row[:, None], places] = _MISSING[self.json_side]
-            if self.json_side:  # cells repr writes with an exponent, rewritten in their rows
-                tiny = np.flatnonzero((units > 0) & (units < _TINY))
-                if len(tiny):
-                    slot, row = np.divmod(tiny, n)
-                    places = self.float_starts[slot, None] + _EXPONENT_PLACES
-                    chars[row[:, None], places], valid[row[:, None], places] = _exponent_cells(units[tiny])
         for i, start, stop in self.choices:  # the slot's text, then its one place kept by value
             kind, v = self.kinds[i], cells[i]
             if kind == SIGNED:
@@ -545,21 +516,31 @@ class _BlockRenderer:
             index = v.view(np.uint8)
             chars[:, start:stop] = texts.take(index, axis=0)
             valid[:, stop - 1] = keeps.take(index)
-        if not scalar.any():
-            return str(chars[valid], "ascii")
-        rows = np.flatnonzero(scalar)
-        kept = valid[rows]
-        valid[rows] = False
-        ends = np.cumsum(np.count_nonzero(valid, axis=1))
-        body = str(chars[valid], "ascii")
-        valid[rows] = kept  # the masked leading places stay masked
-        pieces, done = [], 0
-        for r in rows.tolist():
-            row = [column[r].item() for column in cells]
-            pieces += (body[done:ends[r]], self.lead, self.scalar_row(row))
-            done = ends[r]
-        pieces.append(body[done:])
-        return "".join(pieces)
+        if self.floats:
+            k = len(self.floats)
+            x = np.concatenate([cells[i] for i, _, _ in self.floats], out=self.float_x[:k * n])
+            float_chars, float_valid = self.float_chars[:k * n], self.float_valid[:k * n]
+            written = _float_cells(x, float_chars, float_valid, self.json_side, self.masked)
+            if written is None:  # a cell past the columns' exact range: every row by scalar_row
+                rows = zip(*[column.tolist() for column in cells])
+                return "".join([self.lead + self.scalar_row(row) for row in rows])
+            missing, units, self.masked = written
+            for c, (_, start, stop) in enumerate(self.floats):
+                column = slice(c * n, (c + 1) * n)
+                chars[:, start:stop] = float_chars[column]
+                valid[:, start:stop] = float_valid[column]
+            # the rows' FLOAT slots are copied whole each block, so rewriting one needs no undo
+            if missing is not None:
+                slot, row = np.divmod(np.flatnonzero(missing), n)
+                places = self.float_starts[slot, None] + np.arange(_FLOAT_WIDTH)
+                chars[row[:, None], places], valid[row[:, None], places] = _MISSING[self.json_side]
+            if self.json_side:  # cells repr writes with an exponent, rewritten in their rows
+                tiny = np.flatnonzero((units > 0) & (units < _TINY))
+                if len(tiny):
+                    slot, row = np.divmod(tiny, n)
+                    places = self.float_starts[slot, None] + _EXPONENT_PLACES
+                    chars[row[:, None], places], valid[row[:, None], places] = _exponent_cells(units[tiny])
+        return str(chars[valid], "ascii")
 
 
 def emit_records(fmt_name: str, columns, blocks, summary=None):
@@ -865,7 +846,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
             ]
         except lhv.InvalidModelError as exc:
             raise UsageError(f"model evaluation failed: {exc}")
-        checks += [(name, value <= 2.0 + CHSH_TOL, "value", value) for name, value in bounds]
+        checks += [(name, value <= 2.0 + VIOLATION_TOL, "value", value) for name, value in bounds]
 
     passed = all(check[1] for check in checks)
     exit_code = EXIT_OK if passed else EXIT_VERIFY_FAILED
@@ -1002,6 +983,13 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
         os.close(devnull)
 
 
+def _os_error_text(exc: OSError) -> str:
+    """``str(exc)``, with the file name quoted by ``_quote``."""
+    if exc.filename is None:
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {_quote(str(exc.filename))}"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser, subparsers = _build_parser()
     try:
@@ -1012,20 +1000,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        opts = _merge_options(args)
-        exit_code, chunks = COMMANDS[args.command](opts)
-    except (UsageError, ValueError) as exc:
-        # a ValueError from the library is a bad input the flags let through
-        print(f"ttbell {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"ttbell {args.command}: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
+        try:
+            opts = _merge_options(args)
+            exit_code, chunks = COMMANDS[args.command](opts)
+        except (UsageError, ValueError) as exc:
+            # a ValueError from the library is a bad input the flags let through
+            print(f"ttbell {args.command}: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         _emit(chunks, opts["out"])
     except OSError as exc:
-        print(f"ttbell {args.command}: i/o error: {exc}", file=sys.stderr)
+        print(f"ttbell {args.command}: i/o error: {_os_error_text(exc)}", file=sys.stderr)
         return EXIT_IO
     return exit_code
 

@@ -147,7 +147,7 @@ def _response_pair(evaluate: Callable[[int], float], what: str) -> tuple[float, 
         v = evaluate(outcome)
         if not (-RESPONSE_TOL <= v <= 1.0 + RESPONSE_TOL):
             raise InvalidModelError(f"{what} returned {v!r}, outside [0, 1]")
-        values.append(clamp_probability(v, RESPONSE_TOL))
+        values.append(clamp_probability(v))
     if abs(values[0] + values[1] - 1.0) > RESPONSE_TOL:
         raise InvalidModelError(
             f"{what} outcome probabilities sum to {values[0] + values[1]!r}, expected 1"

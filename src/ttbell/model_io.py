@@ -54,6 +54,19 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= QUOTE_CHARS else repr(token[:QUOTE_CHARS]) + "..."
 
 
+def _parse_id(token: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        _fail(line_no, f"hidden-state id is not an integer: {_quote(token)}")
+
+
+def _id_text(state_id: int) -> str:
+    """The id's digits, or its first ``QUOTE_CHARS`` characters then ``...``."""
+    text = str(state_id)
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
+
+
 def _parse_float(token: str, line_no: int, what: str) -> float:
     try:
         value = float(token)
@@ -161,12 +174,9 @@ class _Parsed:
                     if slot is not None:
                         if len(tokens) != slot.arity:
                             _fail(line_no, f"expected {slot.arity} fields for {directive} in a {kind} model")
-                        try:
-                            state_id = int(tokens[1])
-                        except ValueError:
-                            _fail(line_no, f"hidden-state id is not an integer: {_quote(tokens[1])}")
+                        state_id = _parse_id(tokens[1], line_no)
                         if state_id not in positions:
-                            _fail(line_no, f"response references undeclared hidden state {state_id}")
+                            _fail(line_no, f"response references undeclared hidden state {_id_text(state_id)}")
                         pos = positions[state_id]
                         if len(slot.value) == cells:
                             _fail(line_no, f"{cells + 1} {directive} responses, above the limit of {cells} cells")
@@ -211,12 +221,9 @@ class _Parsed:
                     if directive == "lambda":
                         if len(tokens) != 3:
                             _fail(line_no, "expected 'lambda <id> <weight>'")
-                        try:
-                            state_id = int(tokens[1])
-                        except ValueError:
-                            _fail(line_no, f"hidden-state id is not an integer: {_quote(tokens[1])}")
+                        state_id = _parse_id(tokens[1], line_no)
                         if not -(1 << 63) <= state_id < 1 << 63:
-                            _fail(line_no, f"hidden-state id {state_id} does not fit in 64 bits")
+                            _fail(line_no, f"hidden-state id {_id_text(state_id)} does not fit in 64 bits")
                         if state_id in positions:
                             _fail(line_no, f"duplicate hidden-state id {state_id}")
                         if len(weights) == limit:

@@ -27,18 +27,18 @@ class UndefinedConditionalError(ValueError):
     """Conditioning event has zero (or non-positive) probability."""
 
 
-def clamp_probability(p: float, tol: float = PROB_TOL) -> float:
+def clamp_probability(p: float) -> float:
     """Snap float noise at the edges of [0, 1]; reject anything worse.
 
-    Values in [-tol, 0) and (1, 1+tol] are rounding dust and are clamped;
-    excursions beyond tol indicate a logic error and raise.
+    Values in [-PROB_TOL, 0) and (1, 1+PROB_TOL] are rounding dust and are
+    clamped; excursions beyond PROB_TOL indicate a logic error and raise.
     """
-    if -tol <= p < 0.0:
+    if -PROB_TOL <= p < 0.0:
         return 0.0
-    if 1.0 < p <= 1.0 + tol:
+    if 1.0 < p <= 1.0 + PROB_TOL:
         return 1.0
     if p < 0.0 or p > 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1] beyond tolerance {tol}")
+        raise ValueError(f"probability {p!r} outside [0, 1] beyond tolerance {PROB_TOL}")
     return p
 
 

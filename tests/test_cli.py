@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -978,9 +979,8 @@ class TestBoundedMessages:
     outside input, then ``...``; a shorter token is quoted whole."""
 
     def test_quote_keeps_a_token_of_the_limit_whole(self):
-        for quote in (cli._quote, model_io._quote):
-            assert quote("x" * 60) == repr("x" * 60)
-            assert quote("x" * 61) == repr("x" * 60) + "..."
+        assert model_io._quote("x" * 60) == repr("x" * 60)
+        assert model_io._quote("x" * 61) == repr("x" * 60) + "..."
 
     @pytest.mark.parametrize("text, message", [
         ("kind factorized\n" + "x" * (1 << 20) + "\n", "line 2: unknown directive 'XXX'..."),
@@ -992,6 +992,35 @@ class TestBoundedMessages:
         code, out, err = run_cli(capsys, "lhv-verify", "--model-file", str(path))
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"ttbell lhv-verify: error: {path}: {message.replace('XXX', 'x' * 60)}\n"
+        assert len(err) < 1024
+
+    @pytest.mark.parametrize("state_id, shown", [
+        ("9" * 20, "9" * 20),  # the short ids print as before
+        ("-" + "9" * 59, "-" + "9" * 59),
+        ("9" * 61, "9" * 60 + "..."),
+        ("9" * 4000, "9" * 60 + "..."),
+        ("-" + "9" * 4000, "-" + "9" * 59 + "..."),
+    ], ids=["20-digits", "60-chars", "61-digits", "4000-digits", "minus-4000-digits"])
+    def test_hidden_state_id_past_64_bits(self, capsys, tmp_path, state_id, shown):
+        self.check_model_file(capsys, tmp_path, f"lambda {state_id} 1",
+                              f"line 2: hidden-state id {shown} does not fit in 64 bits")
+
+    @pytest.mark.parametrize("state_id, shown", [
+        ("1", "1"), ("-1", "-1"), ("+01", "1"),  # the short ids print as before
+        ("9" * 60, "9" * 60),
+        ("9" * 4000, "9" * 60 + "..."),
+    ], ids=["1", "minus-1", "plus-01", "60-digits", "4000-digits"])
+    @pytest.mark.parametrize("directive", ["p1", "p2"])
+    def test_undeclared_hidden_state_id(self, capsys, tmp_path, state_id, shown, directive):
+        self.check_model_file(capsys, tmp_path, f"lambda 0 1\n{directive} {state_id} 0 0.5",
+                              f"line 3: response references undeclared hidden state {shown}")
+
+    @staticmethod
+    def check_model_file(capsys, tmp_path, lines, message):
+        path = tmp_path / "ids.model"
+        path.write_text(f"kind factorized\n{lines}\n")
+        code, out, err = run_cli(capsys, "lhv-verify", "--model-file", str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"ttbell lhv-verify: error: {path}: {message}\n")
         assert len(err) < 1024
 
     @pytest.mark.parametrize("command, text, message", [
@@ -1008,6 +1037,33 @@ class TestBoundedMessages:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"ttbell {command}: error: {message.replace('XXX', 'x' * 60).format(cfg=cfg)}\n"
         assert len(err) < 1024
+
+    @pytest.mark.parametrize("how", ["config-out", "--out", "--config", "--model-file"])
+    @pytest.mark.parametrize("name, shown", [
+        ("missing/x.csv", "'missing/x.csv'"),  # a short name prints as before
+        ("missing/" + "x" * 52, repr("missing/" + "x" * 52)),
+        ("x" * 300_000, repr("x" * 60) + "..."),
+    ], ids=["short", "60-chars", "300000-chars"])
+    def test_file_names_in_i_o_errors(self, capsys, tmp_path, monkeypatch, how, name, shown):
+        monkeypatch.chdir(tmp_path)
+        command, argv = "table", [how, name]
+        if how == "config-out":  # out = <name> in the config file
+            Path("run.cfg").write_text(f"out = {name}\n")
+            argv = ["--config", "run.cfg"]
+        elif how == "--model-file":
+            command = "lhv-verify"
+        code, out, err = run_cli(capsys, command, *argv)
+        error = errno.ENOENT if name.startswith("missing/") else errno.ENAMETOOLONG
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"ttbell {command}: i/o error: [Errno {error}] {os.strerror(error)}: {shown}\n"
+        if len(name) <= 60:
+            assert err == f"ttbell {command}: i/o error: {OSError(error, os.strerror(error), name)}\n"
+        assert len(err) < 1024
+
+    @pytest.mark.parametrize("exc", [OSError(errno.EIO, "Input/output error"), OSError("disk gone"), OSError()],
+                             ids=["errno", "text", "bare"])
+    def test_an_i_o_error_without_a_file_name_prints_as_python_does(self, exc):
+        assert cli._os_error_text(exc) == str(exc)
 
 
 def _grid(n: int) -> str:

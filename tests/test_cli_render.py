@@ -105,6 +105,9 @@ def test_block_columns_refuse_int_kind_and_signed_cells_other_than_one(fmt_name)
         cells = [1, -1] * 3000 + [wrong]
         with pytest.raises(ValueError, match=rf"SIGNED cell is \+1 or -1, got {wrong}"):
             "".join(cli.emit_records(fmt_name, [("A", SIGNED)], [[cells]]))
+        # also in a block that scalar_row writes, as it holds a float past 4e6
+        with pytest.raises(ValueError, match=rf"SIGNED cell is \+1 or -1, got {wrong}"):
+            "".join(cli.emit_records(fmt_name, [("x", FLOAT), ("A", SIGNED)], [[[1e7] * len(cells), cells]]))
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
@@ -189,7 +192,8 @@ def test_every_exponent_form_json_cell_matches_oracle():
 @pytest.mark.parametrize("block", [7, 2048])
 def test_only_cells_past_the_exact_range_take_the_scalar_path(monkeypatch, fmt_name, block):
     # None, NaN (a negative payload too) and +-inf are written in the block
-    # as nan / null; a row reaches scalar_row only for |x| >= 4e6
+    # as nan / null; every row of a block that holds a finite |x| >= 4e6
+    # reaches scalar_row, and no row of any other block does
     monkeypatch.setattr(cli, "ROW_BLOCK", block)
     negative_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
     assert np.isnan(negative_nan) and np.signbit(negative_nan)
@@ -203,12 +207,15 @@ def test_only_cells_past_the_exact_range_take_the_scalar_path(monkeypatch, fmt_n
             x[row] = missing[rng.integers(len(missing))]
         else:
             y[row] = missing[rng.integers(len(missing))]
-    scalar_rows = set(rng.integers(0, n, 40).tolist())
-    for row in scalar_rows:
-        if rng.random() < 0.5:
-            x[row] = float(rng.choice((4e6, -4.5e6, 1e300)))
-        else:
-            y[row] = float(rng.choice((-4e6, 1e16)))
+    blocks = -(-n // block)
+    scalar_blocks = rng.choice(blocks, max(1, blocks // 10), replace=False).tolist()
+    for b in scalar_blocks:
+        for row in rng.integers(b * block, min((b + 1) * block, n), rng.integers(1, 4)):
+            if rng.random() < 0.5:
+                x[row] = float(rng.choice((4e6, -4.5e6, 1e300)))
+            else:
+                y[row] = float(rng.choice((-4e6, 1e16)))
+    scalar_rows = [r for r in range(n) if r // block in scalar_blocks]
     rows = list(zip(map(float, range(n)), x, signs(rng, n), y))  # i < 4e6 is written in the block
     columns = [("i", FLOAT), ("x", FLOAT), ("A", SIGNED), ("y", FLOAT)]
     expected = scalar_document(fmt_name, columns, rows)
@@ -222,5 +229,6 @@ def test_only_cells_past_the_exact_range_take_the_scalar_path(monkeypatch, fmt_n
     monkeypatch.setattr(cli, "_renderer", spied)
     written = "".join(cli.emit_records(fmt_name, columns, row_blocks(rows)))
     assert written == expected
-    assert set(reached) == scalar_rows and len(reached) == len(scalar_rows)
-    assert sum(x[r] is None or not math.isfinite(x[r]) for r in range(n)) > 100
+    assert reached == list(map(float, scalar_rows))
+    block_rows = set(range(n)).difference(scalar_rows)
+    assert sum(v is None or not math.isfinite(v) for r in block_rows for v in (x[r], y[r])) > 50
