@@ -27,8 +27,8 @@ For factorized models the per-lambda product mean factorizes,
 E12 = E1 * E2, which is what bounds the per-lambda CHSH combination by 2.
 `verify_consistency` checks the ensemble-level bookkeeping identities
 (marginal/mean inversion, moment-route conditionals, outcome-swap symmetry
-and its mean-product consequence, and factorization of double averages
-over independent lambda pairs) that underpin that derivation.
+and its mean-product consequence) that underpin that derivation, in O(K)
+time and memory.
 """
 
 from __future__ import annotations
@@ -155,18 +155,18 @@ def _response_pair(evaluate: Callable[[int], float], what: str) -> tuple[float, 
     return values[0], values[1]
 
 
-def _joint_terms(m: LhvModel, a_angles, b_angles) -> tuple[np.ndarray, np.ndarray]:
-    """The slot-1 columns, shape (I, 2, K), and the per-state joint entries
-    at every setting pair (a_angles[i], b_angles[j]), shape (I, J, 2, 2, K),
-    where ``terms[i, j, o, p]`` has first outcome OUTCOMES[o], second
-    OUTCOMES[p].  Each column is fetched once: slot 2 at each b for
-    factorized models, at each (a, b, A) for general ones."""
+def _joint_terms(m: LhvModel, a_angles, b_angles) -> np.ndarray:
+    """The per-state joint entries at every setting pair (a_angles[i],
+    b_angles[j]), shape (I, J, 2, 2, K), where ``terms[i, j, o, p]`` has
+    first outcome OUTCOMES[o], second OUTCOMES[p].  Each column is fetched
+    once: slot 2 at each b for factorized models, at each (a, b, A) for
+    general ones."""
     pa = np.array([m.t1_column(a) for a in a_angles])
     if m.kind == FACTORIZED:
         pb = np.array([m.t2_column(b) for b in b_angles])
-        return pa, pa[:, None, :, None] * pb[:, None]
+        return pa[:, None, :, None] * pb[:, None]
     pb = np.array([[[m.t2_column(a, b, A) for A in OUTCOMES] for b in b_angles] for a in a_angles])
-    return pa, pa[:, None, :, None] * pb
+    return pa[:, None, :, None] * pb
 
 
 def _untabulated(terms: np.ndarray, where: str) -> InvalidModelError:
@@ -190,10 +190,9 @@ def _ensemble(m: LhvModel, terms: np.ndarray) -> list[float]:
     return [v + 0.0 for v in sums.ravel().tolist()]
 
 
-def _averaged(m: LhvModel, a: float, b: float):
-    """Slot-1 columns and per-state joint entries at (a, b) (as
-    ``_joint_terms`` gives them), then the ensemble joint and moments."""
-    pa, terms = _joint_terms(m, (a,), (b,))
+def average_over_lambda(m: LhvModel, a: float, b: float) -> tuple[JointDistribution, Moments]:
+    """Ensemble joint and moments: weighted sums of per-lambda quantities."""
+    terms = _joint_terms(m, (a,), (b,))
     pp, pm, mp, mm = entries = _ensemble(m, terms)
     if any(map(math.isnan, entries)):
         raise _untabulated(terms, f"(a={a!r}, b={b!r})")
@@ -203,12 +202,7 @@ def _averaged(m: LhvModel, a: float, b: float):
         mean_t2=(pp + mp) - (pm + mm),
         correlator=pp - pm - mp + mm,
     )
-    return pa, terms, joint, moments
-
-
-def average_over_lambda(m: LhvModel, a: float, b: float) -> tuple[JointDistribution, Moments]:
-    """Ensemble joint and moments: weighted sums of per-lambda quantities."""
-    return _averaged(m, a, b)[2:]
+    return joint, moments
 
 
 def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
@@ -226,10 +220,9 @@ def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
     return LhvModel([w for _, w in kept], FACTORIZED, lambda angle: t1, lambda angle: t2)
 
 
-# the most hidden states verify_consistency accepts, from any source, and
-# position_style_model builds: the check is O(K^2) in time, about 3.8 s at
-# 2**16 states (2 vCPU Xeon, numpy 2.4); its pair sum holds 512 KiB of
-# products whatever K is
+# a model-size bound, not a time bound: position_style_model builds,
+# model_io.load_model reads and verify_consistency accepts no model of more
+# hidden states
 MAX_GRID_SIZE = 1 << 16
 
 
@@ -397,7 +390,7 @@ def per_state_chsh(m: LhvModel, s: ChshSettings) -> np.ndarray:
 
 def averaged_chsh(m: LhvModel, s: ChshSettings) -> float:
     """CHSH combination of the ensemble correlators."""
-    terms = _joint_terms(m, (s.a, s.a_prime), (s.b, s.b_prime))[1]
+    terms = _joint_terms(m, (s.a, s.a_prime), (s.b, s.b_prime))
     sums = _ensemble(m, terms)  # (pp, pm, mp, mm) at (a, b), (a, b'), (a', b), (a', b')
     c_ab, c_abp, c_apb, c_apbp = [sums[i] - sums[i + 1] - sums[i + 2] + sums[i + 3] for i in (0, 4, 8, 12)]
     value = abs(c_ab + c_abp + c_apbp - c_apb)
@@ -423,8 +416,6 @@ class ConsistencyReport:
     outcome_swap_error: Optional[float]
     outcome_swap_symmetric: bool
     mean_product_error: float
-    double_average_error: float
-    marginal_double_average_error: float
 
     def mandatory(self) -> list[tuple[str, float]]:
         """The checks that must pass, as (name, error) pairs: mean_product
@@ -432,8 +423,6 @@ class ConsistencyReport:
         checks = [
             ("marginal_from_mean", self.marginal_from_mean_error),
             ("conditional_moment_route", self.conditional_moment_route_error),
-            ("double_average_factorization", self.double_average_error),
-            ("marginal_double_average", self.marginal_double_average_error),
         ]
         if self.outcome_swap_symmetric:
             checks.append(("mean_product", self.mean_product_error))
@@ -444,64 +433,17 @@ class ConsistencyReport:
         return all(error <= RESPONSE_TOL for _, error in self.mandatory())
 
 
-_LEAF = 1 << 16  # pair products held at once: 512 KiB, inside a 2 MiB L2
-
-
-def _pair_sum(x: np.ndarray, y: np.ndarray) -> float:
-    """sum_ij x[i]*y[j]: the chunks of 256 rows of pair products, each summed
-    as numpy sums ``np.multiply.outer(x[i0:i0 + 256], y)``, added left to
-    right from 0.0, holding at most ``_LEAF`` products at once.
-
-    numpy sums a contiguous array by a pairwise tree fixed by its length
-    alone: halve n, round down to a multiple of 8, recurse down to leaves of
-    at most 128.  ``_tree_sum`` walks that tree over a chunk's flat products
-    and hands each subtree of at most ``_LEAF`` of them to ``np.add.reduce``,
-    which sums it the same way, so the float is the same bit for bit
-    (``tests/lhv_oracle.py`` keeps the whole-chunk sum)."""
-    buffer = np.empty(min(_LEAF, min(len(x), 256) * len(y)))
-    total = 0.0
-    for i0 in range(0, len(x), 256):
-        rows = x[i0:i0 + 256]
-        total += _tree_sum(rows, y, 0, len(rows) * len(y), buffer)
-    return total
-
-
-def _tree_sum(x: np.ndarray, y: np.ndarray, start: int, n: int, buffer: np.ndarray) -> float:
-    """numpy's pairwise sum of the flat products [start, start + n) of
-    ``np.multiply.outer(x, y)``, built a subtree of at most ``_LEAF`` at a time."""
-    if n > _LEAF:
-        half = n // 2 - n // 2 % 8
-        return _tree_sum(x, y, start, half, buffer) + _tree_sum(x, y, start + half, n - half, buffer)
-    out = buffer[:n]
-    i, j = divmod(start, len(y))
-    done = 0
-    if j:  # the tail of row i
-        done = min(len(y) - j, n)
-        np.multiply(x[i], y[j:j + done], out=out[:done])
-        i += 1
-    rows = (n - done) // len(y)
-    if rows:
-        np.multiply.outer(x[i:i + rows], y, out=out[done:done + rows * len(y)].reshape(rows, -1))
-        done += rows * len(y)
-        i += rows
-    if done < n:  # the head of row i
-        np.multiply(x[i], y[:n - done], out=out[done:])
-    return float(np.add.reduce(out))
-
-
 def verify_consistency(m: LhvModel, a: float, b: float) -> ConsistencyReport:
-    """Run the ensemble bookkeeping identities for a model at (a, b).
+    """Run the ensemble bookkeeping identities for a model at (a, b), in
+    O(K) time and memory.
 
-    The double average over independent state pairs is a naive O(K^2) sum
-    of pair products (``_pair_sum``), 256 rows at a time in numpy's pairwise
-    order; it holds at most 512 KiB of products, so memory stays O(K).
     Raises ValueError for a model of more than ``MAX_GRID_SIZE`` states.
     """
     if len(m.weights) > MAX_GRID_SIZE:
         raise ValueError(
             f"model has {len(m.weights)} hidden states, above the limit of {MAX_GRID_SIZE} for verify_consistency"
         )
-    pa, terms, joint, moments = _averaged(m, a, b)
+    joint, moments = average_over_lambda(m, a, b)
 
     # marginal from mean: P(B) = (1/2)(1 + B * mean_t2)
     err_marginal = 0.0
@@ -535,29 +477,10 @@ def verify_consistency(m: LhvModel, a: float, b: float) -> ConsistencyReport:
 
     err_mean_product = abs(moments.mean_t2 - moments.mean_t1 * moments.correlator)
 
-    # double averages over independent hidden-state pairs factorize; the
-    # per-state means e1 and e12 come from the columns of the joint above
-    (p, q), ((pp, pm), (mp, mm)) = pa[0], terms[0, 0]
-    wx = (p - q) * m.weights
-    wy = (pp - pm - mp + mm) * m.weights
-    # naive pair sum, kept independent of the factorized product it is
-    # compared against
-    double_sum = _pair_sum(wx, wy)
-    single_product = float(wx.sum()) * float(wy.sum())
-    err_double = abs(double_sum - single_product)
-
-    err_marginal_double = 0.0
-    for B in OUTCOMES:
-        lhs = 0.5 * (1.0 + B * double_sum)
-        rhs = 0.5 * (1.0 + B * single_product)
-        err_marginal_double = max(err_marginal_double, abs(lhs - rhs))
-
     return ConsistencyReport(
         marginal_from_mean_error=err_marginal,
         conditional_moment_route_error=err_conditional,
         outcome_swap_error=swap_err,
         outcome_swap_symmetric=symmetric,
         mean_product_error=err_mean_product,
-        double_average_error=err_double,
-        marginal_double_average_error=err_marginal_double,
     )

@@ -1,29 +1,13 @@
 """Independent routes through hidden-variable models, for the tests.
 
-``pair_sum`` is the double sum ``ttbell.lhv.verify_consistency`` first
-shipped: each chunk of 256 rows of pair products is built whole by
-``np.multiply.outer`` and summed by numpy, and the chunk sums are added left
-to right from 0.0.  At 10 000 states each chunk is a 20 MB temporary.  The
-tests check that ``lhv._pair_sum`` returns the same float, bit for bit.
-
 ``state_joint`` reads one hidden state's joint off the model's columns,
 without ``lhv``'s array route.  ``tabulated_factorized_model`` and
 ``tabulated_general_model`` write a tabulated model as per-state dicts and
 build it through ``lhv.flat_tabulated_model``, the builder model files use.
 """
 
-import numpy as np
-
 from ttbell import lhv
 from ttbell.quantum import OUTCOMES, JointDistribution
-
-
-def pair_sum(x: np.ndarray, y: np.ndarray) -> float:
-    """sum_ij x[i]*y[j], one whole 256-row chunk of products at a time."""
-    total = 0.0
-    for i0 in range(0, len(x), 256):
-        total += float(np.multiply.outer(x[i0:i0 + 256], y).sum())
-    return total
 
 
 def state_joint(m: lhv.LhvModel, a: float, b: float, k: int) -> JointDistribution:

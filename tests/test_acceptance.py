@@ -182,8 +182,7 @@ def test_06_polytope_certificates():
 
 
 def test_07_bookkeeping_identity_suite():
-    """Reproducer passes all ensemble identities; moment identity on the grid;
-    double averages factorize for random models."""
+    """Reproducer passes all ensemble identities; moment identity on the grid."""
     rng = np.random.default_rng(1_618_033)
 
     ok_reproducer = True
@@ -201,21 +200,10 @@ def test_07_bookkeeping_identity_suite():
             worst_identity = max(worst_identity, abs(lhs - rhs))
     ok_identity = worst_identity <= TOL
 
-    worst_double = 0.0
-    for _ in range(100):
-        k = int(rng.integers(1, 6))
-        model = lhv.random_factorized_model(rng, k, [0.3, 1.1], [0.8, 2.0])
-        rep = lhv.verify_consistency(model, 0.3, 0.8)
-        worst_double = max(
-            worst_double, rep.double_average_error, rep.marginal_double_average_error
-        )
-    ok_double = worst_double <= TOL
-
-    ok = ok_reproducer and ok_identity and ok_double
+    ok = ok_reproducer and ok_identity
     report(
         "07 bookkeeping-identities", ok,
-        f"(50 reproducer pairs, grid identity {worst_identity:.2e}, "
-        f"double-average {worst_double:.2e})",
+        f"(50 reproducer pairs, grid identity {worst_identity:.2e})",
     )
 
 

@@ -601,8 +601,6 @@ class TestLhvVerify:
                 outcome_swap_error=0.0,
                 outcome_swap_symmetric=True,
                 mean_product_error=0.0,
-                double_average_error=0.0,
-                marginal_double_average_error=0.0,
             )
 
         monkeypatch.setattr(cli_module.lhv, "verify_consistency", broken)

@@ -56,10 +56,10 @@ CASES = [
      EXIT_INFEASIBLE, "ba05b922410f842358be42114c946663d6bf79d72c8e96eb5a1d5d4e1a401e23"),
     ("lhv-verify-text", ("lhv-verify", "--model", "position-style", "--grid-size", "50",
                          "--a", "0.4", "--b", "1.1"),
-     EXIT_OK, "fe563a2580b6a2ef8b6f41231df6ffa5e548935c83683d9d40d93bfaa1b97db9"),
+     EXIT_OK, "2d7ca9f7983289d4a7bd88957e8a3026737b91fbefde7846fcd419a3d07485c4"),
     ("lhv-verify-json", ("lhv-verify", "--model", "fixed-setting-reproducer",
                          "--a", "0.9", "--b", "0.2", *JSON),
-     EXIT_OK, "b3b7764efda0d1d43c602388b25eee3b5e648ad0b8773ffd01ee695598281ac4"),
+     EXIT_OK, "38ddd616ae99c6aa799a06e53b7778464d40c3baad3ea70970ad54c29a40e6db"),
     # the bytes the former scripts/run_efficiency_sweep.py wrote for these flags
     ("sweep-csv", SWEEP, EXIT_OK,
      "ea476dd0e55b31fcdabd653b11eece8b1a188a7fa062cc3e4f65d10b7629dd51"),

@@ -25,8 +25,7 @@ FIELDS = (
     "averaged_chsh", "per_state_chsh_max",
     "pp", "pm", "mp", "mm", "mean_t1", "mean_t2", "correlator",
     "marginal_from_mean_error", "conditional_moment_route_error", "outcome_swap_error",
-    "outcome_swap_symmetric", "mean_product_error", "double_average_error",
-    "marginal_double_average_error",
+    "outcome_swap_symmetric", "mean_product_error",
 )
 
 FACTORIZED_FILE = """\
@@ -134,7 +133,6 @@ def fingerprint(model, settings, ab, per_state_chsh_max):
         moments.mean_t1, moments.mean_t2, moments.correlator,
         report.marginal_from_mean_error, report.conditional_moment_route_error,
         report.outcome_swap_error, report.outcome_swap_symmetric, report.mean_product_error,
-        report.double_average_error, report.marginal_double_average_error,
     )
     return tuple(_hex(v) for v in values)
 
@@ -144,70 +142,63 @@ PINS = {
         '0x1.0ef397267aea7p+0', '0x1.0ef397267aea6p+0', '0x1.5ee9ac41a8b57p-3',
         '0x1.6015a37c51a43p-5', '0x1.419933b767111p-1', '0x1.42ac1c01a69d3p-3',
         '-0x1.2488756fa170cp-1', '0x1.32a73d8fa27cep-1', '-0x1.5e6a37bcb0ad6p-2', '0x0.0p+0',
-        '0x1.0000000000000p-56', '0x1.32a73d8fa27cep-1', False, '0x1.9d1882bf2dd6bp-2', '0x0.0p+0',
-        '0x0.0p+0',
+        '0x1.0000000000000p-56', '0x1.32a73d8fa27cep-1', False, '0x1.9d1882bf2dd6bp-2',
     ),
     'random-2': (
         '0x1.16c1a3c9e9b38p-1', '0x1.48997703f5508p-1', '0x1.b21ca909e312cp-4',
         '0x1.2230d2e67cddcp-4', '0x1.f872ae0d51b5dp-2', '0x1.5279f2f6964e2p-2',
         '-0x1.4aeca103e803fp-1', '0x1.93e7613f29e9ep-3', '-0x1.03fb8b1bc3b4ep-3',
         '0x1.0000000000000p-54', '0x0.0p+0', '0x1.9518efa3670d8p-3', False, '0x1.d7bc31c321e52p-4',
-        '0x1.0000000000000p-56', '0x0.0p+0',
     ),
     'random-3': (
         '0x1.1a615ea18708ap-4', '0x1.2a2849144c326p-2', '0x1.7a7a4f14e7543p-4',
         '0x1.ebb99163a65b0p-2', '0x1.b515c1e1619bbp-4', '0x1.48626a5ec7691p-2',
         '0x1.296094a380c00p-3', '-0x1.341bfbc26dc40p-1', '-0x1.63fc076ffb07ap-3',
         '0x1.0000000000000p-55', '0x1.0000000000000p-53', '0x1.2d8b6737408a8p-1', False,
-        '0x1.272fce33c79bcp-1', '0x1.0000000000000p-58', '0x0.0p+0',
+        '0x1.272fce33c79bcp-1',
     ),
     'random-7': (
         '0x1.525b6e3b589b3p-3', '0x1.a46a4557b7e0ap-1', '0x1.bfbd8259627d9p-3',
         '0x1.1656b9f210ce3p-2', '0x1.363d708ec4848p-2', '0x1.a71a28a4f2dcep-3',
         '-0x1.39509c27be600p-6', '0x1.61c31bb75c350p-5', '-0x1.3250aa03554aep-3',
         '0x1.0000000000000p-54', '0x1.0000000000000p-53', '0x1.4a73ba34610c0p-5', False,
-        '0x1.4a54ca789d94ep-5', '0x0.0p+0', '0x0.0p+0',
+        '0x1.4a54ca789d94ep-5',
     ),
     'position-50': (
         '0x1.47ae147ae1480p-1', '0x1.0000000000000p+1', '0x1.51eb851eb8521p-1',
         '0x1.47ae147ae147bp-5', '0x1.3333333333333p-2', '0x0.0p+0', '0x1.999999999999fp-2',
         '0x1.d70a3d70a3d72p-1', '0x1.47ae147ae147fp-2', '0x1.0000000000000p-53',
         '0x1.0000000000000p-53', '0x1.e2be2be2be2bep-1', False, '0x1.95810624dd2f1p-1',
-        '0x1.0000000000000p-55', '0x1.0000000000000p-53',
     ),
     'position-10000': (
         '0x1.6a161e4f76340p+0', '0x1.0000000000000p+1', '0x1.04816f0068e0cp-3', '0x0.0p+0',
         '0x1.7119ce075f4c5p-1', '0x1.371758e219644p-3', '-0x1.7dbf487fcb6d3p-1',
         '0x1.6474538ef32b7p-1', '-0x1.c467381d7d762p-2', '0x1.1400000000000p-45',
         '0x1.1380000000000p-45', '0x1.a6e48bd9848c8p-1', False, '0x1.7798d34b163c3p-2',
-        '0x1.0000000000000p-53', '0x0.0p+0',
     ),
     'reproducer': (
         '0x1.bb67ae8584caap+0', '0x1.0000000000000p+1', '0x1.bdb3d742c2656p-1',
         '0x1.ffffffffffffcp-5', '0x1.26145e9ecd563p-8', '0x1.0000000000002p-4',
         '0x1.bb67ae8584cabp-1', '0x1.8000000000001p-1', '0x1.bb67ae8584cabp-1',
         '0x1.0000000000000p-53', '0x1.8000000000000p-55', '0x0.0p+0', True, '0x0.0p+0',
-        '0x1.0000000000000p-53', '0x1.0000000000000p-53',
     ),
     'general-hand-written': (
         '0x1.6d4791f09a51ep+0', None, '0x1.64a8132d7e93ep-1', '0x1.27b6ebb13a562p-3',
         '0x1.e6dc959c4fa58p-6', '0x1.08cd34e54165ap-3', '0x1.5d2b9c339a52dp-1',
         '0x1.cf7bdf6984444p-2', '0x1.4db6c0cd9ddaap-1', '0x0.0p+0', '0x1.0000000000000p-53',
-        '0x1.f17bbc15766a0p-7', False, '0x1.0a1c2805eec20p-7', '0x1.0000000000000p-54',
-        '0x1.0000000000000p-53',
+        '0x1.f17bbc15766a0p-7', False, '0x1.0a1c2805eec20p-7',
     ),
     'parsed-factorized': (
         '0x1.b9e634a877a90p-1', '0x1.9eb851eb851ebp+0', '0x1.717c6d79f9f1bp-3',
         '0x1.1a17231c68029p-2', '0x1.7411627caff3bp-4', '0x1.d0264d876f07bp-2',
         '-0x1.69553134d8250p-4', '-0x1.d47ae147ae148p-2', '0x1.11c90888d8011p-2', '0x0.0p+0',
-        '0x1.0000000000000p-54', '0x1.bfd00a8fe3190p-2', False, '0x1.bc53e7b12149ep-2', '0x0.0p+0',
-        '0x0.0p+0',
+        '0x1.0000000000000p-54', '0x1.bfd00a8fe3190p-2', False, '0x1.bc53e7b12149ep-2',
     ),
     'parsed-general': (
         '0x1.3d2f1a9fbe76ap-1', None, '0x1.27ae147ae147bp-2', '0x1.10a3d70a3d70ap-2',
         '0x1.872b020c49ba4p-4', '0x1.65e353f7ced92p-2', '0x1.c28f5c28f5c24p-4',
         '-0x1.da1cac0831270p-3', '0x1.1b22d0e56041ap-2', '0x0.0p+0', '0x1.0000000000000p-53',
-        '0x1.0f7c668e34064p-2', False, '0x1.0c33721d53cdep-2', '0x0.0p+0', '0x0.0p+0',
+        '0x1.0f7c668e34064p-2', False, '0x1.0c33721d53cdep-2',
     ),
 }
 
