@@ -1,13 +1,16 @@
 """Independent routes through hidden-variable models, for the tests.
 
 ``state_joint`` reads one hidden state's joint off the model's columns,
-without ``lhv``'s array route.  ``tabulated_factorized_model`` and
+without ``lhv``'s array route, and ``average_over_lambda`` sums each entry
+of the ensemble joint state by state in Python floats, left to right from
+0.0; the tests check that ``lhv`` gives the same floats, bit for bit.
+``tabulated_factorized_model`` and
 ``tabulated_general_model`` write a tabulated model as per-state dicts and
 build it through ``lhv.flat_tabulated_model``, the builder model files use.
 """
 
 from ttbell import lhv
-from ttbell.quantum import OUTCOMES, JointDistribution
+from ttbell.quantum import OUTCOMES, JointDistribution, Moments
 
 
 def state_joint(m: lhv.LhvModel, a: float, b: float, k: int) -> JointDistribution:
@@ -19,6 +22,28 @@ def state_joint(m: lhv.LhvModel, a: float, b: float, k: int) -> JointDistributio
         p2 = (m.t2_column(b) if m.kind == lhv.FACTORIZED else m.t2_column(a, b, A))[:, k].tolist()
         entries += [p1[i] * p2[0], p1[i] * p2[1]]
     return JointDistribution(*entries)
+
+
+def average_over_lambda(m: lhv.LhvModel, a: float, b: float) -> tuple[JointDistribution, Moments]:
+    """The ensemble joint at (a, b), each entry sum_k (p1 * p2) * w_k added
+    state by state from 0.0, and its moments as ``lhv`` writes them."""
+    p1 = m.t1_column(a).tolist()
+    weights = m.weights.tolist()
+    entries = []
+    for i, A in enumerate(OUTCOMES):
+        p2 = (m.t2_column(b) if m.kind == lhv.FACTORIZED else m.t2_column(a, b, A)).tolist()
+        for j in range(2):
+            total = 0.0
+            for x, y, w in zip(p1[i], p2[j], weights):
+                total += x * y * w
+            entries.append(total)
+    pp, pm, mp, mm = entries
+    moments = Moments(
+        mean_t1=(pp + pm) - (mp + mm),
+        mean_t2=(pp + mp) - (pm + mm),
+        correlator=pp - pm - mp + mm,
+    )
+    return JointDistribution(*entries), moments
 
 
 def tabulated_factorized_model(weights, p1_tables, p2_tables) -> lhv.LhvModel:

@@ -390,6 +390,34 @@ class TestConsistencyChecks:
             lhv.verify_consistency(m, 0.0, 0.0)
 
 
+# state counts on and either side of powers of two, where a blocked or
+# pairwise sum over states would split differently from a left-to-right one
+PAIR_SUM_SIZES = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 419, 511, 512, 513, 1023, 1024, 1025, 4095, 8193, 10_000]
+
+
+def hexed(report):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+class TestPairSum:
+    """Each outcome pair's ensemble sum over states, as ``verify_consistency``
+    uses it, equals the state-by-state oracle sum bit for bit, and so does
+    every field of the report."""
+
+    @pytest.mark.parametrize("k", PAIR_SUM_SIZES)
+    def test_verify_consistency_equals_oracle_copy(self, k, monkeypatch):
+        models = [(lhv.random_factorized_model(np.random.default_rng(k), k, [0.6], [1.2]), 0.6, 1.2)]
+        if k >= 2:
+            models.append((lhv.position_style_model(k), -2.3, 0.77))
+        for model, a, b in models:
+            got = lhv.verify_consistency(model, a, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(lhv, "average_over_lambda", lhv_oracle.average_over_lambda)
+                want = lhv.verify_consistency(model, a, b)
+            assert hexed(got) == hexed(want)
+            assert hexed(lhv.average_over_lambda(model, a, b)[0]) == hexed(lhv_oracle.average_over_lambda(model, a, b)[0])
+
+
 class TestColumnContract:
     """A model is evaluated one response column per setting over all states."""
 
