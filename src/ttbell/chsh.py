@@ -49,9 +49,7 @@ class ChshSettings:
 @dataclass(frozen=True)
 class ChshReport:
     s_value: float
-    bound: float = CLASSICAL_BOUND
-    violated: bool = False
-    margin: float = 0.0
+    violated: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +94,8 @@ class ThresholdReport:
     eta_d: float
     f: float
     eta_f: float
-    critical_eta_f: float
     s_exp_max: float
     violated: bool
-    margin: float
 
 
 def ladder_settings(alpha: float) -> ChshSettings:
@@ -130,12 +126,7 @@ def chsh_value(correlator: Callable[[float, float], float], s: ChshSettings) -> 
         - _checked(correlator, s.a_prime, s.b)
     )
     s_value = abs(total)
-    return ChshReport(
-        s_value=s_value,
-        bound=CLASSICAL_BOUND,
-        violated=s_value > CLASSICAL_BOUND + VIOLATION_TOL,
-        margin=s_value - CLASSICAL_BOUND,
-    )
+    return ChshReport(s_value=s_value, violated=s_value > CLASSICAL_BOUND + VIOLATION_TOL)
 
 
 def s_ideal_closed(alpha: float) -> float:
@@ -292,8 +283,6 @@ def threshold_analysis(eta_d: float, f: float) -> ThresholdReport:
         eta_d=eta_d,
         f=f,
         eta_f=eta_f,
-        critical_eta_f=CRITICAL_ETA_F,
         s_exp_max=s_exp_max,
         violated=s_exp_max > CLASSICAL_BOUND + VIOLATION_TOL,
-        margin=s_exp_max - CLASSICAL_BOUND,
     )

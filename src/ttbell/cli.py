@@ -21,7 +21,8 @@ table; the merge resolves each option once: its flag, else its config
 value, converted (a comma list to a float64 array), scaled by
 ``--degrees`` if an angle and checked against [0, 1]; else its default,
 in radians and never scaled.  A config file may hold any option key; a
-subcommand ignores the keys it does not read.
+subcommand ignores the keys it does not read.  A flag's value may start
+with "-" when given as its own token (``--b -1e-3``).
 
 A subcommand parses, validates and computes before it writes anything,
 so a usage error leaves stdout empty and creates no ``--out`` file.
@@ -611,6 +612,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for command in COMMANDS:
         sp = sub.add_parser(command)
+        # a token of "-" and a digit or "." is a value (--a -1,2, --b -1e-3),
+        # not an unknown flag; argparse itself accepts only "-1" and "-1.5"
+        sp._negative_number_matcher = re.compile(r"-[\d.]")
         for opt in OPTIONS:
             if command not in opt.commands:
                 continue

@@ -21,7 +21,9 @@ run strictly left to right, so each equals a Python loop over the states bit
 for bit.  Tabulated models (random, or read from a model file) are checked
 once, when built, into one read-only array of columns and a key -> column
 index, and hand out views of it.  Per state, only the CHSH combination is
-given; the tests take a state's joint from the columns themselves.
+given; the tests take a state's joint from the columns themselves.  Models
+hand-written as scalar responses ``p1(A, a, lam)``, which only the tests
+build, are wrapped into columns by ``tests/lhv_oracle.py``.
 
 For factorized models the per-lambda product mean factorizes,
 E12 = E1 * E2, which is what bounds the per-lambda CHSH combination by 2.
@@ -107,52 +109,6 @@ class LhvModel:
     def support(self) -> tuple[LambdaPoint, ...]:
         """The hidden states, derived from the weights: ``support[k].id == k``."""
         return tuple(LambdaPoint(k, w) for k, w in enumerate(self.weights.tolist()))
-
-
-def factorized_model(support, p1, p2) -> LhvModel:
-    """Model from scalar responses ``p1(A, a, lam)`` and ``p2(B, b, lam)``."""
-    return _hand_written(support, p1, p2, FACTORIZED)
-
-
-def general_model(support, p1, p2) -> LhvModel:
-    """Model from scalar responses ``p1(A, a, lam)`` and ``p2(B, a, b, A, lam)``."""
-    return _hand_written(support, p1, p2, GENERAL)
-
-
-def _hand_written(support, p1, p2, kind) -> LhvModel:
-    """Wrap scalar responses into column functions that evaluate them at
-    every state, each pair validated by ``_response_pair``."""
-    support = tuple(support)
-    for k, lam in enumerate(support):
-        if lam.id != k:
-            raise InvalidModelError(f"support[{k}].id is {lam.id!r}; ids must run 0..K-1")
-
-    def columns(response, name):
-        def column(*setting):
-            pairs = [
-                _response_pair(lambda o: response(o, *setting, lam), f"{name}{setting} at id {k}")
-                for k, lam in enumerate(support)
-            ]
-            return np.array(pairs, float).reshape(-1, 2).T
-
-        return column
-
-    return LhvModel([lam.weight for lam in support], kind, columns(p1, "p1"), columns(p2, "p2"))
-
-
-def _response_pair(evaluate: Callable[[int], float], what: str) -> tuple[float, float]:
-    """Evaluate a response for both outcomes and validate normalization."""
-    values = []
-    for outcome in OUTCOMES:
-        v = evaluate(outcome)
-        if not (-RESPONSE_TOL <= v <= 1.0 + RESPONSE_TOL):
-            raise InvalidModelError(f"{what} returned {v!r}, outside [0, 1]")
-        values.append(clamp_probability(v))
-    if abs(values[0] + values[1] - 1.0) > RESPONSE_TOL:
-        raise InvalidModelError(
-            f"{what} outcome probabilities sum to {values[0] + values[1]!r}, expected 1"
-        )
-    return values[0], values[1]
 
 
 def _joint_terms(m: LhvModel, a_angles, b_angles) -> np.ndarray:
@@ -288,7 +244,9 @@ def _flat_column(slot, n_states, keys, rows, cols, values) -> "_TableColumn":
     bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN too
     for e in bad[np.lexsort((cols[bad], rows[bad]))].tolist():
         j, k, v = cols[e], rows[e], values.item(e)
-        plus[j, k] = _response_pair(lambda o: v if o == 1 else 1.0 - v, f"{slot} table at {keys[j]} for id {k}")[0]
+        if not -RESPONSE_TOL <= v <= 1.0 + RESPONSE_TOL:
+            raise InvalidModelError(f"{slot} table at {keys[j]} for id {k} returned {v!r}, outside [0, 1]")
+        plus[j, k] = clamp_probability(v)
     return _TableColumn(keys, plus)
 
 

@@ -49,9 +49,6 @@ class DetectorId(NamedTuple):
     a: int
     b: int
 
-    def label(self) -> str:
-        return "D" + "".join("+" if v == 1 else "-" for v in self)
-
 
 DETECTORS = (DetectorId(1, 1), DetectorId(1, -1), DetectorId(-1, 1), DetectorId(-1, -1))
 

@@ -12,7 +12,7 @@ The facet scan decides membership.  Feasible targets come with explicit
 weights as a certificate: the 8 distinct strategy vectors are the
 vertices of a cross-polytope, and its triangulation around the +++- / ++-+
 diagonal gives every point inside it weights in closed form.  Infeasible
-targets come with the violated facet and its gap.
+targets come with their largest facet, which is violated, and its gap.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ FACET_SIGNS: tuple[tuple[int, int, int, int], ...] = tuple(
 _FACETS = tuple((signs, *signs) for signs in FACET_SIGNS)
 
 
-def strategy_correlators(s: Strategy) -> tuple[int, int, int, int]:
-    a, ap, b, bp = s
-    return (a * b, a * bp, ap * bp, ap * b)
-
-
 def strategy_label(s: Strategy) -> str:
     return "".join("+" if v == 1 else "-" for v in s)
 
@@ -50,14 +45,13 @@ def strategy_label(s: Strategy) -> str:
 @dataclass(frozen=True)
 class PolytopeCertificate:
     """Feasibility, the gap past 2, and the largest facet (signs and value)
-    of four correlators; the weights if feasible, else the violated facet,
-    which is the largest one."""
+    of four correlators, which is violated if they are infeasible; the
+    weights if feasible."""
 
     feasible: bool
     gap: float
     max_facet: tuple[tuple[int, int, int, int], float]
     weights: Optional[dict[Strategy, float]] = None
-    violated_facet: Optional[tuple[tuple[int, int, int, int], float]] = None
 
 
 def facet_values(targets: Sequence[float]) -> list[tuple[tuple[int, int, int, int], float]]:
@@ -98,22 +92,13 @@ def _closed_weights(targets: Sequence[float]) -> dict[Strategy, float]:
     return weights
 
 
-def reconstruct_targets(weights: dict[Strategy, float]) -> tuple[float, float, float, float]:
-    """Correlators implied by a strategy mixture."""
-    acc = [0.0, 0.0, 0.0, 0.0]
-    for s, w in weights.items():
-        for k, v in enumerate(strategy_correlators(s)):
-            acc[k] += w * v
-    return tuple(acc)
-
-
 def polytope_check(targets: Sequence[float]) -> PolytopeCertificate:
     """Decide local-polytope membership of four correlators, with certificate.
 
     The facet scan decides: the targets are feasible when no facet exceeds
-    2 by more than ``FEASIBILITY_TOL``.  Feasible targets get the closed-form
-    strategy weights, infeasible ones the largest facet as the violated one;
-    both carry the largest facet and the gap.
+    2 by more than ``FEASIBILITY_TOL``.  Every certificate carries the
+    largest facet and the gap, and a feasible one the closed-form strategy
+    weights.
     """
     targets = tuple(float(t) for t in targets)
     if len(targets) != 4:
@@ -127,6 +112,5 @@ def polytope_check(targets: Sequence[float]) -> PolytopeCertificate:
     feasible = worst[1] <= CLASSICAL_BOUND + FEASIBILITY_TOL
     gap = max(worst[1] - CLASSICAL_BOUND, 0.0)
 
-    if feasible:
-        return PolytopeCertificate(feasible=True, gap=gap, max_facet=worst, weights=_closed_weights(targets))
-    return PolytopeCertificate(feasible=False, gap=gap, max_facet=worst, violated_facet=worst)
+    weights = _closed_weights(targets) if feasible else None
+    return PolytopeCertificate(feasible=feasible, gap=gap, max_facet=worst, weights=weights)

@@ -6,10 +6,12 @@ at the second.  With outcomes A, B = +/-1 the joint distribution is
 
     P(A, B | a, b) = (1/4) (1 + A sin a) [1 + A B cos(a - b)]
 
-which this module evaluates in that closed form, with its marginals and
-conditional, one value at a time or elementwise over numpy arrays.  The
-route composed from squared overlaps of the explicit spin states, which the
-tests check the closed form against, lives in ``tests/quantum_oracle.py``.
+which this module evaluates in that closed form, with its first-slot
+marginal, one value at a time, and with both marginals and the conditional
+elementwise over numpy arrays.  The scalar second-slot marginal and
+conditional, and the route composed from squared overlaps of the explicit
+spin states, which the tests check the closed form against, live in
+``tests/quantum_oracle.py``.
 
 All functions are pure; angles are radians, restricted to the xz-plane.
 """
@@ -21,10 +23,6 @@ from dataclasses import dataclass
 
 OUTCOMES = (1, -1)
 PROB_TOL = 1e-12
-
-
-class UndefinedConditionalError(ValueError):
-    """Conditioning event has zero (or non-positive) probability."""
 
 
 def clamp_probability(p: float) -> float:
@@ -70,13 +68,6 @@ class JointDistribution:
         yield (-1, 1), self.mp
         yield (-1, -1), self.mm
 
-    @property
-    def total(self) -> float:
-        return self.pp + self.pm + self.mp + self.mm
-
-    def correlator(self) -> float:
-        return self.pp - self.pm - self.mp + self.mm
-
 
 @dataclass(frozen=True)
 class Moments:
@@ -107,30 +98,6 @@ def marginal_t1(a: float, a_outcome: int) -> float:
     return clamp_probability(0.5 * (1.0 + a_outcome * math.sin(a)))
 
 
-def marginal_t2(a: float, b: float, b_outcome: int) -> float:
-    """P(B | a, b) = (1/2)[1 + B sin a cos(a - b)], regardless of A.
-
-    Depends on the *first* setting: the second-slot statistics remember the
-    re-preparation at the first analyzer.
-    """
-    _check_outcome(b_outcome, "B")
-    return clamp_probability(0.5 * (1.0 + b_outcome * math.sin(a) * math.cos(a - b)))
-
-
-def conditional_t2(a: float, b: float, a_outcome: int, b_outcome: int) -> float:
-    """P(B | a, b, A) = (1/2)[1 + A B cos(a - b)].
-
-    Defined only when the first-slot outcome has nonzero probability.
-    """
-    _check_outcome(a_outcome, "A")
-    _check_outcome(b_outcome, "B")
-    if marginal_t1(a, a_outcome) == 0.0:
-        raise UndefinedConditionalError(
-            f"P(A={a_outcome:+d} | a={a!r}) = 0; conditional at t2 undefined"
-        )
-    return clamp_probability(0.5 * (1.0 + a_outcome * b_outcome * math.cos(a - b)))
-
-
 def _clamp_probabilities(p):
     """``clamp_probability`` over a numpy array, in place: the same
     tolerance, the same error (for the first value beyond it); NaN passes."""
@@ -145,11 +112,14 @@ def _clamp_probabilities(p):
 
 
 def probability_columns(sin_a, cos_ab, a_outcome, b_outcome):
-    """``quantum_joint``, ``marginal_t1``, ``marginal_t2`` and
-    ``conditional_t2`` elementwise over numpy arrays of sin a, cos(a - b)
-    and the outcomes A, B (integers +1 or -1).
+    """The joint P(A, B | a, b), the marginals P(A | a) and
+    P(B | a, b) = (1/2)[1 + B sin a cos(a - b)], and the conditional
+    P(B | a, b, A) = (1/2)[1 + A B cos(a - b)], elementwise over numpy arrays
+    of sin a, cos(a - b) and the outcomes A, B (integers +1 or -1).
 
-    Each value is the scalar function's operation for operation, so with
+    Each value is computed operation for operation as ``quantum_joint``,
+    ``marginal_t1`` and the scalar references ``marginal_t2`` and
+    ``conditional_t2`` of ``tests/quantum_oracle.py`` compute it, so with
     sin a and cos(a - b) taken from ``math`` it has the scalar bits.  A
     conditional whose P(A | a) is 0, which the scalar route rejects, is NaN.
     Returns the arrays (joint, marginal_t1, marginal_t2, conditional_t2).

@@ -7,10 +7,61 @@ of the ensemble joint state by state in Python floats, left to right from
 ``tabulated_factorized_model`` and
 ``tabulated_general_model`` write a tabulated model as per-state dicts and
 build it through ``lhv.flat_tabulated_model``, the builder model files use.
+``factorized_model`` and ``general_model`` build a model hand-written as
+scalar responses ``p1(A, a, lam)``, evaluated at every state when a column
+is asked for.
 """
 
+import numpy as np
+
 from ttbell import lhv
-from ttbell.quantum import OUTCOMES, JointDistribution, Moments
+from ttbell.quantum import OUTCOMES, JointDistribution, Moments, clamp_probability
+
+
+def factorized_model(support, p1, p2) -> lhv.LhvModel:
+    """Model from scalar responses ``p1(A, a, lam)`` and ``p2(B, b, lam)``."""
+    return _hand_written(support, p1, p2, lhv.FACTORIZED)
+
+
+def general_model(support, p1, p2) -> lhv.LhvModel:
+    """Model from scalar responses ``p1(A, a, lam)`` and ``p2(B, a, b, A, lam)``."""
+    return _hand_written(support, p1, p2, lhv.GENERAL)
+
+
+def _hand_written(support, p1, p2, kind) -> lhv.LhvModel:
+    """Wrap scalar responses into column functions that evaluate them at
+    every state, each pair validated by ``_response_pair``."""
+    support = tuple(support)
+    for k, lam in enumerate(support):
+        if lam.id != k:
+            raise lhv.InvalidModelError(f"support[{k}].id is {lam.id!r}; ids must run 0..K-1")
+
+    def columns(response, name):
+        def column(*setting):
+            pairs = [
+                _response_pair(lambda o: response(o, *setting, lam), f"{name}{setting} at id {k}")
+                for k, lam in enumerate(support)
+            ]
+            return np.array(pairs, float).reshape(-1, 2).T
+
+        return column
+
+    return lhv.LhvModel([lam.weight for lam in support], kind, columns(p1, "p1"), columns(p2, "p2"))
+
+
+def _response_pair(evaluate, what: str) -> tuple[float, float]:
+    """Evaluate a response for both outcomes and validate normalization."""
+    values = []
+    for outcome in OUTCOMES:
+        v = evaluate(outcome)
+        if not (-lhv.RESPONSE_TOL <= v <= 1.0 + lhv.RESPONSE_TOL):
+            raise lhv.InvalidModelError(f"{what} returned {v!r}, outside [0, 1]")
+        values.append(clamp_probability(v))
+    if abs(values[0] + values[1] - 1.0) > lhv.RESPONSE_TOL:
+        raise lhv.InvalidModelError(
+            f"{what} outcome probabilities sum to {values[0] + values[1]!r}, expected 1"
+        )
+    return values[0], values[1]
 
 
 def state_joint(m: lhv.LhvModel, a: float, b: float, k: int) -> JointDistribution:

@@ -5,6 +5,7 @@ This is the simplex ``ttbell.polytope`` first shipped: it builds the whole
 is the independent route to strategy weights: ``polytope`` takes its
 weights in closed form from the triangulation of the correlator polytope,
 and the tests check that both routes print the same weights.
+``reconstruct_targets`` maps a strategy mixture back to its correlators.
 """
 
 from typing import Callable, Optional, Sequence
@@ -12,7 +13,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ttbell.chsh import ChshSettings
-from ttbell.polytope import STRATEGIES, Strategy, strategy_correlators
+from ttbell.polytope import STRATEGIES, Strategy
+
+
+def strategy_correlators(s: Strategy) -> tuple[int, int, int, int]:
+    """A deterministic strategy's correlators, in ``correlator_targets`` order."""
+    a, ap, b, bp = s
+    return (a * b, a * bp, ap * bp, ap * b)
+
+
+def reconstruct_targets(weights: dict[Strategy, float]) -> tuple[float, float, float, float]:
+    """Correlators implied by a strategy mixture."""
+    acc = [0.0, 0.0, 0.0, 0.0]
+    for s, w in weights.items():
+        for k, v in enumerate(strategy_correlators(s)):
+            acc[k] += w * v
+    return tuple(acc)
 
 
 def correlator_targets(

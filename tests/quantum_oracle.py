@@ -1,11 +1,13 @@
-"""Amplitude oracle and moment identities of the quantum model, for the tests.
+"""Scalar references, amplitude oracle and moment identities of the quantum
+model, for the tests.
 
 ``ttbell.quantum`` evaluates the joint distribution in closed form.  Here it
 is composed instead from squared overlaps of explicit real spinors in the
 sigma_z basis, |<psi0|phi_A(a)>|^2 |<phi_A(a)|phi_B(b)>|^2, so the tests can
-check the closed form against an independent route.  The dichotomic-moment
-identities that the hidden-variable analysis rests on are kept here too,
-each assembled from the package's marginals and joint.
+check the closed form against an independent route.  The scalar second-slot
+marginal and conditional, whose bits ``quantum.probability_columns`` has,
+and the dichotomic-moment identities that the hidden-variable analysis rests
+on are kept here too, each assembled from the marginals and the joint.
 """
 
 import math
@@ -13,13 +15,40 @@ import math
 from ttbell.quantum import (
     OUTCOMES,
     Moments,
-    UndefinedConditionalError,
     _check_outcome,
     clamp_probability,
     marginal_t1,
-    marginal_t2,
     quantum_joint,
 )
+
+
+class UndefinedConditionalError(ValueError):
+    """Conditioning event has zero (or non-positive) probability."""
+
+
+def marginal_t2(a: float, b: float, b_outcome: int) -> float:
+    """P(B | a, b) = (1/2)[1 + B sin a cos(a - b)], regardless of A.
+
+    Depends on the *first* setting: the second-slot statistics remember the
+    re-preparation at the first analyzer.
+    """
+    _check_outcome(b_outcome, "B")
+    return clamp_probability(0.5 * (1.0 + b_outcome * math.sin(a) * math.cos(a - b)))
+
+
+def conditional_t2(a: float, b: float, a_outcome: int, b_outcome: int) -> float:
+    """P(B | a, b, A) = (1/2)[1 + A B cos(a - b)].
+
+    Defined only when the first-slot outcome has nonzero probability.
+    """
+    _check_outcome(a_outcome, "A")
+    _check_outcome(b_outcome, "B")
+    if marginal_t1(a, a_outcome) == 0.0:
+        raise UndefinedConditionalError(
+            f"P(A={a_outcome:+d} | a={a!r}) = 0; conditional at t2 undefined"
+        )
+    return clamp_probability(0.5 * (1.0 + a_outcome * b_outcome * math.cos(a - b)))
+
 
 SOURCE = (math.sqrt(0.5), math.sqrt(0.5))  # polarized along +x
 
@@ -84,5 +113,6 @@ def t2_mean_identity(a: float, b: float) -> tuple[float, float]:
     """
     lhs = sum(B * marginal_t2(a, b, B) for B in OUTCOMES)
     mean_t1 = sum(A * marginal_t1(a, A) for A in OUTCOMES)
-    rhs = mean_t1 * quantum_joint(a, b).correlator()
+    j = quantum_joint(a, b)
+    rhs = mean_t1 * (j.pp - j.pm - j.mp + j.mm)
     return lhs, rhs

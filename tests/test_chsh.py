@@ -34,7 +34,7 @@ class TestChshValue:
         report = chsh.chsh_value(ideal_correlator, chsh.ladder_settings(math.pi / 4))
         assert report.s_value == pytest.approx(TWO_SQRT_TWO, abs=TOL)
         assert report.violated
-        assert report.margin == pytest.approx(TWO_SQRT_TWO - 2.0, abs=TOL)
+        assert report.s_value - chsh.CLASSICAL_BOUND == pytest.approx(TWO_SQRT_TWO - 2.0, abs=TOL)
 
     def test_vanishing_combination(self):
         report = chsh.chsh_value(ideal_correlator, chsh.ladder_settings(math.pi / 2))
@@ -286,7 +286,7 @@ class TestThreshold:
     def test_ideal_case_violates(self):
         r = chsh.threshold_analysis(1.0, 1.0)
         assert r.violated
-        assert r.margin == pytest.approx(TWO_SQRT_TWO - 2.0, abs=1e-9)
+        assert r.s_exp_max - chsh.CLASSICAL_BOUND == pytest.approx(TWO_SQRT_TWO - 2.0, abs=1e-9)
 
     def test_seventy_percent_is_not_enough(self):
         r = chsh.threshold_analysis(1.0, 0.70)
@@ -304,7 +304,7 @@ class TestThreshold:
 
     def test_critical_value(self):
         r = chsh.threshold_analysis(0.5, 0.5)
-        assert r.critical_eta_f == pytest.approx(1.0 / math.sqrt(2.0), abs=TOL)
+        assert chsh.CRITICAL_ETA_F == pytest.approx(1.0 / math.sqrt(2.0), abs=TOL)
         assert r.eta_f == pytest.approx(0.25, abs=TOL)
 
     def test_rejects_out_of_range(self):

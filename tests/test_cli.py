@@ -159,10 +159,10 @@ def scalar_table_rows(a_list, b_list):
         for b in b_list:
             for (A, B), p_joint in quantum.quantum_joint(a, b).items():
                 try:
-                    cond = quantum.conditional_t2(a, b, A, B)
-                except quantum.UndefinedConditionalError:
+                    cond = quantum_oracle.conditional_t2(a, b, A, B)
+                except quantum_oracle.UndefinedConditionalError:
                     cond = math.nan
-                p_t1, p_t2 = quantum.marginal_t1(a, A), quantum.marginal_t2(a, b, B)
+                p_t1, p_t2 = quantum.marginal_t1(a, A), quantum_oracle.marginal_t2(a, b, B)
                 yield (a, b, A, B, p_joint, p_t1, p_t2, cond)
 
 
@@ -648,7 +648,7 @@ class TestPolytope:
         weights = {tuple(1 if c == "+" else -1 for c in k): w for k, w in data["weights"].items()}
         assert min(weights.values()) >= 0.0
         # 1e-9 plus the 9-decimal rounding of eight nonzero weights
-        rebuilt = polytope.reconstruct_targets(weights)
+        rebuilt = polytope_oracle.reconstruct_targets(weights)
         assert max(abs(x - y) for x, y in zip(rebuilt, targets)) <= 1e-9 + 8 * 5e-10
 
     def test_signed_zero_target_prints_no_negative_zero_weight(self, capsys):
@@ -730,10 +730,7 @@ def payload_document(opts, targets) -> tuple[str, int]:
         "feasible": cert.feasible,
         "gap": cli.jnum(cert.gap),
         "max_facet": {"signs": list(max_signs), "value": cli.jnum(max_value)},
-        "violated_facet": (
-            None if cert.violated_facet is None
-            else {"signs": list(cert.violated_facet[0]), "value": cli.jnum(cert.violated_facet[1])}
-        ),
+        "violated_facet": None if cert.feasible else {"signs": list(max_signs), "value": cli.jnum(max_value)},
         "weights": (
             None if cert.weights is None
             else {polytope.strategy_label(s): cli.jnum(w) for s, w in cert.weights.items()}
@@ -751,7 +748,7 @@ def polytope_cases(rng) -> list[dict]:
             on = t + (2.0 - float(np.dot(signs, t))) / 4.0 * np.array(signs)
             targets += [on + delta / 4.0 * np.array(signs) for delta in (1e-12, 5e-10, 1e-9)]
     # vertices and edges of the polytope (mostly zero weights), signed zeros
-    vertices = [np.array(polytope.strategy_correlators(s), dtype=float) for s in polytope.STRATEGIES]
+    vertices = [np.array(polytope_oracle.strategy_correlators(s), dtype=float) for s in polytope.STRATEGIES]
     targets += vertices + [(u + v) / 2.0 for u in vertices for v in vertices]
     targets += [np.array(z) for z in itertools.product((0.0, -0.0, 1e-5, -3e-7), repeat=4)]
     cases = [{"targets": ",".join(map(repr, t.tolist()))} for t in targets if np.all(np.abs(t) <= 1.0)]
@@ -970,6 +967,33 @@ class TestOptionPrecedence:
         cfg.write_text("targets = 0,0,0,0\nf1 = -1\n")
         code, out, err = run_cli(capsys, "polytope", "--alpha=1", "--config", str(cfg))
         assert (code, out, err) == (EXIT_USAGE, "", "ttbell polytope: error: --f1 must lie in [0, 1], got -1.0\n")
+
+
+class TestNegativeValues:
+    """A value that starts with "-" and a digit or "." may be its own token."""
+
+    @pytest.mark.parametrize("argv, joined", [
+        (("table", "--a", "-1,2", "--b", "0"), ("table", "--a=-1,2", "--b=0")),
+        (("polytope", "--targets", "-0.1,0.2,0.3,0.4"), ("polytope", "--targets=-0.1,0.2,0.3,0.4")),
+        (("mc", "--b", "-1e-3"), ("mc", "--b=-1e-3")),
+        (("chsh-scan", "--alpha-min", "-1e-3", "--alpha-max", "0.1", "--alpha-step", "0.01"),
+         ("chsh-scan", "--alpha-min=-1e-3", "--alpha-max=0.1", "--alpha-step=0.01")),
+        (("lhv-verify", "--model", "position-style", "--a", "-2E-1"),
+         ("lhv-verify", "--model=position-style", "--a=-2E-1")),
+        (("table", "--a", "-.5e-3", "--b", "-0", "--format", "json"), ("table", "--a=-.5e-3", "--b=-0", "--format=json")),
+    ])
+    def test_separate_token_equals_joined_form(self, capsys, argv, joined):
+        got = run_cli(capsys, *argv)
+        assert got[0] == EXIT_OK and got[2] == ""
+        assert got == run_cli(capsys, *joined)
+
+    def test_dash_alone_is_still_stdout(self, capsys):
+        assert run_cli(capsys, "table", "--a", "0", "--b", "0", "--out", "-") == run_cli(capsys, "table", "--a=0", "--b=0")
+
+    def test_a_stray_negative_token_is_still_unrecognized(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--a", "0", "--b", "0", "-1e-3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("ttbell table: error: unrecognized arguments: -1e-3\n")
 
 
 class TestBoundedMessages:

