@@ -34,16 +34,14 @@ def _referenced(nodes) -> set[str]:
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def test_the_scan_sees_the_package_and_the_benchmark():
-    assert {p.name for p in PACKAGE} >= {"cli.py", "lhv.py", "quantum.py", "polytope.py"}
-    assert {"run", "polytope_check", "random_factorized_model"} <= _referenced(_parse(p) for p in BENCH)
-
-
 def test_every_public_definition_has_a_caller():
     trees = {path: _parse(path) for path in PACKAGE}
     tops = [top for tree in trees.values() for top in tree.body]
     uses = [_referenced([top]) for top in tops]
     bench_names = _referenced(_parse(path) for path in BENCH)
+    # the scan sees the package and the benchmark, so an empty pass means something
+    assert {p.name for p in PACKAGE} >= {"cli.py", "lhv.py", "quantum.py", "polytope.py"}
+    assert {"run", "polytope_check", "random_factorized_model"} <= bench_names
     orphans = [
         f"{path.stem}.{node.name}"
         for path, tree in trees.items() for node in tree.body
