@@ -19,11 +19,14 @@ pair (P(+1), P(-1)) as the two rows of a (2, K) float64 array over all K
 states; every result is an array reduction over columns.  Sums over states
 run strictly left to right, so each equals a Python loop over the states bit
 for bit.  Tabulated models (random, or read from a model file) are checked
-once, when built, into one read-only array of columns and a key -> column
-index, and hand out views of it.  Per state, only the CHSH combination is
-given; the tests take a state's joint from the columns themselves.  Models
-hand-written as scalar responses ``p1(A, a, lam)``, which only the tests
-build, are wrapped into columns by ``tests/lhv_oracle.py``.
+once, when built, into one read-only (keys, 2, K) array of columns (a random
+model holds both slots in one) and a dict from each key to a view of its
+column, so a lookup is one ``dict.get``; the float key grid that a setting
+off the keys is matched on is built at its first lookup.  Per state, only
+the CHSH combination is given; the tests take a state's joint from the
+columns themselves.  Models hand-written as scalar responses
+``p1(A, a, lam)``, which only the tests build, are wrapped into columns by
+``tests/lhv_oracle.py``.
 
 For factorized models the per-lambda product mean factorizes,
 E12 = E1 * E2, which is what bounds the per-lambda CHSH combination by 2.
@@ -37,18 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal, NamedTuple, Optional
 
 import numpy as np
 
 from .chsh import ChshSettings
-from .quantum import (
-    OUTCOMES,
-    JointDistribution,
-    Moments,
-    clamp_probability,
-    quantum_joint,
-)
+from .quantum import OUTCOMES, JointDistribution, Moments, clamp_probability, quantum_joint
 
 RESPONSE_TOL = 1e-12
 FACTORIZED = "factorized"
@@ -65,8 +62,7 @@ class UnsupportedModelError(InvalidModelError):
     """Operation requires a factorized model."""
 
 
-@dataclass(frozen=True)
-class LambdaPoint:
+class LambdaPoint(NamedTuple):
     """One discrete hidden state with its ensemble weight."""
 
     id: int
@@ -90,7 +86,7 @@ class LhvModel:
     t2_column: Callable[..., Column]
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float).reshape(-1)
+        weights = np.array(self.weights, dtype=float).ravel()
         if not len(weights):
             raise InvalidModelError("model support is empty")
         if self.kind not in (FACTORIZED, GENERAL):
@@ -108,42 +104,45 @@ class LhvModel:
     @property
     def support(self) -> tuple[LambdaPoint, ...]:
         """The hidden states, derived from the weights: ``support[k].id == k``."""
-        return tuple(LambdaPoint(k, w) for k, w in enumerate(self.weights.tolist()))
+        return tuple(map(LambdaPoint._make, enumerate(self.weights.tolist())))
 
 
 def _joint_terms(m: LhvModel, a_angles, b_angles) -> np.ndarray:
     """The per-state joint entries at every setting pair (a_angles[i],
-    b_angles[j]), shape (I, J, 2, 2, K), where ``terms[i, j, o, p]`` has
-    first outcome OUTCOMES[o], second OUTCOMES[p].  Each column is fetched
-    once: slot 2 at each b for factorized models, at each (a, b, A) for
-    general ones."""
-    pa = np.array([m.t1_column(a) for a in a_angles])
+    b_angles[j]), shape (I * J * 4, K), row ``((i * J + j) * 2 + o) * 2 + p``
+    having first outcome OUTCOMES[o], second OUTCOMES[p].  Each column is
+    fetched once: slot 2 at each b for factorized models, at each (a, b, A)
+    for general ones."""
+    i = len(a_angles)
     if m.kind == FACTORIZED:
-        pb = np.array([m.t2_column(b) for b in b_angles])
-        return pa[:, None, :, None] * pb[:, None]
-    pb = np.array([[[m.t2_column(a, b, A) for A in OUTCOMES] for b in b_angles] for a in a_angles])
-    return pa[:, None, :, None] * pb
+        pab = np.array([*map(m.t1_column, a_angles), *map(m.t2_column, b_angles)])
+        terms = pab[:i, None, :, None] * pab[i:, None]
+    else:
+        pa = np.array([*map(m.t1_column, a_angles)])
+        pb = np.array([[[m.t2_column(a, b, A) for A in OUTCOMES] for b in b_angles] for a in a_angles])
+        terms = pa[:, None, :, None] * pb
+    return terms.reshape(-1, len(m.weights))
 
 
 def _untabulated(terms: np.ndarray, where: str) -> InvalidModelError:
     """The error for a NaN result, which only a state with no tabulated
     response puts there: it names the first state with NaN in its ``terms``
-    (states on the last axis), at the setting ``where`` describes.  Callers
-    build it, and the text, only once a NaN is found."""
+    (states on the last axis; running sums of them name the same state, as a
+    sum carries a NaN only rightward), at the setting ``where`` describes.
+    Callers build it, and the text, only once a NaN is found."""
     k = np.isnan(terms).reshape(-1, terms.shape[-1]).any(axis=0).argmax()
     return InvalidModelError(f"no response tabulated at {where} for id {k}")
 
 
 def _ensemble(m: LhvModel, terms: np.ndarray) -> list[float]:
-    """Weighted sums over states (the last axis), in state order, as a flat
-    list in the C order of the other axes.
+    """Weighted sums over states (axis 1 of the (rows, K) ``terms``), in
+    state order, one per row; ``terms`` becomes the running sums.
 
     ``np.add.accumulate`` adds strictly left to right; the final ``+ 0.0``
     turns an all-negative-zero sum into +0.0, as a Python sum from 0.0 would.
     """
-    weighted = terms * m.weights
-    sums = np.add.accumulate(weighted, axis=-1, out=weighted)[..., -1]
-    return [v + 0.0 for v in sums.ravel().tolist()]
+    np.multiply(terms, m.weights, out=terms)
+    return (np.add.accumulate(terms, axis=1, out=terms)[:, -1] + 0.0).tolist()
 
 
 def average_over_lambda(m: LhvModel, a: float, b: float) -> tuple[JointDistribution, Moments]:
@@ -153,11 +152,7 @@ def average_over_lambda(m: LhvModel, a: float, b: float) -> tuple[JointDistribut
     if any(map(math.isnan, entries)):
         raise _untabulated(terms, f"(a={a!r}, b={b!r})")
     joint = JointDistribution(pp=pp, pm=pm, mp=mp, mm=mm)
-    moments = Moments(
-        mean_t1=(pp + pm) - (mp + mm),
-        mean_t2=(pp + mp) - (pm + mm),
-        correlator=pp - pm - mp + mm,
-    )
+    moments = Moments(mean_t1=(pp + pm) - (mp + mm), mean_t2=(pp + mp) - (pm + mm), correlator=pp - pm - mp + mm)
     return joint, moments
 
 
@@ -223,23 +218,19 @@ def flat_tabulated_model(kind, weights, p1, p2) -> LhvModel:
     slot of more than ``MAX_TABLE_CELLS`` keys x states raises
     ``InvalidModelError``."""
     n_states = len(weights)
-    return LhvModel(
-        weights=weights,
-        kind=kind,
-        t1_column=_flat_column("t1", n_states, *p1),
-        t2_column=_flat_column("t2", n_states, *p2),
-    )
+    return LhvModel(weights, kind, _flat_column("t1", n_states, *p1), _flat_column("t2", n_states, *p2))
 
 
-def _flat_column(slot, n_states, keys, rows, cols, values) -> "_TableColumn":
-    """One slot's flat table (see ``flat_tabulated_model``) as a table
-    column.  Entries outside [0, 1] (or NaN) are clamped if rounding dust,
+def _flat_column(slot, n_states, keys, rows, cols, values) -> Callable[..., Column]:
+    """One slot's flat table (see ``flat_tabulated_model``) as a column
+    function.  Entries outside [0, 1] (or NaN) are clamped if rounding dust,
     else the first in state order, then key order, is rejected."""
     if len(keys) * n_states > MAX_TABLE_CELLS:
         raise InvalidModelError(f"{slot} table of {len(keys)} keys x {n_states} states, "
                                 f"above the limit of {MAX_TABLE_CELLS} cells")
     rows, cols, values = np.asarray(rows, np.intp), np.asarray(cols, np.intp), np.asarray(values, float)
-    plus = np.full((len(keys), n_states), np.nan)
+    columns = np.full((len(keys), 2, n_states), np.nan)
+    plus = columns[:, 0]
     plus[cols, rows] = values
     bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN too
     for e in bad[np.lexsort((cols[bad], rows[bad]))].tolist():
@@ -247,38 +238,39 @@ def _flat_column(slot, n_states, keys, rows, cols, values) -> "_TableColumn":
         if not -RESPONSE_TOL <= v <= 1.0 + RESPONSE_TOL:
             raise InvalidModelError(f"{slot} table at {keys[j]} for id {k} returned {v!r}, outside [0, 1]")
         plus[j, k] = clamp_probability(v)
-    return _TableColumn(keys, plus)
+    np.subtract(1.0, plus, out=columns[:, 1])
+    return _TableColumn(keys, columns).column
 
 
 class _TableColumn:
-    """Column function over a response table that is already checked.
+    """A tabulated slot; its bound ``column`` is the slot's column function.
 
-    ``plus[j, k]`` is state k's P(+1) at ``keys[j]`` (distinct tuples), a
-    float64 array of shape (len(keys), K) with every entry in [0, 1], NaN
-    where state k has no entry.  The columns are held in one read-only
-    array of shape (len(keys), 2, K), ``columns[j]`` being the ``Column`` at
-    ``keys[j]``, and the keys in one float array ``grid``.  A key that
-    every state tabulates is answered by a view of its column; otherwise a
-    state answers at the exact key, else at its first key within
-    ``ANGLE_TOL`` per component (so the outcome A = +-1 of a general key
-    matches exactly), else with NaN.
+    ``columns[j]``, of the float64 array of shape (len(keys), 2, K) made
+    read-only here, is the ``Column`` at ``keys[j]`` (distinct tuples), NaN
+    where state k has no entry.  ``views`` maps each key that every state
+    tabulates to a view of its column, so its lookup is one ``dict.get``;
+    keys are checked one by one only if a whole-array reduce finds a NaN.  At
+    any other key a state answers at the exact key, else at its first key
+    within ``ANGLE_TOL`` per component (so the outcome A = +-1 of a general
+    key matches exactly), else with NaN, from the float key ``grid`` built
+    on the first such lookup.
     """
 
-    __slots__ = ("columns", "index", "grid")
+    __slots__ = ("keys", "columns", "views", "grid")
 
-    def __init__(self, keys, plus):
-        # columns[j] is (plus[j], 1 - plus[j]); as np.stack on axis 1, but faster on tiny tables
-        columns = np.concatenate((plus, 1.0 - plus), axis=1).reshape(len(keys), 2, plus.shape[1])
+    def __init__(self, keys, columns):
         columns.setflags(write=False)
-        missing = np.isnan(plus.sum(axis=1)).tolist()  # a key some state does not tabulate
-        self.columns = columns
-        self.index = {key: j for j, key in enumerate(keys) if not missing[j]}
-        self.grid = np.array(keys, dtype=float)
+        views = dict(zip(keys, columns))
+        if math.isnan(columns.sum()):  # a key some state does not tabulate
+            views = {key: view for key, view in views.items() if not math.isnan(view.sum())}
+        self.keys, self.columns, self.views, self.grid = keys, columns, views, None
 
-    def __call__(self, *key) -> Column:
-        j = self.index.get(key)
-        if j is not None:
-            return self.columns[j]
+    def column(self, *key) -> Column:
+        view = self.views.get(key)
+        if view is not None:
+            return view
+        if self.grid is None:
+            self.grid = np.array(self.keys, dtype=float)
         n_states = self.columns.shape[2]
         x = np.array(key, dtype=float)
         near = np.flatnonzero((np.abs(self.grid - x) <= ANGLE_TOL).all(axis=-1)) if len(self.grid) else []
@@ -293,21 +285,27 @@ class _TableColumn:
         return np.where(has.any(axis=0), self.columns[pick, :, np.arange(n_states)].T, np.nan)
 
 
-def random_factorized_model(
-    rng: np.random.Generator,
-    n_lambda: int,
-    t1_angles,
-    t2_angles,
-) -> LhvModel:
-    """Random stochastic factorized model tabulated at the given angles."""
-    raw = rng.random(n_lambda) + 1e-9
-    weights = raw / raw.sum()
-    columns = []
+def random_factorized_model(rng: np.random.Generator, n_lambda: int, t1_angles, t2_angles) -> LhvModel:
+    """Random stochastic factorized model tabulated at the given angles.
+
+    One draw of n_lambda * (1 + L1 + L2) doubles gives the weights, then
+    each slot's P(+1) state by state, at its L angles in order; of an angle
+    given twice the last draw is kept."""
+    n = n_lambda
+    draw = rng.random(n * (1 + len(t1_angles) + len(t2_angles)))
+    raw = draw[:n] + 1e-9
+    keys, at_draw, start = [], [], n
     for angles in (t1_angles, t2_angles):
-        draw = rng.random((n_lambda, len(angles))).T
-        at = {(float(x),): j for j, x in enumerate(angles)}  # as in a dict: last value wins
-        columns.append(_TableColumn(list(at), draw.take(list(at.values()), axis=0)))
-    return LhvModel(weights=weights, kind=FACTORIZED, t1_column=columns[0], t2_column=columns[1])
+        step = len(angles)
+        at = {(float(x),): j for j, x in enumerate(angles, start)}  # as in a dict: last value wins
+        keys.append(list(at))
+        at_draw += [j + step * k for j in at.values() for k in range(n)]  # P(+1) of state k at angle j
+        start += n * step
+    t1 = len(keys[0])
+    plus = draw.take(at_draw).reshape(t1 + len(keys[1]), 1, n)
+    columns = np.concatenate((plus, 1.0 - plus), axis=1)
+    return LhvModel(raw / raw.sum(), FACTORIZED, _TableColumn(keys[0], columns[:t1]).column,
+                    _TableColumn(keys[1], columns[t1:]).column)
 
 
 def _chsh(e1_a, e1_ap, e2_b, e2_bp):
@@ -328,11 +326,11 @@ def per_lambda_chsh(m: LhvModel, s: ChshSettings, lam: LambdaPoint) -> float:
     probabilities.
     """
     k = lam.id
+    if not 0 <= k < len(m.weights):
+        raise InvalidModelError(f"no hidden state with id {k!r}: ids run 0..{len(m.weights) - 1}")
     a, ap, b, bp = _chsh_columns(m, s)
-    value = _chsh(
-        a.item(0, k) - a.item(1, k), ap.item(0, k) - ap.item(1, k),
-        b.item(0, k) - b.item(1, k), bp.item(0, k) - bp.item(1, k),
-    )
+    value = _chsh(a.item(0, k) - a.item(1, k), ap.item(0, k) - ap.item(1, k),
+                  b.item(0, k) - b.item(1, k), bp.item(0, k) - bp.item(1, k))
     if math.isnan(value):
         raise InvalidModelError(f"no response tabulated at {s} for id {k}")
     return value

@@ -483,6 +483,34 @@ class TestColumnContract:
         assert [lam.id for lam in m.support] == [0, 1, 2]
         assert [lam.weight for lam in m.support] == m.weights.tolist()
 
+    @pytest.mark.parametrize("k", [-1, -2, 2])
+    def test_state_id_outside_the_model_is_refused(self, k):
+        # a negative id must not answer for state K + id, nor id K raise a bare IndexError
+        s = ChshSettings(a=0.0, a_prime=1.0, b=0.5, b_prime=1.5)
+        m = lhv.random_factorized_model(np.random.default_rng(3), 2, [s.a, s.a_prime], [s.b, s.b_prime])
+        with pytest.raises(lhv.InvalidModelError) as err:
+            lhv.per_lambda_chsh(m, s, lhv.LambdaPoint(k, 0.5))
+        assert str(err.value) == f"no hidden state with id {k}: ids run 0..1"
+
+    def test_random_model_takes_one_draw_of_the_stream(self):
+        # n * (1 + L1 + L2) doubles, the same ones in the same order as a
+        # draw of the weights and then one of each slot's (state, angle)
+        # table; of a repeated angle the last draw answers
+        n, t1, t2 = 3, [0.2, 0.7, 0.2], [1.1, -0.4]
+        rng, twin, ref = (np.random.default_rng(28) for _ in range(3))
+        m = lhv.random_factorized_model(rng, n, t1, t2)
+        twin.random(n * (1 + len(t1) + len(t2)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        raw = ref.random(n) + 1e-9
+        weights = raw / raw.sum()
+        assert [w.hex() for w in m.weights.tolist()] == [w.hex() for w in weights.tolist()]
+        for column, angles in ((m.t1_column, t1), (m.t2_column, t2)):
+            draw = ref.random((n, len(angles)))
+            for angle in angles:
+                plus = draw[:, max(j for j, x in enumerate(angles) if x == angle)].tolist()
+                expected = [p.hex() for p in plus] + [(1.0 - p).hex() for p in plus]
+                assert [v.hex() for v in column(angle).ravel().tolist()] == expected
+
     def test_untabulated_angle_raises_everywhere(self):
         m = lhv_oracle.tabulated_factorized_model([0.5, 0.5], {0: {0.5: 0.7}, 1: {0.5: 0.1}},
                                                   {0: {0.25: 0.4}, 1: {0.25: 0.9}})
