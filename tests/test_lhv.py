@@ -567,7 +567,7 @@ class TestColumnContract:
     def test_exact_key_wins_over_an_earlier_near_key(self):
         # state 0 tabulates b = 0.3 - 5e-10 and b = 0.3, both within the
         # angle tolerance of 0.3; state 1 only the first, so b = 0.3 is
-        # answered key by key, not by the index of complete keys
+        # answered key by key, not by the dict of complete keys
         m = lhv_oracle.tabulated_factorized_model(
             [0.5, 0.5], {0: {0.1: 0.5}, 1: {0.1: 0.5}},
             {0: {0.3 - 5e-10: 0.25, 0.3: 0.75}, 1: {0.3 - 5e-10: 0.125}},
