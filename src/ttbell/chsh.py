@@ -91,8 +91,6 @@ class ScanSummary:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    eta_d: float
-    f: float
     eta_f: float
     s_exp_max: float
     violated: bool
@@ -280,8 +278,6 @@ def threshold_analysis(eta_d: float, f: float) -> ThresholdReport:
     eta_f = eta_d * f
     s_exp_max = eta_f * S_IDEAL_MAX
     return ThresholdReport(
-        eta_d=eta_d,
-        f=f,
         eta_f=eta_f,
         s_exp_max=s_exp_max,
         violated=s_exp_max > CLASSICAL_BOUND + VIOLATION_TOL,

@@ -181,13 +181,8 @@ class _Parsed:
                         if len(slot.value) == cells:
                             _fail(line_no, f"{cells + 1} {directive} responses, above the limit of {cells} cells")
                         if slot.arity == 4:
-                            try:
-                                angle, p = float(tokens[2]), float(tokens[3])
-                            except ValueError:
-                                angle = p = math.nan
-                            if not (angle - angle == 0.0 and 0.0 <= p <= 1.0):  # fails on NaN too
-                                _parse_float(tokens[2], line_no, "angle")  # raises the error
-                                _parse_prob(tokens[3], line_no, "p_plus")
+                            angle = _parse_float(tokens[2], line_no, "angle")
+                            p = _parse_prob(tokens[3], line_no, "p_plus")
                             add_line, add_pos, add_value, add_angle = slot.appends
                             add_angle(angle)
                         else:
@@ -228,12 +223,7 @@ class _Parsed:
                             _fail(line_no, f"duplicate hidden-state id {state_id}")
                         if len(weights) == limit:
                             _fail(line_no, f"{limit + 1} hidden states, above the limit of {limit}")
-                        try:
-                            weight = float(tokens[2])
-                        except ValueError:
-                            weight = math.nan
-                        if not weight - weight == 0.0:
-                            _parse_float(tokens[2], line_no, "weight")  # raises the error
+                        weight = _parse_float(tokens[2], line_no, "weight")
                         if weight < 0.0:
                             _fail(line_no, f"weight must be nonnegative, got {weight!r}")
                         if isinstance(positions, range) and state_id == len(positions):
@@ -287,31 +277,15 @@ def _blocks(f):
     r"""The lines of a text file, as ``str.splitlines`` splits the whole
     text, in lists read about ``READ_BLOCK`` characters at a time.
 
-    A line that no chunk has ended yet is held as its pieces and joined
-    once, so a long line costs time linear in its length.  A chunk that
-    ends in ``\r`` may have split a ``\r\n``; its ``\n`` is then dropped
-    from the next chunk, so that it ends no second, empty line."""
-    head: list[str] = []  # the pieces of a line no chunk has ended yet
-    carriage = False  # whether the last chunk ended in \r
+    The stream's own ``readline`` completes each read, so a block ends
+    where the stream ends a line, or at the end of the file: no line and
+    no ``\r\n`` span two blocks, and a long line costs time linear in its
+    length."""
     for chunk in iter(lambda: f.read(READ_BLOCK), ""):
-        if carriage and chunk[0] == "\n":
-            chunk = chunk[1:]
-        carriage = chunk.endswith("\r")
-        lines = chunk.splitlines()
-        tail = lines.pop() if lines and chunk[-1] not in _LINE_ENDS else None
-        if head and lines:
-            lines[0] = "".join([*head, lines[0]])
-            head = []
-        if tail is not None:
-            head.append(tail)
-        if lines:
-            yield lines
-    if head:
-        yield ["".join(head)]
+        yield (chunk + f.readline()).splitlines()
 
 
-READ_BLOCK = 1 << 13  # characters read at a time
-_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
+READ_BLOCK = 1 << 13  # characters read at a time, before the rest of a line
 
 
 class _Tabulated:

@@ -81,8 +81,6 @@ class DetectionConfig:
 class RunCounts:
     """Aggregated detector counts of one seeded run."""
 
-    settings: tuple[float, float]
-    config: DetectionConfig
     n_total: int
     counts: dict[DetectorId, int]
     n_undetected: int
@@ -111,7 +109,6 @@ class EstimatedMoments:
     correlator_conditioned: Optional[float]
     std_error: float
     std_error_conditioned: Optional[float]
-    n_detected: int
 
 
 def _check_seed(seed: int) -> int:
@@ -180,8 +177,6 @@ def run(
     # detected trials only, in DETECTORS order
     totals = (n_pp, n_a_plus - n_pp, n_mp, n_a_minus - n_mp)
     return RunCounts(
-        settings=(a, b),
-        config=config,
         n_total=n,
         counts=dict(zip(DETECTORS, totals)),
         n_undetected=n - n_a_plus - n_a_minus,
@@ -204,7 +199,6 @@ def estimate(rc: RunCounts) -> EstimatedMoments:
             correlator_conditioned=None,
             std_error=se_exp,
             std_error_conditioned=None,
-            n_detected=0,
         )
     corr_cond = product_sum / n_det
     se_cond = math.sqrt(max(1.0 - corr_cond * corr_cond, 0.0) / n_det)
@@ -213,5 +207,4 @@ def estimate(rc: RunCounts) -> EstimatedMoments:
         correlator_conditioned=corr_cond,
         std_error=se_exp,
         std_error_conditioned=se_cond,
-        n_detected=n_det,
     )

@@ -42,7 +42,7 @@ def run_trials(a: float, b: float, config: DetectionConfig, n: int, seed: int) -
             undetected += 1
         else:
             counts[out] += 1
-    return RunCounts((a, b), config, n, counts, undetected, seed)
+    return RunCounts(n, counts, undetected, seed)
 
 
 def hv_detection_probability(model_joint: float, config: DetectionConfig) -> float:

@@ -97,7 +97,8 @@ def test_04_monte_carlo_consistency():
     worst_pull = 0.0
     for idx, (a, b, eta, f) in enumerate(cases):
         config = montecarlo.DetectionConfig(eta_d=eta, f1=f)
-        est = montecarlo.estimate(montecarlo.run(a, b, config, n, seed=50_000 + idx))
+        rc = montecarlo.run(a, b, config, n, seed=50_000 + idx)
+        est = montecarlo.estimate(rc)
         truth = math.cos(a - b)
         eta_f = config.detect_prob
 
@@ -110,7 +111,7 @@ def test_04_monte_carlo_consistency():
             pull_raw = gap_raw / sigma_raw
             assert pull_raw <= 4.0, f"case {idx}: raw pull {pull_raw:.2f}"
 
-        sigma_cond = math.sqrt(max(1.0 - truth * truth, 0.0) / est.n_detected)
+        sigma_cond = math.sqrt(max(1.0 - truth * truth, 0.0) / rc.n_detected)
         gap_cond = abs(est.correlator_conditioned - truth)
         if sigma_cond == 0.0:
             assert gap_cond == 0.0, f"case {idx}: deterministic case off"

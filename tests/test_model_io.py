@@ -317,27 +317,32 @@ def test_write_memory_is_bounded_by_blocks_not_states(tmp_path):
     assert peak <= 4_000_000, peak
 
 
-SEPARATORS = [*model_io._LINE_ENDS, "\r\n"]
+# every separator at which str.splitlines ends a line
+SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @pytest.mark.parametrize("read_block", [1, 2, 3, 5, 8])
 def test_blocks_split_lines_as_splitlines_at_any_read_size(monkeypatch, read_block):
-    # every separator, \r\n among them, on both sides of every read boundary
+    # every separator, \r\n among them, on both sides of every read boundary,
+    # from a stream whose readline ends lines at \n only and from one that
+    # also ends them at \r (newline="")
     monkeypatch.setattr(model_io, "READ_BLOCK", read_block)
     rng = np.random.default_rng(read_block)
     pieces = ["", "a", "bc", "defg", "\r", "\n", *SEPARATORS]
     for _ in range(500):
         text = "".join(rng.choice(pieces, rng.integers(0, 25)).tolist())
-        lines = [line for block in model_io._blocks(io.StringIO(text)) for line in block]
-        assert lines == text.splitlines(), repr(text)
+        for newline in ("\n", ""):
+            lines = [line for block in model_io._blocks(io.StringIO(text, newline=newline)) for line in block]
+            assert lines == text.splitlines(), (repr(text), newline)
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 @pytest.mark.parametrize("separator", SEPARATORS, ids=repr)
 def test_error_line_past_a_read_boundary_is_the_splitlines_line(tmp_path, separator, shift):
     # the separator after the first comment starts one place before, at or
-    # after the last character of the first read; a text stream and a file
-    # both report the error at its line of text.splitlines()
+    # after the last character of the first read; a text stream, a file and
+    # a file opened with newline="" (\r and \r\n returned untranslated) all
+    # report the error at its line of text.splitlines()
     head = "kind factorized" + separator + "lambda 0 1" + separator + "#"
     comment = "x" * (model_io.READ_BLOCK - 1 + shift - len(head))
     text = head + comment + separator + ("# c" + separator) * 3000 + "bogus 1" + separator
@@ -348,12 +353,14 @@ def test_error_line_past_a_read_boundary_is_the_splitlines_line(tmp_path, separa
         model_io.load_model(io.StringIO(text))
     with open(path, encoding="utf-8") as f, pytest.raises(model_io.ModelFileError) as from_file:
         model_io.load_model(f)
-    assert str(from_stream.value) == str(from_file.value) == expected
+    with open(path, encoding="utf-8", newline="") as f, pytest.raises(model_io.ModelFileError) as untranslated:
+        model_io.load_model(f)
+    assert str(from_stream.value) == str(from_file.value) == str(untranslated.value) == expected
 
 
 def test_long_comment_line_loads_in_linear_time():
     # a 16 MB comment line took 27.5 s when each read joined and re-split
-    # the whole pending line; its pieces are now joined once
+    # the whole pending line; the stream's readline reads it in linear time
     text = "kind factorized\n#" + "x" * (16 << 20) + "\nlambda 0 1\np1 0 0.1 0.5\np2 0 0.2 0.5\n"
     start = time.perf_counter()
     model = load_text(text)

@@ -276,8 +276,6 @@ class TestStatisticalConsistency:
 class TestEstimate:
     def test_all_counts_in_one_detector(self):
         r = mc.RunCounts(
-            settings=(0.0, 0.0),
-            config=IDEAL,
             n_total=100,
             counts={mc.DetectorId(1, 1): 80, mc.DetectorId(1, -1): 0,
                     mc.DetectorId(-1, 1): 0, mc.DetectorId(-1, -1): 0},
@@ -291,8 +289,6 @@ class TestEstimate:
 
     def test_zero_detections_flagged(self):
         r = mc.RunCounts(
-            settings=(0.0, 0.0),
-            config=mc.DetectionConfig(f1=0.0),
             n_total=50,
             counts={d: 0 for d in mc.DETECTORS},
             n_undetected=50,
@@ -306,8 +302,6 @@ class TestEstimate:
     def test_counts_invariant_enforced(self):
         with pytest.raises(ValueError):
             mc.RunCounts(
-                settings=(0.0, 0.0),
-                config=IDEAL,
                 n_total=10,
                 counts={d: 0 for d in mc.DETECTORS},
                 n_undetected=3,
@@ -323,10 +317,7 @@ class TestEstimate:
         if total == 0:
             return
         counts = dict(zip(mc.DETECTORS, quad))
-        r = mc.RunCounts(
-            settings=(0.1, 0.2), config=IDEAL, n_total=total,
-            counts=counts, n_undetected=undetected, seed=9,
-        )
+        r = mc.RunCounts(n_total=total, counts=counts, n_undetected=undetected, seed=9)
         est = mc.estimate(r)
         expected_sum = quad[0] - quad[1] - quad[2] + quad[3]
         assert est.correlator_exp == pytest.approx(expected_sum / total, abs=1e-12)
