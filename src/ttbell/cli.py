@@ -60,8 +60,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import lhv, model_io, montecarlo, polytope, quantum
-from .chsh import (MAX_SCAN_ROWS, VIOLATION_TOL, ChshSettings, chsh_value, ladder_settings, scan_alpha,
-                   threshold_analysis)
+from .chsh import (CLASSICAL_BOUND, MAX_SCAN_ROWS, VIOLATION_TOL, ChshSettings, chsh_value, ladder_settings,
+                   scan_alpha, threshold_analysis)
 from .model_io import QUOTE_CHARS, _quote
 
 EXIT_OK = 0
@@ -177,11 +177,7 @@ def fmt(x) -> str:
         return "nan"
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return f"{x:.9f}" if math.isfinite(x) else "nan"
-    return str(x)
+    return f"{x:.9f}" if math.isfinite(x) else "nan"
 
 
 def fmt_sci(x: float) -> str:
@@ -190,11 +186,7 @@ def fmt_sci(x: float) -> str:
 
 def jnum(x):
     """JSON-safe float rounded at 9 decimals (None for missing/NaN)."""
-    if x is None:
-        return None
-    if isinstance(x, bool) or isinstance(x, int):
-        return x
-    if not math.isfinite(x):
+    if x is None or not math.isfinite(x):
         return None
     return round(float(x), 9)
 
@@ -662,16 +654,13 @@ TABLE_COLUMNS = (
 )
 
 
-# (A, B) of the four rows of a pair (a, b), in the order of ``quantum_joint``
-_ROW_A, _ROW_B = np.array(list(itertools.product(quantum.OUTCOMES, repeat=2))).T
-
-
 def _table_blocks(a_list, b_list):
     """Table records in blocks of ``ROW_BLOCK`` rows, as columns: for each
     a, each b, the four (A, B).  sin a is taken once per a and cos(a - b)
     once per pair, with ``math``, and ``quantum.probability_columns`` does
-    the rest, so every cell has the bits of the scalar closed forms.  They
-    cannot fail once ``cmd_table`` has checked every a - b is finite."""
+    the rest, so every cell has the bits of the scalar closed forms.  A
+    conditional whose P(A | a) is 0, and so is undefined, is written NaN.
+    They cannot fail once ``cmd_table`` has checked every a - b is finite."""
     a_all, b_all = np.asarray(a_list, dtype=np.float64), np.asarray(b_list, dtype=np.float64)
     sin_all = np.fromiter(map(math.sin, a_all), dtype=np.float64, count=len(a_all))
     rows = 4 * len(a_all) * len(b_all)
@@ -682,9 +671,10 @@ def _table_blocks(a_list, b_list):
         cos_ab = np.array([math.cos(d) for d in (a - b).tolist()])
         pair, outcome = np.divmod(np.arange(lo, hi), 4)
         pair -= lo // 4
-        A, B = _ROW_A[outcome], _ROW_B[outcome]
-        yield [a[pair], b[pair], A, B,
-               *quantum.probability_columns(sin_all[i][pair], cos_ab[pair], A, B)]
+        A, B = quantum.ROW_OUTCOMES[:, outcome]
+        joint, p_t1, p_t2, conditional = quantum.probability_columns(sin_all[i][pair], cos_ab[pair], A, B)
+        conditional[p_t1 == 0.0] = math.nan
+        yield [a[pair], b[pair], A, B, joint, p_t1, p_t2, conditional]
 
 
 def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
@@ -747,6 +737,11 @@ def cmd_mc(opts: dict) -> tuple[int, Iterable[str]]:
     return EXIT_OK, [record_text(opts["format"], MC_COLUMNS, record)]
 
 
+def _eta_f(opts: dict) -> float:
+    """eta_d * F of the options, multiplied left to right: eta_d * f1 * f21 * fd2."""
+    return opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
+
+
 SCAN_COLUMNS = (("alpha", FLOAT), ("s_ideal", FLOAT), ("s_exp", FLOAT), ("violated", BOOL))
 SCAN_SUMMARY_COLUMNS = (
     ("alpha_star", FLOAT), ("s_max", FLOAT), ("s_exp_max", FLOAT),
@@ -755,8 +750,7 @@ SCAN_SUMMARY_COLUMNS = (
 
 
 def cmd_chsh_scan(opts: dict) -> tuple[int, Iterable[str]]:
-    eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
-    scan, summary = scan_alpha(opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=eta_f)
+    scan, summary = scan_alpha(opts["alpha_min"], opts["alpha_max"], opts["alpha_step"], eta_f=_eta_f(opts))
     summary_row = [getattr(summary, name) for name, _ in SCAN_SUMMARY_COLUMNS]
     return EXIT_OK, emit_records(
         opts["format"], SCAN_COLUMNS, scan.blocks(ROW_BLOCK), (SCAN_SUMMARY_COLUMNS, summary_row)
@@ -850,7 +844,7 @@ def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
             ]
         except lhv.InvalidModelError as exc:
             raise UsageError(f"model evaluation failed: {exc}")
-        checks += [(name, value <= 2.0 + VIOLATION_TOL, "value", value) for name, value in bounds]
+        checks += [(name, value <= CLASSICAL_BOUND + VIOLATION_TOL, "value", value) for name, value in bounds]
 
     passed = all(check[1] for check in checks)
     exit_code = EXIT_OK if passed else EXIT_VERIFY_FAILED
@@ -905,7 +899,7 @@ def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:
         targets = tuple(_exactly(opts, "targets", 4, "four comma-separated correlators"))
         source = {}
     elif opts["alpha"] is not None:
-        eta_f = opts["eta_d"] * opts["f1"] * opts["f21"] * opts["fd2"]
+        eta_f = _eta_f(opts)
         # cos of the ladder's separations alpha, alpha, alpha and 3*alpha, with cos 3a = c (4c^2 - 3)
         c = math.cos(opts["alpha"])
         targets = tuple(eta_f * value for value in (c, c, c, c * (4.0 * c * c - 3.0)))

@@ -45,7 +45,7 @@ from typing import Callable, Literal, NamedTuple, Optional
 import numpy as np
 
 from .chsh import ChshSettings
-from .quantum import OUTCOMES, JointDistribution, Moments, clamp_probability, quantum_joint
+from .quantum import OUTCOMES, ROW_OUTCOMES, JointDistribution, Moments, probability_columns
 
 RESPONSE_TOL = 1e-12
 FACTORIZED = "factorized"
@@ -164,11 +164,12 @@ def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
     ignore the angles, so agreement with quantum statistics holds at the
     construction settings only.
     """
-    kept = [(outcomes, w) for outcomes, w in quantum_joint(a, b).items() if w != 0.0]
-    t1, t2 = (np.array([[float(ab[slot] == o) for ab, _ in kept] for o in OUTCOMES]) for slot in (0, 1))
+    joint = probability_columns(math.sin(a), math.cos(a - b), *ROW_OUTCOMES)[0]
+    kept = joint != 0.0
+    t1, t2 = (np.array([row[kept] == o for o in OUTCOMES], dtype=float) for row in ROW_OUTCOMES)
     t1.setflags(write=False)
     t2.setflags(write=False)
-    return LhvModel([w for _, w in kept], FACTORIZED, lambda angle: t1, lambda angle: t2)
+    return LhvModel(joint[kept], FACTORIZED, lambda angle: t1, lambda angle: t2)
 
 
 # a model-size bound, not a time bound: position_style_model builds,
@@ -237,7 +238,7 @@ def _flat_column(slot, n_states, keys, rows, cols, values) -> Callable[..., Colu
         j, k, v = cols[e], rows[e], values.item(e)
         if not -RESPONSE_TOL <= v <= 1.0 + RESPONSE_TOL:
             raise InvalidModelError(f"{slot} table at {keys[j]} for id {k} returned {v!r}, outside [0, 1]")
-        plus[j, k] = clamp_probability(v)
+        plus[j, k] = min(max(v, 0.0), 1.0)
     np.subtract(1.0, plus, out=columns[:, 1])
     return _TableColumn(keys, columns).column
 

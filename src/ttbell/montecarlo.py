@@ -1,7 +1,8 @@
 """Seeded Monte Carlo of the source -> analyzer -> analyzer -> detector chain.
 
 Each trial draws the first-slot outcome A from its marginal, the
-second-slot outcome B from the conditional given A, and then a detection
+second-slot outcome B from the conditional given A (both as
+``quantum.probability_columns`` gives them), and then a detection
 flag with probability eta_d * F, where F = f1 * f21 * f_d2 collects the
 collimator acceptances.  Only the product eta_d * F matters to the
 statistics; the per-stage factors are carried for reporting.
@@ -150,10 +151,11 @@ def run(
         raise ValueError(f"need at least one shard, got {n_shards}")
     _check_seed(seed)
 
-    cos_ab = math.cos(a - b)
-    t_a = _word_threshold(quantum.marginal_t1(a, 1))
-    t_b_after_plus = _word_threshold(0.5 * (1.0 + cos_ab))
-    t_b_after_minus = _word_threshold(0.5 * (1.0 - cos_ab))
+    # P(A=+1 | a) and P(B=+1 | a, b, A) at rows (+1, +1) and (-1, +1) of ROW_OUTCOMES
+    _, p_t1, _, conditional = quantum.probability_columns(math.sin(a), math.cos(a - b), *quantum.ROW_OUTCOMES)
+    t_a = _word_threshold(p_t1.item(0))
+    t_b_after_plus = _word_threshold(conditional.item(0))
+    t_b_after_minus = _word_threshold(conditional.item(2))
     t_det = _word_threshold(config.detect_prob)
 
     n_a_plus = n_a_minus = n_pp = n_mp = 0

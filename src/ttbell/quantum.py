@@ -6,11 +6,13 @@ at the second.  With outcomes A, B = +/-1 the joint distribution is
 
     P(A, B | a, b) = (1/4) (1 + A sin a) [1 + A B cos(a - b)]
 
-which this module evaluates in that closed form, with its first-slot
-marginal, one value at a time, and with both marginals and the conditional
-elementwise over numpy arrays.  The scalar second-slot marginal and
-conditional, and the route composed from squared overlaps of the explicit
-spin states, which the tests check the closed form against, live in
+which ``probability_columns`` evaluates in that closed form, with both
+marginals and the conditional, elementwise over numpy arrays.  It is the one
+route to a quantum probability: the table, the Monte Carlo thresholds and
+the fixed-setting LHV reproducer all read it, the four outcome pairs of one
+setting pair as the rows of ``ROW_OUTCOMES``.  The scalar closed forms, one
+value at a time, and the route composed from squared overlaps of the
+explicit spin states, which the tests check this one against, live in
 ``tests/quantum_oracle.py``.
 
 All functions are pure; angles are radians, restricted to the xz-plane.
@@ -18,26 +20,17 @@ All functions are pure; angles are radians, restricted to the xz-plane.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 OUTCOMES = (1, -1)
 PROB_TOL = 1e-12
-
-
-def clamp_probability(p: float) -> float:
-    """Snap float noise at the edges of [0, 1]; reject anything worse.
-
-    Values in [-PROB_TOL, 0) and (1, 1+PROB_TOL] are rounding dust and are
-    clamped; excursions beyond PROB_TOL indicate a logic error and raise.
-    """
-    if -PROB_TOL <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + PROB_TOL:
-        return 1.0
-    if p < 0.0 or p > 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1] beyond tolerance {PROB_TOL}")
-    return p
+# A and B of the four outcome pairs (A, B) of one setting pair, in OUTCOMES
+# order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+ROW_OUTCOMES = np.array(list(itertools.product(OUTCOMES, repeat=2))).T
+ROW_OUTCOMES.setflags(write=False)
 
 
 def _check_outcome(value: int, name: str = "outcome") -> int:
@@ -83,24 +76,10 @@ class Moments:
     correlator: float
 
 
-def quantum_joint(a: float, b: float) -> JointDistribution:
-    """Joint distribution of (A, B) for settings (a, b), in closed form."""
-    sa = math.sin(a)
-    c = math.cos(a - b)
-    return JointDistribution(*(
-        clamp_probability(0.25 * (1.0 + A * sa) * (1.0 + A * B * c)) for A in OUTCOMES for B in OUTCOMES
-    ))
-
-
-def marginal_t1(a: float, a_outcome: int) -> float:
-    """P(A | a) = (1/2)(1 + A sin a); the b-sum of the joint."""
-    _check_outcome(a_outcome, "A")
-    return clamp_probability(0.5 * (1.0 + a_outcome * math.sin(a)))
-
-
 def _clamp_probabilities(p):
-    """``clamp_probability`` over a numpy array, in place: the same
-    tolerance, the same error (for the first value beyond it); NaN passes."""
+    """Snap float noise at the edges of [0, 1], in place: values within
+    ``PROB_TOL`` outside it are rounding dust and are clamped; the first
+    value beyond it indicates a logic error and raises; NaN passes."""
     outside = (p < -PROB_TOL) | (p > 1.0 + PROB_TOL)
     if outside.any():
         raise ValueError(
@@ -115,13 +94,15 @@ def probability_columns(sin_a, cos_ab, a_outcome, b_outcome):
     """The joint P(A, B | a, b), the marginals P(A | a) and
     P(B | a, b) = (1/2)[1 + B sin a cos(a - b)], and the conditional
     P(B | a, b, A) = (1/2)[1 + A B cos(a - b)], elementwise over numpy arrays
-    of sin a, cos(a - b) and the outcomes A, B (integers +1 or -1).
+    of sin a, cos(a - b) and the outcomes A, B (integers +1 or -1); sin a and
+    cos(a - b) may be floats, broadcast over the outcomes.
 
-    Each value is computed operation for operation as ``quantum_joint``,
-    ``marginal_t1`` and the scalar references ``marginal_t2`` and
+    Each value is computed operation for operation as the scalar references
+    ``quantum_joint``, ``marginal_t1``, ``marginal_t2`` and
     ``conditional_t2`` of ``tests/quantum_oracle.py`` compute it, so with
-    sin a and cos(a - b) taken from ``math`` it has the scalar bits.  A
-    conditional whose P(A | a) is 0, which the scalar route rejects, is NaN.
+    sin a and cos(a - b) taken from ``math`` it has the scalar bits.  The
+    conditional is the formula's value even where P(A | a) is 0 and it is
+    undefined; a caller that prints it there decides what to print.
     Returns the arrays (joint, marginal_t1, marginal_t2, conditional_t2).
     """
     ab = a_outcome * b_outcome
@@ -129,5 +110,4 @@ def probability_columns(sin_a, cos_ab, a_outcome, b_outcome):
     joint = _clamp_probabilities(0.25 * (1.0 + a_outcome * sin_a) * (1.0 + ab * cos_ab))
     p_t2 = _clamp_probabilities(0.5 * (1.0 + b_outcome * sin_a * cos_ab))
     conditional = _clamp_probabilities(0.5 * (1.0 + ab * cos_ab))
-    conditional[p_t1 == 0.0] = math.nan
     return joint, p_t1, p_t2, conditional

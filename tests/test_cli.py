@@ -18,7 +18,7 @@ import pytest
 import polytope_oracle
 import quantum_oracle
 
-from ttbell import chsh, cli, lhv, model_io, montecarlo, polytope, quantum
+from ttbell import chsh, cli, lhv, model_io, montecarlo, polytope
 from ttbell.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -157,12 +157,12 @@ def scalar_table_rows(a_list, b_list):
     row; an undefined conditional is NaN."""
     for a in a_list:
         for b in b_list:
-            for (A, B), p_joint in quantum.quantum_joint(a, b).items():
+            for (A, B), p_joint in quantum_oracle.quantum_joint(a, b).items():
                 try:
                     cond = quantum_oracle.conditional_t2(a, b, A, B)
                 except quantum_oracle.UndefinedConditionalError:
                     cond = math.nan
-                p_t1, p_t2 = quantum.marginal_t1(a, A), quantum_oracle.marginal_t2(a, b, B)
+                p_t1, p_t2 = quantum_oracle.marginal_t1(a, A), quantum_oracle.marginal_t2(a, b, B)
                 yield (a, b, A, B, p_joint, p_t1, p_t2, cond)
 
 
@@ -445,6 +445,25 @@ class TestLhvVerify:
         monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 64)
         assert run_cli(capsys, *verify, "64")[0] == EXIT_OK
         assert run_cli(capsys, *verify, "65")[:2] == (EXIT_USAGE, "")
+
+    def test_grid_size_below_two_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "lhv-verify", "--model", "position-style", "--grid-size", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "ttbell lhv-verify: error: --grid-size must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("p1_angle, message", [
+        # no response at (a, b): the consistency checks fail
+        (0.4, "no response tabulated at (a=0.5, b=0.0) for id 0"),
+        # a response at (a, b) but none at a' = 0: the CHSH bounds fail
+        (0.5, "no response tabulated at ChshSettings(a=0.5, a_prime=0.0, b=0.0, "
+              "b_prime=0.7853981633974483) for id 0"),
+    ])
+    def test_model_file_missing_a_setting_is_usage_error(self, capsys, tmp_path, p1_angle, message):
+        path = tmp_path / "m.model"
+        path.write_text(f"kind factorized\nlambda 0 1.0\np1 0 {p1_angle} 0.5\np2 0 0.0 0.5\n")
+        code, out, err = run_cli(capsys, "lhv-verify", "--model-file", str(path), "--a", "0.5", "--b", "0.0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"ttbell lhv-verify: error: model evaluation failed: {message}\n"
 
     def test_column_evaluations_do_not_grow_with_grid_size(self, capsys, monkeypatch):
         # the per-state CHSH bound comes from one whole-support evaluation,

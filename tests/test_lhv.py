@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import lhv_oracle
 import polytope_oracle
+from quantum_oracle import quantum_joint
 from ttbell import lhv
 from ttbell.chsh import ChshSettings, ladder_settings
-from ttbell.quantum import quantum_joint
 
 TOL = 1e-12
 

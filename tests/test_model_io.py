@@ -114,6 +114,8 @@ MALFORMED = [
     ("kind factorized\nlambda 0 1.0\np2 0.5 0.0 0.5", "line 3: hidden-state id is not an integer: '0.5'"),
     ("kind general\nlambda 0 1.0\np2 0 0.3 0.9 +1 0.8\np2 0 0.3 0.9 1 0.7",
      "line 4: duplicate p2 entry for these settings and outcome"),
+    ("kind factorized\nlambda 0 inf", "line 2: weight must be finite, got 'inf'"),
+    ("kind factorized\nlambda 0 1.0\np1 0 0.0 nan", "line 3: p_plus must be finite, got 'nan'"),
 ]
 
 
@@ -168,6 +170,16 @@ class TestErrors:
         path = tmp_path / "m.model"
         path.write_bytes(b"kind factorized\nlambda 0 0.5\nlambda 1 0.5\n# \xff\n")
         monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 1)
+        with pytest.raises(UnicodeDecodeError):
+            model_io.load_model(path)
+
+    def test_undecodable_byte_past_the_first_read_is_reported_before_a_parse_error(self, tmp_path):
+        # line 2 fails to parse in the first read; the byte that cannot be
+        # decoded lies some reads further on, and is still what is reported
+        path = tmp_path / "m.model"
+        text = b"kind factorized\nbanana 1\n" + b"# padding\n" * 4500 + b"# \xff\n"
+        assert text.index(b"\xff") > 5 * model_io.READ_BLOCK
+        path.write_bytes(text)
         with pytest.raises(UnicodeDecodeError):
             model_io.load_model(path)
 

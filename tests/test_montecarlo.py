@@ -15,8 +15,8 @@ from numpy.random import Generator, Philox
 
 import lhv_oracle
 import montecarlo_oracle as oracle
+from quantum_oracle import quantum_joint
 from ttbell import montecarlo as mc
-from ttbell.quantum import quantum_joint
 
 IDEAL = mc.DetectionConfig()
 
