@@ -2,15 +2,17 @@
 
 Subcommands: ``table`` (joint/marginal/conditional probabilities),
 ``mc`` (seeded detection-chain run), ``chsh-scan`` (ladder sweep with
-refined maximum), ``lhv-verify`` (model bookkeeping checks and CHSH
-bounds), ``polytope`` (local-model membership certificate), ``sweep``
-(Monte Carlo CHSH value over a fixed grid of eta_d*F).  ``chsh-scan``'s
-rows and ``polytope --alpha``'s targets are taken from cos(alpha) alone.
+refined maximum), ``lhv-verify`` (a model's bookkeeping identity errors
+and CHSH values, as numbers), ``polytope`` (local-model membership
+certificate), ``sweep`` (Monte Carlo CHSH value over a fixed grid of
+eta_d*F).  ``chsh-scan``'s rows and ``polytope --alpha``'s targets are
+taken from cos(alpha) alone.
 
 Output is CSV (a header line, then one line per record; fields are
 numbers or true/false and never need quoting; floats with nine decimal
 places) or JSON (sorted keys, floats rounded to nine decimals), chosen by
-``--format``; ``polytope`` takes no ``--format`` and writes JSON.  Identical
+``--format``; ``polytope`` takes no ``--format`` and writes JSON, and
+``lhv-verify`` writes ``name: value`` lines in place of CSV.  Identical
 configuration and seed produce byte-identical output.
 
 Each option is described once, by a row of ``OPTIONS``: its key, how a
@@ -28,7 +30,7 @@ A subcommand parses, validates and computes before it writes anything,
 so a usage error leaves stdout empty and creates no ``--out`` file.
 Records are then formatted and written ``ROW_BLOCK`` rows at a time.
 ``table`` builds a block's rows as columns, with the closed forms of
-``quantum.probability_columns`` on sines and cosines taken by ``math``.
+``quantum.probability_columns`` at the block's setting pairs.
 A block is rendered with numpy, all its float columns in one pass and
 each boolean or +-1 outcome column as one of two fixed texts, in the very
 bytes that formatting each cell with ``fmt`` / ``_json_number`` gives (a
@@ -40,9 +42,8 @@ range (|x| >= 4e6).
 of its payload, one per layout.
 
 Exit codes: 0 success (and polytope-feasible), 1 usage error, 2 I/O
-error, 3 polytope-infeasible, 4 lhv-verify check failure.  A stdout
-pipe closed by its reader ends the output early, with the command's own
-exit code.
+error, 3 polytope-infeasible.  A stdout pipe closed by its reader ends
+the output early, with the command's own exit code.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import lhv, model_io, montecarlo, polytope, quantum
-from .chsh import (CLASSICAL_BOUND, MAX_SCAN_ROWS, VIOLATION_TOL, ChshSettings, chsh_value, ladder_settings,
+from .chsh import (MAX_SCAN_ROWS, ChshSettings, chsh_value, ladder_settings,
                    scan_alpha, threshold_analysis)
 from .model_io import QUOTE_CHARS, _quote
 
@@ -68,7 +69,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
-EXIT_VERIFY_FAILED = 4
 
 BUILTIN_MODELS = ("fixed-setting-reproducer", "position-style")
 FORMATS = ("csv", "json")
@@ -656,25 +656,22 @@ TABLE_COLUMNS = (
 
 def _table_blocks(a_list, b_list):
     """Table records in blocks of ``ROW_BLOCK`` rows, as columns: for each
-    a, each b, the four (A, B).  sin a is taken once per a and cos(a - b)
-    once per pair, with ``math``, and ``quantum.probability_columns`` does
-    the rest, so every cell has the bits of the scalar closed forms.  A
-    conditional whose P(A | a) is 0, and so is undefined, is written NaN.
-    They cannot fail once ``cmd_table`` has checked every a - b is finite."""
+    a, each b, the four (A, B) of ``quantum.ROW_OUTCOMES``, with
+    ``quantum.probability_columns`` taken at the block's setting pairs, so
+    every cell has the bits of the scalar closed forms.  A conditional whose
+    P(A | a) is 0, and so is undefined, is written NaN.  They cannot fail
+    once ``cmd_table`` has taken the extreme pairs."""
     a_all, b_all = np.asarray(a_list, dtype=np.float64), np.asarray(b_list, dtype=np.float64)
-    sin_all = np.fromiter(map(math.sin, a_all), dtype=np.float64, count=len(a_all))
     rows = 4 * len(a_all) * len(b_all)
     for lo in range(0, rows, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, rows)
         i, j = np.divmod(np.arange(lo // 4, (hi + 3) // 4), len(b_all))  # the block's pairs
-        a, b = a_all[i], b_all[j]
-        cos_ab = np.array([math.cos(d) for d in (a - b).tolist()])
         pair, outcome = np.divmod(np.arange(lo, hi), 4)
         pair -= lo // 4
-        A, B = quantum.ROW_OUTCOMES[:, outcome]
-        joint, p_t1, p_t2, conditional = quantum.probability_columns(sin_all[i][pair], cos_ab[pair], A, B)
+        columns = quantum.probability_columns(a_all[i, None], b_all[j, None], *quantum.ROW_OUTCOMES)
+        joint, p_t1, p_t2, conditional = (column[pair, outcome] for column in columns)
         conditional[p_t1 == 0.0] = math.nan
-        yield [a[pair], b[pair], A, B, joint, p_t1, p_t2, conditional]
+        yield [a_all[i][pair], b_all[j][pair], *quantum.ROW_OUTCOMES[:, outcome], joint, p_t1, p_t2, conditional]
 
 
 def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
@@ -683,10 +680,9 @@ def cmd_table(opts: dict) -> tuple[int, Iterable[str]]:
     if rows > MAX_SCAN_ROWS:
         raise UsageError(f"table of {rows} rows exceeds the limit of {MAX_SCAN_ROWS}; "
                          "use shorter --a or --b lists")
-    # a - b is monotone in both angles, so its two extremes bound every pair
-    extremes = (float(a.max()) - float(b.min()), float(a.min()) - float(b.max()))
-    if not all(map(math.isfinite, extremes)):
-        raise UsageError("--a and --b are too far apart: a - b overflows for some pair")
+    # a - b is monotone in both angles, so if it overflows for any pair it
+    # does for an extreme one, which is refused here, before a row is written
+    quantum.probability_columns([a.max(), a.min()], [b.min(), b.max()], 1, 1)
     return EXIT_OK, emit_records(opts["format"], TABLE_COLUMNS, _table_blocks(a, b))
 
 
@@ -825,71 +821,47 @@ def _select_model(opts: dict):
     return model, description, a, b
 
 
+# how ``lhv-verify`` writes a field of each kind, in text and in JSON; a
+# None is n/a and null.  An error's JSON number is its text's, so a tiny
+# error is not rounded to 0.0.
+_FIELD_TEXT = {
+    "plain": (str, lambda x: x),
+    "float": (fmt, jnum),
+    "error": (fmt_sci, lambda x: float(fmt_sci(x))),
+}
+
+
 def cmd_lhv_verify(opts: dict) -> tuple[int, Iterable[str]]:
     model, description, a, b = _select_model(opts)
     chsh_settings = ChshSettings(a=a, a_prime=opts["a_prime"], b=b, b_prime=opts["b_prime"])
-
     try:
         report = lhv.verify_consistency(model, a, b)
+        averaged = lhv.averaged_chsh(model, chsh_settings)
+        per_state_max = (float(lhv.per_state_chsh(model, chsh_settings).max())
+                         if model.kind == lhv.FACTORIZED else None)
     except lhv.InvalidModelError as exc:
         raise UsageError(f"model evaluation failed: {exc}")
 
-    # one entry per check: (name, passed, "error" or "value", that number)
-    checks = [(name, error <= lhv.RESPONSE_TOL, "error", error) for name, error in report.mandatory()]
-    if model.kind == lhv.FACTORIZED:
-        try:
-            bounds = [
-                ("per_lambda_chsh_bound", float(lhv.per_state_chsh(model, chsh_settings).max())),
-                ("averaged_chsh_bound", lhv.averaged_chsh(model, chsh_settings)),
-            ]
-        except lhv.InvalidModelError as exc:
-            raise UsageError(f"model evaluation failed: {exc}")
-        checks += [(name, value <= CLASSICAL_BOUND + VIOLATION_TOL, "value", value) for name, value in bounds]
-
-    passed = all(check[1] for check in checks)
-    exit_code = EXIT_OK if passed else EXIT_VERIFY_FAILED
-
-    if opts["format"] == "json":
-        return exit_code, [json_text({
-            "model": description,
-            "kind": model.kind,
-            "states": len(model.weights),
-            "settings": {
-                "a": jnum(a), "b": jnum(b),
-                "a_prime": jnum(opts["a_prime"]), "b_prime": jnum(opts["b_prime"]),
-            },
-            "checks": {
-                name: {"passed": ok, "error": None, "value": None, field: jnum(number)}
-                for name, ok, field, number in checks
-            },
-            "outcome_swap_symmetric": report.outcome_swap_symmetric,
-            "outcome_swap_error": jnum(report.outcome_swap_error),
-            "passed": passed,
-        })]
-
-    def check_lines(field: str, text) -> list[str]:
-        return [
-            f"check {name}: {'PASS' if ok else 'FAIL'} ({field} {text(number)})"
-            for name, ok, kind, number in checks if kind == field
-        ]
-
-    swap = "HOLDS" if report.outcome_swap_symmetric else "BROKEN"
-    swap_err = "n/a" if report.outcome_swap_error is None else fmt_sci(report.outcome_swap_error)
-    lines = [
-        f"model: {description}",
-        f"kind: {model.kind}",
-        f"states: {len(model.weights)}",
-        f"settings: a={fmt(a)} b={fmt(b)} a_prime={fmt(opts['a_prime'])} b_prime={fmt(opts['b_prime'])}",
-        *check_lines("error", fmt_sci),
-        f"note outcome_swap_symmetry: {swap} (error {swap_err})",
+    fields = [
+        ("model", "plain", description),
+        ("kind", "plain", model.kind),
+        ("states", "plain", len(model.weights)),
+        ("a", "float", a),
+        ("b", "float", b),
+        ("a_prime", "float", opts["a_prime"]),
+        ("b_prime", "float", opts["b_prime"]),
+        ("marginal_from_mean_error", "error", report.marginal_from_mean_error),
+        ("conditional_moment_route_error", "error", report.conditional_moment_route_error),
+        ("mean_product_error", "error", report.mean_product_error),
+        ("outcome_swap_error", "error", report.outcome_swap_error),
+        ("averaged_chsh", "float", averaged),
+        ("per_state_chsh_max", "float", per_state_max),
     ]
-    if not report.outcome_swap_symmetric:
-        lines.append("note mean_product: SKIPPED (requires outcome-swap symmetry)")
-    lines += check_lines("value", fmt)
-    if model.kind == lhv.GENERAL:
-        lines.append("note per_lambda_chsh_bound: SKIPPED (general model)")
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    return exit_code, ["\n".join(lines) + "\n"]
+    if opts["format"] == "json":
+        return EXIT_OK, [json_text({name: None if value is None else _FIELD_TEXT[kind][1](value)
+                                    for name, kind, value in fields})]
+    return EXIT_OK, ["".join(f"{name}: {'n/a' if value is None else _FIELD_TEXT[kind][0](value)}\n"
+                             for name, kind, value in fields)]
 
 
 def cmd_polytope(opts: dict) -> tuple[int, Iterable[str]]:

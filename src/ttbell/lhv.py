@@ -164,7 +164,7 @@ def fixed_setting_reproducer(a: float, b: float) -> LhvModel:
     ignore the angles, so agreement with quantum statistics holds at the
     construction settings only.
     """
-    joint = probability_columns(math.sin(a), math.cos(a - b), *ROW_OUTCOMES)[0]
+    joint = probability_columns(a, b, *ROW_OUTCOMES)[0]
     kept = joint != 0.0
     t1, t2 = (np.array([row[kept] == o for o in OUTCOMES], dtype=float) for row in ROW_OUTCOMES)
     t1.setflags(write=False)

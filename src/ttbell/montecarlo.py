@@ -139,7 +139,8 @@ def run(
     generates which counter blocks.  Each shard is drawn in fixed-size
     chunks, so memory stays bounded by one chunk whatever n is; like
     sharding, chunking does not change the counts.  Raises ValueError
-    for non-finite settings and for n above ``MAX_TRIALS``.
+    for non-finite settings, for settings whose a - b overflows and for
+    n above ``MAX_TRIALS``.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"settings must be finite, got a={a!r}, b={b!r}")
@@ -152,7 +153,7 @@ def run(
     _check_seed(seed)
 
     # P(A=+1 | a) and P(B=+1 | a, b, A) at rows (+1, +1) and (-1, +1) of ROW_OUTCOMES
-    _, p_t1, _, conditional = quantum.probability_columns(math.sin(a), math.cos(a - b), *quantum.ROW_OUTCOMES)
+    _, p_t1, _, conditional = quantum.probability_columns(a, b, *quantum.ROW_OUTCOMES)
     t_a = _word_threshold(p_t1.item(0))
     t_b_after_plus = _word_threshold(conditional.item(0))
     t_b_after_minus = _word_threshold(conditional.item(2))

@@ -21,6 +21,7 @@ All functions are pure; angles are radians, restricted to the xz-plane.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,21 +91,33 @@ def _clamp_probabilities(p):
     return p
 
 
-def probability_columns(sin_a, cos_ab, a_outcome, b_outcome):
+def _math_map(f, x: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` at each element of ``x``, in its shape."""
+    return np.array(list(map(f, x.ravel().tolist())), dtype=np.float64).reshape(x.shape)
+
+
+def probability_columns(a, b, a_outcome, b_outcome):
     """The joint P(A, B | a, b), the marginals P(A | a) and
     P(B | a, b) = (1/2)[1 + B sin a cos(a - b)], and the conditional
     P(B | a, b, A) = (1/2)[1 + A B cos(a - b)], elementwise over numpy arrays
-    of sin a, cos(a - b) and the outcomes A, B (integers +1 or -1); sin a and
-    cos(a - b) may be floats, broadcast over the outcomes.
+    of the outcomes A, B (integers +1 or -1) broadcast against the setting
+    pairs: a and b are finite floats or arrays of one shape.
 
-    Each value is computed operation for operation as the scalar references
+    sin a and cos(a - b) are taken with ``math``, once per setting pair, and
+    each value is computed operation for operation as the scalar references
     ``quantum_joint``, ``marginal_t1``, ``marginal_t2`` and
-    ``conditional_t2`` of ``tests/quantum_oracle.py`` compute it, so with
-    sin a and cos(a - b) taken from ``math`` it has the scalar bits.  The
-    conditional is the formula's value even where P(A | a) is 0 and it is
-    undefined; a caller that prints it there decides what to print.
+    ``conditional_t2`` of ``tests/quantum_oracle.py`` compute it, so it has
+    the scalar bits.  The conditional is the formula's value even where
+    P(A | a) is 0 and it is undefined; a caller that prints it there decides
+    what to print.  Raises ValueError when a - b overflows for some pair.
     Returns the arrays (joint, marginal_t1, marginal_t2, conditional_t2).
     """
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        a_minus_b = a - np.asarray(b, dtype=np.float64)
+    if not np.isfinite(a_minus_b).all():
+        raise ValueError("--a and --b are too far apart: a - b overflows for some pair")
+    sin_a, cos_ab = _math_map(math.sin, a), _math_map(math.cos, a_minus_b)
     ab = a_outcome * b_outcome
     p_t1 = _clamp_probabilities(0.5 * (1.0 + a_outcome * sin_a))
     joint = _clamp_probabilities(0.25 * (1.0 + a_outcome * sin_a) * (1.0 + ab * cos_ab))

@@ -24,7 +24,6 @@ from ttbell.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    EXIT_VERIFY_FAILED,
     main,
 )
 
@@ -417,6 +416,15 @@ class TestChshScan:
         assert "exceeds the limit" in err and "Traceback" not in err
 
 
+def verify_fields(out: str) -> dict[str, str]:
+    """The fields of ``lhv-verify``'s text report, one ``name: value`` line each."""
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+# the bookkeeping identities, each reported as its error
+IDENTITIES = ("marginal_from_mean", "conditional_moment_route", "mean_product")
+
+
 class TestLhvVerify:
     def test_builtin_reproducer_passes(self, capsys):
         code, out, _ = run_cli(
@@ -424,8 +432,12 @@ class TestLhvVerify:
             "--a", repr(PI / 3), "--b", repr(PI / 6),
         )
         assert code == EXIT_OK
-        assert "result: PASS" in out
-        assert "check per_lambda_chsh_bound: PASS" in out
+        fields = verify_fields(out)
+        for name in (*IDENTITIES, "outcome_swap"):
+            assert float(fields[f"{name}_error"]) <= 1e-12, name
+        # every state answers deterministically, so its CHSH term is exactly 2
+        assert fields["per_state_chsh_max"] == "2.000000000"
+        assert fields["averaged_chsh"] == "1.732050808"
 
     def test_position_style_passes(self, capsys):
         code, out, _ = run_cli(
@@ -433,7 +445,12 @@ class TestLhvVerify:
             "--a", "0.4", "--b", "1.1",
         )
         assert code == EXIT_OK
-        assert "result: PASS" in out
+        fields = verify_fields(out)
+        # the model breaks the outcome-swap symmetry that the mean-product identity needs
+        for name in IDENTITIES[:2]:
+            assert float(fields[f"{name}_error"]) <= 1e-12, name
+        assert float(fields["outcome_swap_error"]) > 0.5
+        assert (fields["averaged_chsh"], fields["per_state_chsh_max"]) == ("0.200000000", "2.000000000")
 
     def test_grid_size_above_cap_is_usage_error(self, capsys, monkeypatch):
         verify = ("lhv-verify", "--model", "position-style", "--grid-size")
@@ -492,19 +509,20 @@ class TestLhvVerify:
                 capsys, "lhv-verify", "--model", "position-style", "--grid-size", grid_size,
                 "--a", "0.4", "--b", "1.1",
             )
-            assert code == EXIT_OK and "result: PASS" in out
+            assert code == EXIT_OK and "per_state_chsh_max: 2.000000000" in out
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
     def test_json_report(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "lhv-verify", "--model", "fixed-setting-reproducer",
-            "--a", "0.9", "--b", "0.2", "--format", "json",
-        )
+        argv = ("lhv-verify", "--model", "fixed-setting-reproducer", "--a", "0.9", "--b", "0.2",
+                "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
         data = json.loads(out)
-        assert data["passed"] is True
-        assert data["outcome_swap_symmetric"] is True
-        assert data["checks"]["averaged_chsh_bound"]["value"] <= 2.0 + 1e-9
+        assert list(data) == sorted(verify_fields(run_cli(capsys, *argv[:-2])[1]))
+        for name in (*IDENTITIES, "outcome_swap"):
+            assert data[f"{name}_error"] <= 1e-12, name
+        assert (data["averaged_chsh"], data["per_state_chsh_max"]) == (1.529684375, 2.0)
 
     def test_model_file_verification(self, capsys, tmp_path):
         path = tmp_path / "m.model"
@@ -517,7 +535,12 @@ class TestLhvVerify:
             capsys, "lhv-verify", "--model-file", str(path), "--a", "0.4", "--b", "1.1",
         )
         assert code == EXIT_OK
-        assert "result: PASS" in out
+        fields = verify_fields(out)
+        for name in IDENTITIES[:2]:
+            assert float(fields[f"{name}_error"]) <= 1e-12, name
+        # slot means 0.8, -0.6 at a and 0.4, -0.2 at b, all 0 at a' and b':
+        # only E(a, b) = (0.8 * 0.4 + 0.6 * 0.2) / 2 is nonzero
+        assert (fields["averaged_chsh"], fields["per_state_chsh_max"]) == ("0.220000000", "0.320000000")
 
     def test_model_file_above_state_limit_is_usage_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.model"
@@ -525,7 +548,8 @@ class TestLhvVerify:
             "kind general\nlambda 0 0.25\nlambda 1 0.25\nlambda 2 0.5\n"
             + "".join(f"p1 {k} 0.4 0.5\np2 {k} 0.4 1.1 +1 0.5\np2 {k} 0.4 1.1 -1 0.5\n" for k in range(3))
         )
-        verify = ("lhv-verify", "--model-file", str(path), "--a", "0.4", "--b", "1.1")
+        verify = ("lhv-verify", "--model-file", str(path), "--a", "0.4", "--b", "1.1",
+                  "--a-prime", "0.4", "--b-prime", "1.1")
         monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 3)
         assert run_cli(capsys, *verify)[0] == EXIT_OK
         monkeypatch.setattr(lhv, "MAX_GRID_SIZE", 2)
@@ -574,7 +598,7 @@ class TestLhvVerify:
         code, _, err = run_cli(capsys, "lhv-verify", "--model-file", missing, *degrees)
         assert code == EXIT_IO and "i/o error" in err
 
-    def test_general_model_file_skips_chsh_bound(self, capsys, tmp_path):
+    def test_general_model_file_reports_averaged_chsh(self, capsys, tmp_path):
         path = tmp_path / "g.model"
         path.write_text(
             "kind general\nlambda 0 1.0\np1 0 0.4 0.6\n"
@@ -582,10 +606,38 @@ class TestLhvVerify:
         )
         code, out, _ = run_cli(
             capsys, "lhv-verify", "--model-file", str(path), "--a", "0.4", "--b", "1.1",
+            "--a-prime", "0.4", "--b-prime", "1.1",
         )
         assert code == EXIT_OK
-        assert "note outcome_swap_symmetry: BROKEN" in out
-        assert "SKIPPED (general model)" in out
+        fields = verify_fields(out)
+        # P(B=-1 | A=+1) = 0.1 against P(B=+1 | A=-1) = 0.2
+        assert fields["outcome_swap_error"] == "1.000e-01"
+        # E = 0.6 * (0.9 - 0.1) - 0.4 * (0.2 - 0.8) = 0.72 at all four equal
+        # pairs, and the CHSH value is 2E; a general model has no per-state term
+        assert (fields["averaged_chsh"], fields["per_state_chsh_max"]) == ("1.440000000", "n/a")
+
+    def test_one_state_general_model_reaches_the_quantum_value(self, capsys, tmp_path):
+        # the CHSH bound 2 rests on statistical independence, not on locality:
+        # one hidden state whose second slot reads the first slot's setting and
+        # outcome, P(A=+1 | a) = 1/2 and P(B=+1 | x, y, A) = (1 + A cos(x - y)) / 2
+        # at the ladder pairs of alpha = pi/4, gives the quantum 2 sqrt 2
+        a, b, a_prime, b_prime = PI / 2, 3 * PI / 4, 0.0, PI / 4
+        lines = ["kind general", "lambda 0 1"] + [f"p1 0 {x!r} 0.5" for x in (a, a_prime)]
+        lines += [f"p2 0 {x!r} {y!r} {A:+d} {0.5 * (1.0 + A * math.cos(x - y))!r}"
+                  for x in (a, a_prime) for y in (b, b_prime) for A in (1, -1)]
+        path = tmp_path / "quantum.model"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ("lhv-verify", "--model-file", str(path), "--a", "1.5707963267948966",
+                "--b", "2.356194490192345", "--a-prime", "0", "--b-prime", "0.7853981633974483")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        fields = verify_fields(out)
+        assert (fields["kind"], fields["states"]) == ("general", "1")
+        assert (fields["averaged_chsh"], fields["per_state_chsh_max"]) == ("2.828427125", "n/a")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        data = json.loads(out)
+        assert (data["averaged_chsh"], data["per_state_chsh_max"]) == (2.828427125, None)
 
     def test_corrupted_model_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
@@ -609,27 +661,6 @@ class TestLhvVerify:
     def test_model_selection_required(self, capsys):
         code, _, err = run_cli(capsys, "lhv-verify")
         assert code == EXIT_USAGE
-
-    def test_failing_checks_exit_four(self, capsys, monkeypatch):
-        import ttbell.cli as cli_module
-
-        def broken(model, a, b):
-            return lhv.ConsistencyReport(
-                marginal_from_mean_error=0.5,
-                conditional_moment_route_error=0.0,
-                outcome_swap_error=0.0,
-                outcome_swap_symmetric=True,
-                mean_product_error=0.0,
-            )
-
-        monkeypatch.setattr(cli_module.lhv, "verify_consistency", broken)
-        code, out, _ = run_cli(
-            capsys, "lhv-verify", "--model", "fixed-setting-reproducer",
-            "--a", "0.3", "--b", "0.1",
-        )
-        assert code == EXIT_VERIFY_FAILED
-        assert "check marginal_from_mean: FAIL" in out
-        assert "result: FAIL" in out
 
 
 class TestPolytope:
@@ -819,6 +850,17 @@ class TestNonFiniteInputs:
         assert code == EXIT_USAGE
         assert out == ""
         assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ("table",), ("mc",), ("lhv-verify", "--model", "fixed-setting-reproducer"),
+    ])
+    def test_angles_whose_difference_overflows_are_usage_error(self, command):
+        # both finite, but a - b overflows; the whole stderr, warnings included
+        proc = run_cli_process(*command, "--a=1.7e308", "--b=-1.7e308")
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+        assert proc.stderr.decode() == (
+            f"ttbell {command[0]}: error: --a and --b are too far apart: a - b overflows for some pair\n"
+        )
 
     def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

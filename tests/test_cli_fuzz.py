@@ -100,7 +100,7 @@ def test_any_argv_ends_in_a_documented_exit_code(invocation):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in range(5), (argv, config, code)
+    assert code in range(4), (argv, config, code)
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
         assert out.getvalue() == "", (argv, config)

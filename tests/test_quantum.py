@@ -198,7 +198,7 @@ class TestColumns:
     def test_rows_at_a_null_first_outcome(self, a):
         # one first outcome has P(A | a) = 0; its conditional is still the formula's value
         b = 0.3
-        joint, p_t1, p_t2, cond = q.probability_columns(math.sin(a), math.cos(a - b), *q.ROW_OUTCOMES)
+        joint, p_t1, p_t2, cond = q.probability_columns(a, b, *q.ROW_OUTCOMES)
         rows = list(zip(*q.ROW_OUTCOMES.tolist()))
         closed = oracle.quantum_joint(a, b)
         assert rows == [outcomes for outcomes, _ in closed.items()]
